@@ -3,8 +3,8 @@
 Submodules
 ----------
 packing     two-phase cylindrical particle packings and contact detection
-thermal     inter-particle conduction and boundary temperature schedules
-frostheave  thermal expansion coupling, bond corrections, contact statistics
+thermal     inter-particle conduction, expansion coefficients, uniformity
+frostheave  radius increments, the coupled freeze driver, contact statistics
 mechanics   bonded-particle dynamics, uniaxial testing, calibration
 analysis    wave energies, strength ratios, fractal dimension, pore spectra
 cli         experiment orchestration with deterministic artifacts

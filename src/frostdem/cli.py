@@ -33,14 +33,15 @@ EXIT_STABILITY = 4
 # ---------------------------------------------------------------------------
 # Input-file readers
 
-def _read_rows(path: Path, n_columns: int, kind: str):
+def _read_rows(path: Path, n_columns: tuple[int, ...], kind: str):
     """Numeric rows from a columnar text file; '#' headers and one optional
-    column-name row are skipped.  Errors cite the 1-based line number."""
+    column-name row are skipped.  The first data row fixes the column count,
+    which must be one of ``n_columns``.  Errors cite the 1-based line number."""
     if not path.exists():
         raise InvalidConfigError(f"{kind} file not found: {path}")
     rows = []
     meta: dict[str, str] = {}
-    saw_data = False
+    width = None
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -55,16 +56,20 @@ def _read_rows(path: Path, n_columns: int, kind: str):
         try:
             values = [float(p) for p in parts]
         except ValueError:
-            if not saw_data:
+            if width is None:
                 continue  # single column-name header row
             raise InputParseError(f"expected numbers, got {line!r}",
                                   line=lineno, path=str(path)) from None
-        if len(values) != n_columns:
-            raise InputParseError(
-                f"expected {n_columns} columns, got {len(values)}",
-                line=lineno, path=str(path))
+        if width is None:
+            if len(values) not in n_columns:
+                raise InputParseError(
+                    f"expected {' or '.join(map(str, n_columns))} columns, "
+                    f"got {len(values)}", line=lineno, path=str(path))
+            width = len(values)
+        elif len(values) != width:
+            raise InputParseError(f"expected {width} columns, got {len(values)}",
+                                  line=lineno, path=str(path))
         rows.append(values)
-        saw_data = True
     if not rows:
         raise InputParseError(f"no data rows in {kind} file", line=1,
                               path=str(path))
@@ -74,7 +79,7 @@ def _read_rows(path: Path, n_columns: int, kind: str):
 def read_wave_record(path: str | Path) -> analysis.WaveRecord:
     """Waveform table (time, strain_i, strain_r, strain_t) with a # header
     block declaring bar and specimen geometry."""
-    data, meta = _read_rows(Path(path), 4, "waveform")
+    data, meta = _read_rows(Path(path), (4,), "waveform")
 
     def need(key):
         if key not in meta:
@@ -99,18 +104,13 @@ def read_wave_record(path: str | Path) -> analysis.WaveRecord:
 
 
 def read_spectrum(path: str | Path):
-    data, _ = _read_rows(Path(path), 2, "spectrum")
+    data, _ = _read_rows(Path(path), (2,), "spectrum")
     return [(row[0], row[1]) for row in data]
 
 
 def read_points(path: str | Path) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise InvalidConfigError(f"points file not found: {p}")
-    try:
-        data, _ = _read_rows(p, 3, "points")
-    except InputParseError:
-        data, _ = _read_rows(p, 2, "points")
+    """Point cloud of 2 or 3 coordinate columns, as the first row has."""
+    data, _ = _read_rows(Path(path), (2, 3), "points")
     return data
 
 
@@ -164,11 +164,14 @@ def cmd_freeze(config: ExperimentConfig, args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     packing_cfg = config.packing_config(seed)
     thermal = config.section("thermal", required=False)
-    # ramp_rate and hold are accepted schedule keys; the desk-scale pipeline
-    # compresses the ramp into conducted substeps and replaces the hold with
-    # the uniformity criterion, so they do not alter the outcome
-    thermal.get_float("ramp_rate", 1.0)
-    thermal.get_float("hold", 0.0)
+    # the boundary steps through the stage checkpoints in conducted substeps
+    # and each stage holds until the field is uniform, so a ramp rate or a
+    # hold time would have no effect; reject them rather than ignore them
+    for key in ("ramp_rate", "hold"):
+        if key in thermal.values:
+            raise InvalidConfigError(
+                f"[thermal] {key} is not supported: the boundary follows "
+                "stage_temps or target_temp in conducted substeps")
     common = dict(
         start_temp=thermal.get_float("start_temp", 20.0),
         substep_dt_max=thermal.get_float("substep_dt_max", 2.0),

@@ -77,16 +77,6 @@ class Section:
             raise InvalidConfigError(
                 f"[{self.name}] {key} must be an integer, got {raw!r}") from None
 
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise InvalidConfigError(f"[{self.name}] {key} must be a boolean, got {raw!r}")
-
     def get_float_list(self, key: str, default=None, required=False):
         raw = self._raw(key, None, required)
         if raw is None:

@@ -10,71 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidConfigError, UndefinedStatisticError
-from .mechanics import (BondHealth, BondMaterial, BondState, ContactKind,
-                        CrackEvent, ParticleSystem, build_system,
-                        check_bond_failure)
+from .mechanics import (BondMaterial, ContactKind, CrackEvent, ParticleSystem,
+                        build_system)
 from .packing import ParticleAssembly, Phase, contact_arrays
 from .thermal import (ALPHA_ICE, ALPHA_ROCK, ALPHA_WATER, ConductionNetwork,
-                      TemperatureField, UNIFORMITY_LIMIT, surface_particle_ids)
-
-__all__ = [
-    "BondHealth", "BondState", "check_bond_failure",  # re-exported surface
-    "SignConvention", "ExpansionPhase", "ExpansionRule",
-    "DEFAULT_EXPANSION_RULES", "thermal_radius_update", "radius_increments",
-    "bond_thermal_force", "ContactStats", "force_increase_pct",
-    "volume_reduction_pct", "contact_statistics", "FreezeConfig",
-    "FreezeStageRow", "FreezeResult", "run_freeze",
-]
-
-
-class SignConvention(Enum):
-    STANDARD = "standard"
-    EXPAND_ON_COOLING = "expand_on_cooling"
-
-
-class ExpansionPhase(Enum):
-    ROCK = "rock"
-    WATER = "water"
-    ICE = "ice"
-
-
-@dataclass(frozen=True)
-class ExpansionRule:
-    phase: ExpansionPhase
-    alpha: float                 # 1/degC
-    convention: SignConvention
-
-
-DEFAULT_EXPANSION_RULES: dict[ExpansionPhase, ExpansionRule] = {
-    ExpansionPhase.ROCK: ExpansionRule(ExpansionPhase.ROCK, ALPHA_ROCK,
-                                       SignConvention.STANDARD),
-    ExpansionPhase.WATER: ExpansionRule(ExpansionPhase.WATER, ALPHA_WATER,
-                                        SignConvention.STANDARD),
-    ExpansionPhase.ICE: ExpansionRule(ExpansionPhase.ICE, ALPHA_ICE,
-                                      SignConvention.EXPAND_ON_COOLING),
-}
-
-
-def thermal_radius_update(radius: float, phase: ExpansionPhase,
-                          delta_t: float,
-                          rule: ExpansionRule | None = None) -> float:
-    """Radius increment of one particle for a temperature change in one phase.
-
-    Standard convention shrinks on cooling; the ice convention expands on
-    cooling (and on heating), so freezing growth always wins below zero.
-    """
-    if not math.isfinite(delta_t):
-        raise InvalidConfigError("temperature change must be finite")
-    rule = rule or DEFAULT_EXPANSION_RULES[phase]
-    if rule.convention is SignConvention.STANDARD:
-        return rule.alpha * radius * delta_t
-    return rule.alpha * radius * abs(delta_t)
+                      TemperatureField, UNIFORMITY_LIMIT, expansion_coefficients,
+                      surface_particle_ids)
 
 
 def radius_increments(t_old: np.ndarray, t_new: np.ndarray,
@@ -84,23 +30,13 @@ def radius_increments(t_old: np.ndarray, t_new: np.ndarray,
     The liquid segment of each path uses the standard water coefficient,
     the sub-zero segment the expand-on-cooling ice coefficient.
     """
+    if not (np.all(np.isfinite(t_old)) and np.all(np.isfinite(t_new))):
+        raise InvalidConfigError("temperatures must be finite")
     d_rock = ALPHA_ROCK * radii * (t_new - t_old)
     liquid_span = np.maximum(t_new, 0.0) - np.maximum(t_old, 0.0)
     ice_span = np.minimum(t_new, 0.0) - np.minimum(t_old, 0.0)
     d_water = ALPHA_WATER * radii * liquid_span + ALPHA_ICE * radii * np.abs(ice_span)
     return np.where(phases == Phase.ROCK, d_rock, d_water)
-
-
-def bond_thermal_force(k_n: float, area: float, alpha_b: float,
-                       length0: float, delta_t: float) -> float:
-    """Normal bond force increment from thermal strain of the bond material.
-
-    ``-k_n * area * (alpha_b * length0 * delta_t)``; cooling yields a
-    positive (compressive) increment.
-    """
-    if k_n <= 0 or area <= 0 or length0 <= 0:
-        raise InvalidConfigError("k_n, area and length0 must be > 0")
-    return -k_n * area * (alpha_b * length0 * delta_t)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +218,7 @@ def run_freeze(assembly: ParticleAssembly,
                 d_radius = d_radius + np.where(newly_frozen,
                                                system.radii * jump_factor, 0.0)
                 has_jumped |= newly_frozen
-            alpha_now = _alpha_array(system.phases, field.temperatures)
+            alpha_now = expansion_coefficients(system.phases, field.temperatures)
             system.apply_radius_increments(d_radius)
             system.apply_bond_thermal_offsets(d_temp, alpha_now)
             t_prev_particles = field.temperatures.copy()
@@ -298,7 +234,7 @@ def run_freeze(assembly: ParticleAssembly,
                                          system.radii, system.phases)
             system.apply_radius_increments(d_radius)
             system.apply_bond_thermal_offsets(
-                d_temp, _alpha_array(system.phases, field.temperatures))
+                d_temp, expansion_coefficients(system.phases, field.temperatures))
             t_prev_particles = field.temperatures.copy()
         system.refresh_transient_contacts(skin)
         system.equilibrate(tol=config.stage_relax_tol, max_steps=30_000)
@@ -307,13 +243,6 @@ def run_freeze(assembly: ParticleAssembly,
 
     return FreezeResult(baseline, stages, list(system.crack_events), field,
                         system, config.start_temp)
-
-
-def _alpha_array(phases: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
-    alpha = np.full(len(phases), ALPHA_ROCK)
-    water = phases == Phase.WATER
-    alpha[water] = np.where(temperatures[water] > 0.0, ALPHA_WATER, ALPHA_ICE)
-    return alpha
 
 
 def _conduct_until(network: ConductionNetwork, field: TemperatureField,

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,14 +37,11 @@ class BondMaterial:
     """Micro-parameters of one contact/bond type.
 
     ``contact_modulus`` and ``bond_modulus`` in GPa, strengths in MPa,
-    friction angle in degrees.  ``stiffness_ratio`` and ``poisson_micro``
-    are carried for completeness; unbonded contacts here are frictionless so
-    they do not enter the force laws.
+    friction angle in degrees.  Unbonded contacts are frictionless, so the
+    contact spring has a normal stiffness only.
     """
 
     contact_modulus: float
-    stiffness_ratio: float
-    poisson_micro: float
     bond_modulus: float
     bond_stiffness_ratio: float
     tensile_strength: float
@@ -56,8 +51,8 @@ class BondMaterial:
     def __post_init__(self):
         if self.contact_modulus <= 0 or self.bond_modulus <= 0:
             raise InvalidConfigError("moduli must be > 0")
-        if self.stiffness_ratio <= 0 or self.bond_stiffness_ratio <= 0:
-            raise InvalidConfigError("stiffness ratios must be > 0")
+        if self.bond_stiffness_ratio <= 0:
+            raise InvalidConfigError("bond stiffness ratio must be > 0")
         if not (0.0 <= self.friction_angle < 90.0):
             raise InvalidConfigError("friction angle must be in [0, 90) degrees")
         if self.tensile_strength < 0 or self.cohesion < 0:
@@ -74,126 +69,25 @@ class BondMaterial:
 
 #: Calibrated micro-parameters for the saturated specimen's three bond types.
 SATURATED_MATERIALS: dict[ContactKind, BondMaterial] = {
-    ContactKind.ROCK_ROCK: BondMaterial(9.0, 1.0, 0.6, 9.0, 2.5, 40.0, 40.0, 45.0),
-    ContactKind.ROCK_WATER: BondMaterial(9.0, 1.0, 0.6, 4.5, 2.5, 60.0, 60.0, 0.0),
-    ContactKind.WATER_WATER: BondMaterial(9.0, 1.0, 0.6, 2.0, 2.5, 60.0, 60.0, 0.0),
+    ContactKind.ROCK_ROCK: BondMaterial(9.0, 9.0, 2.5, 40.0, 40.0, 45.0),
+    ContactKind.ROCK_WATER: BondMaterial(9.0, 4.5, 2.5, 60.0, 60.0, 0.0),
+    ContactKind.WATER_WATER: BondMaterial(9.0, 2.0, 2.5, 60.0, 60.0, 0.0),
 }
 
 #: Calibrated micro-parameters for the dry specimen (rock bonds only).
 DRY_MATERIALS: dict[ContactKind, BondMaterial] = {
-    ContactKind.ROCK_ROCK: BondMaterial(9.0, 1.0, 0.6, 4.23, 2.5, 80.0, 80.0, 45.0),
+    ContactKind.ROCK_ROCK: BondMaterial(9.0, 4.23, 2.5, 80.0, 80.0, 45.0),
 }
 
 
-def bond_cross_section(r_a: float | np.ndarray, r_b: float | np.ndarray,
-                       mode: str = "sum"):
-    """Bond cross-sectional area, mm^2.
-
-    Default follows the radius-sum disc pi*(r_a+r_b)^2; ``mode="min"``
-    selects the conventional disc of the smaller radius.
-    """
-    if mode == "sum":
-        return np.pi * (np.asarray(r_a) + np.asarray(r_b)) ** 2
-    if mode == "min":
-        return np.pi * np.minimum(r_a, r_b) ** 2
-    raise InvalidConfigError(f"unknown bond area mode {mode!r}")
+def bond_cross_section(r_a: float | np.ndarray, r_b: float | np.ndarray):
+    """Bond cross-sectional area: the radius-sum disc pi*(r_a+r_b)^2, mm^2."""
+    return np.pi * (np.asarray(r_a) + np.asarray(r_b)) ** 2
 
 
 def contact_cross_section(r_a, r_b):
     """Linear-contact area: disc of the smaller radius, mm^2."""
     return np.pi * np.minimum(r_a, r_b) ** 2
-
-
-class BondHealth(Enum):
-    INTACT = "intact"
-    BROKEN_TENSILE = "tensile"
-    BROKEN_SHEAR = "shear"
-
-
-@dataclass
-class BondState:
-    """Scalar state of one parallel bond for failure evaluation.
-
-    ``normal_force`` is compression-positive; ``shear_force`` is the
-    magnitude of the accumulated shear.  ``bending_moment`` contributes to
-    the extreme-fiber tensile stress when ``include_bending`` is on.
-    """
-
-    normal_force: float          # N, compression positive
-    shear_force: float           # N
-    area: float                  # mm^2
-    material: BondMaterial
-    bending_moment: float = 0.0  # N mm
-    intact: bool = True
-
-    @property
-    def bond_radius(self) -> float:
-        return math.sqrt(self.area / math.pi)
-
-    def normal_stress(self) -> float:
-        return self.normal_force / self.area
-
-    def shear_stress(self) -> float:
-        return self.shear_force / self.area
-
-    def bending_stress(self) -> float:
-        c = self.bond_radius
-        moment_of_inertia = math.pi * c ** 4 / 4.0
-        return abs(self.bending_moment) * c / moment_of_inertia
-
-
-def check_bond_failure(bond: BondState, include_bending: bool = True) -> BondHealth:
-    """Evaluate the bond strength envelope.
-
-    Tensile failure when extreme-fiber tension exceeds the tensile strength;
-    shear failure when shear stress exceeds cohesion plus the
-    compression-scaled friction term.
-    """
-    if not bond.intact:
-        raise InvalidConfigError("bond is already broken")
-    sigma_n = bond.normal_stress()          # compression positive
-    tension = -sigma_n
-    if include_bending:
-        tension += bond.bending_stress()
-    if tension > bond.material.tensile_strength:
-        return BondHealth.BROKEN_TENSILE
-    tan_phi = math.tan(math.radians(bond.material.friction_angle))
-    shear_limit = bond.material.cohesion + sigma_n * tan_phi
-    if bond.shear_stress() > shear_limit:
-        return BondHealth.BROKEN_SHEAR
-    return BondHealth.INTACT
-
-
-class BondForces(NamedTuple):
-    normal_force: float
-    shear_force: float
-
-
-def bond_stiffnesses(material: BondMaterial, r_a: float, r_b: float,
-                     area_mode: str = "sum") -> tuple[float, float, float]:
-    """(k_normal, k_shear, area) of the bond springs in N/mm and mm^2.
-
-    Normal stiffness is modulus across the contact span divided by the span,
-    times the bond cross-section; shear stiffness divides by the bond
-    stiffness ratio.
-    """
-    area = float(bond_cross_section(r_a, r_b, area_mode))
-    k_n = material.bond_modulus * 1e3 / (r_a + r_b) * area
-    return k_n, k_n / material.bond_stiffness_ratio, area
-
-
-def bond_force_update(material: BondMaterial, r_a: float, r_b: float,
-                      forces: BondForces, du_normal: float, du_shear: float,
-                      area_mode: str = "sum") -> BondForces:
-    """Incremental linear bond springs.
-
-    ``du_normal`` > 0 closes the contact (adds compression); ``du_shear`` is
-    the tangential slip magnitude accumulated into the shear force.  Failure
-    checking is delegated to :func:`check_bond_failure`.
-    """
-    k_n, k_s, _ = bond_stiffnesses(material, r_a, r_b, area_mode)
-    return BondForces(forces.normal_force + k_n * du_normal,
-                      forces.shear_force + k_s * du_shear)
 
 
 @dataclass(frozen=True)
@@ -261,16 +155,12 @@ class ParticleSystem:
     def __init__(self, assembly: ParticleAssembly,
                  materials: dict[ContactKind, BondMaterial],
                  *, bond_gap_tol: float | None = None,
-                 area_mode: str = "sum",
                  damping: float = DEFAULT_DAMPING,
-                 mass_scale: float = DEFAULT_MASS_SCALE,
-                 include_bending: bool = True):
+                 mass_scale: float = DEFAULT_MASS_SCALE):
         self.assembly = assembly
         self.materials = dict(materials)
-        self.area_mode = area_mode
         self.damping = damping
         self.mass_scale = mass_scale
-        self.include_bending = include_bending
 
         self.n = assembly.n_particles
         self.pos = assembly.centers.copy()
@@ -316,7 +206,7 @@ class ParticleSystem:
                        + self.phases[ib].astype(np.int64)).astype(np.int8)
         r_a, r_b = self.radii[ia], self.radii[ib]
         span = r_a + r_b
-        self.b_area = np.asarray(bond_cross_section(r_a, r_b, self.area_mode), dtype=float)
+        self.b_area = np.asarray(bond_cross_section(r_a, r_b), dtype=float)
         self.b_k_normal = self._material_for(self.b_kind, "bond_modulus") * 1e3 \
             / span * self.b_area
         self.b_k_shear = self.b_k_normal / self._material_for(
@@ -458,12 +348,18 @@ class ParticleSystem:
         return force, contact_mag_sum, max(contact_count, 1)
 
     def _check_failures(self, fn: np.ndarray) -> None:
+        """Break intact bonds outside the parallel-bond strength envelope.
+
+        Tensile failure when normal tension exceeds the tensile strength;
+        shear failure when shear stress exceeds cohesion plus the
+        compression-scaled friction term.
+        """
         if not self.n_bonds:
             return
         intact = self.b_intact
         sigma_n = np.where(intact, fn / self.b_area, 0.0)
-        # rotational DOF are not carried, so bending moments stay zero and the
-        # extreme-fiber term of check_bond_failure contributes nothing here
+        # rotational DOF are not carried, so there is no bending moment and
+        # the extreme-fiber tension is the normal tension alone
         tension = -sigma_n
         shear_mag = np.linalg.norm(self.b_shear, axis=1)
         tau = np.where(intact, shear_mag / self.b_area, 0.0)
@@ -480,6 +376,9 @@ class ParticleSystem:
                 self.time, tuple(float(x) for x in mid[row]), mode))
         self.b_intact[failed] = False
         self.b_shear[failed] = 0.0
+        # a broken bond acts through the contact spring, which changes the
+        # particle stiffness totals behind the stable step
+        self._dt_cache = None
 
     # -- stepping -------------------------------------------------------------
 
@@ -655,11 +554,6 @@ class ParticleSystem:
                     / (12.0 * np.maximum(dd, 1e-12)))
             total += float(lens.sum())
         return total
-
-
-def integrate_step(system: ParticleSystem, dt: float) -> None:
-    """Advance the system one explicit step; rejects unstable steps."""
-    system.step(dt)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ class ContactKind(IntEnum):
     WATER_WATER = 2
 
 
-def contact_kind(phase_a: int, phase_b: int) -> ContactKind:
-    return ContactKind(int(phase_a) + int(phase_b))
-
-
 @dataclass(frozen=True)
 class PackingConfig:
     """Geometry, phase split and size ranges for one specimen packing.
@@ -159,16 +155,6 @@ class ParticleAssembly:
         water = float(vols[self.phases == Phase.WATER].sum())
         total = float(vols.sum())
         return water / total
-
-
-@dataclass(frozen=True)
-class ContactPair:
-    """Unordered particle pair within detection tolerance."""
-
-    particle_a: int
-    particle_b: int
-    kind: ContactKind
-    gap: float                   # surface gap, mm; negative when overlapping
 
 
 class ResolutionResult(NamedTuple):
@@ -328,15 +314,6 @@ def contact_arrays(assembly: ParticleAssembly, tolerance: float
     a, b, gap = a[keep], b[keep], gap[keep]
     order = np.lexsort((b, a))
     return a[order], b[order], gap[order]
-
-
-def detect_contacts(assembly: ParticleAssembly, tolerance: float) -> list[ContactPair]:
-    """All particle pairs with center distance <= r_a + r_b + tolerance."""
-    a, b, gap = contact_arrays(assembly, tolerance)
-    phases = assembly.phases
-    return [ContactPair(int(ia), int(ib),
-                        contact_kind(phases[ia], phases[ib]), float(g))
-            for ia, ib, g in zip(a, b, gap)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,17 @@
 
 Heat moves between contacting particles proportionally to contact area and
 temperature difference over center distance.  Boundary particles are pinned
-to a ramp-and-hold schedule; everything else evolves explicitly.
+to the current boundary temperature; everything else evolves explicitly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidConfigError, StabilityError
-from .packing import ContactPair, ParticleAssembly, Phase
-
-
-class PhaseState(Enum):
-    WATER = "water"
-    ICE = "ice"
+from .packing import ParticleAssembly, Phase
 
 
 #: Linear thermal expansion coefficients, 1/degC.
@@ -29,96 +23,32 @@ ALPHA_ICE = 2.079e-4
 
 @dataclass(frozen=True)
 class ThermalProperties:
-    """Conductivity, heat capacity and expansion data for one material."""
+    """Conductivity and heat capacity of one material."""
 
     conductivity: float          # W/(m K)
     heat_capacity: float         # J/(kg degC)
-    thermal_resistance: float    # degC cm/W, carried as metadata only
-    expansion_coefficient: float  # 1/degC
 
     def __post_init__(self):
         if self.conductivity <= 0 or self.heat_capacity <= 0:
             raise InvalidConfigError("conductivity and heat capacity must be > 0")
-        if self.expansion_coefficient <= 0:
-            raise InvalidConfigError("expansion coefficient must be > 0")
 
 
-ROCK_PROPERTIES = ThermalProperties(7.7, 877.0, 2.58, ALPHA_ROCK)
-WATER_FROZEN_PROPERTIES = ThermalProperties(2.2, 4215.0, 1.00, ALPHA_ICE)
-WATER_MELTED_PROPERTIES = ThermalProperties(0.6, 4215.0, 1.00, ALPHA_WATER)
+ROCK_PROPERTIES = ThermalProperties(7.7, 877.0)
+WATER_FROZEN_PROPERTIES = ThermalProperties(2.2, 4215.0)
+WATER_MELTED_PROPERTIES = ThermalProperties(0.6, 4215.0)
 
 
-def heat_flux(conductivity: float, area: float, delta_t: float,
-              distance: float) -> float:
-    """Conductive heat flux between two particles: -k * A * dT / dx.
+def expansion_coefficients(phases: np.ndarray,
+                           temperatures: np.ndarray) -> np.ndarray:
+    """Per-particle linear expansion coefficient at the current temperatures.
 
-    ``delta_t`` is receiver minus source temperature, so flux is positive
-    toward the colder particle.
+    Water above 0 degC is liquid; at or below 0 degC it is ice, so the
+    freeze transition triggers exactly at the zero crossing.
     """
-    if distance <= 0:
-        raise InvalidConfigError("center distance must be > 0")
-    return -conductivity * area * delta_t / distance
-
-
-def phase_state(temperature: float) -> PhaseState:
-    """Water above 0 degC, ice at or below it.
-
-    Zero is classified as ice so the freeze transition triggers exactly at
-    the schedule's zero crossing.
-    """
-    return PhaseState.WATER if temperature > 0.0 else PhaseState.ICE
-
-
-def expansion_coefficient(phase: int, temperature: float) -> float:
-    """Current linear expansion coefficient of one particle."""
-    if phase == Phase.ROCK:
-        return ALPHA_ROCK
-    return ALPHA_WATER if phase_state(temperature) is PhaseState.WATER else ALPHA_ICE
-
-
-def conductivity_of(phase: int, temperature: float) -> float:
-    if phase == Phase.ROCK:
-        return ROCK_PROPERTIES.conductivity
-    return (WATER_MELTED_PROPERTIES.conductivity
-            if phase_state(temperature) is PhaseState.WATER
-            else WATER_FROZEN_PROPERTIES.conductivity)
-
-
-def heat_capacity_of(phase: int) -> float:
-    return ROCK_PROPERTIES.heat_capacity if phase == Phase.ROCK \
-        else WATER_FROZEN_PROPERTIES.heat_capacity
-
-
-@dataclass(frozen=True)
-class BoundarySchedule:
-    """Linear ramp from start to target temperature, then hold."""
-
-    start_temp: float            # degC
-    target_temp: float           # degC
-    ramp_rate: float = 1.0       # degC/min
-    hold_duration: float = 0.0   # s
-
-    def __post_init__(self):
-        if self.ramp_rate <= 0:
-            raise InvalidConfigError("ramp_rate must be > 0")
-        if self.hold_duration < 0:
-            raise InvalidConfigError("hold_duration must be >= 0")
-
-    @property
-    def ramp_time(self) -> float:
-        """Seconds to reach the target."""
-        return abs(self.target_temp - self.start_temp) / self.ramp_rate * 60.0
-
-
-def schedule_temperature(schedule: BoundarySchedule, t: float) -> float:
-    """Boundary temperature at elapsed time ``t`` seconds."""
-    if t < 0:
-        raise InvalidConfigError("time must be >= 0")
-    ramp_time = schedule.ramp_time
-    if t >= ramp_time:
-        return schedule.target_temp
-    direction = 1.0 if schedule.target_temp >= schedule.start_temp else -1.0
-    return schedule.start_temp + direction * schedule.ramp_rate * (t / 60.0)
+    alpha = np.full(len(phases), ALPHA_ROCK)
+    water = phases == Phase.WATER
+    alpha[water] = np.where(temperatures[water] > 0.0, ALPHA_WATER, ALPHA_ICE)
+    return alpha
 
 
 @dataclass
@@ -126,7 +56,7 @@ class TemperatureField:
     """Per-particle temperatures plus the boundary particle set."""
 
     temperatures: np.ndarray     # (N,) degC
-    boundary_ids: np.ndarray     # particle indices pinned to the schedule
+    boundary_ids: np.ndarray     # particle indices pinned to the boundary value
     time: float = 0.0            # s
 
     def copy(self) -> "TemperatureField":
@@ -160,14 +90,9 @@ class ConductionNetwork:
     """
 
     def __init__(self, assembly: ParticleAssembly,
-                 contacts: Iterable[ContactPair] | tuple[np.ndarray, np.ndarray]):
-        if isinstance(contacts, tuple):
-            self.ia, self.ib = (np.asarray(contacts[0], dtype=np.int64),
-                                np.asarray(contacts[1], dtype=np.int64))
-        else:
-            pairs = list(contacts)
-            self.ia = np.array([c.particle_a for c in pairs], dtype=np.int64)
-            self.ib = np.array([c.particle_b for c in pairs], dtype=np.int64)
+                 contacts: tuple[np.ndarray, np.ndarray]):
+        self.ia, self.ib = (np.asarray(contacts[0], dtype=np.int64),
+                            np.asarray(contacts[1], dtype=np.int64))
         self.n = assembly.n_particles
         self.phases = assembly.phases
         r = assembly.radii
@@ -250,20 +175,6 @@ class ConductionNetwork:
     def thermal_energy(self, field: TemperatureField) -> float:
         """Total stored heat sum(mass * C_v * T), J (relative to 0 degC)."""
         return float(np.dot(self.heat_mass, field.temperatures))
-
-
-def conduction_step(assembly: ParticleAssembly, field: TemperatureField,
-                    contacts: Iterable[ContactPair], dt: float,
-                    boundary_value: float | None = None) -> TemperatureField:
-    """One explicit conduction step over the given contacts.
-
-    Functional wrapper over :class:`ConductionNetwork`; returns a new field.
-    Prefer the network class when stepping repeatedly.
-    """
-    net = ConductionNetwork(assembly, contacts)
-    out = field.copy()
-    net.step(out, dt, boundary_value)
-    return out
 
 
 def uniformity_report(field: TemperatureField,

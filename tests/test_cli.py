@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frostdem.cli import main, read_particles
+from frostdem.cli import main, read_particles, read_points
 from frostdem.config import ExperimentConfig, parse_config_text
 from frostdem.errors import InvalidConfigError
 from frostdem.packing import CylinderDomain
@@ -91,6 +91,29 @@ def test_analyze_malformed_row_cites_line(tmp_path, capsys):
     assert ":6" in capsys.readouterr().err
 
 
+def test_analyze_points_row_width_change_cites_line(tmp_path, capsys):
+    # the first data row fixes the width; a short row later is reported at
+    # its own line, not at the first row
+    pts = tmp_path / "pts.txt"
+    pts.write_text("x y z\n0 0 0\n1 1 1\n2 2 2\n3 3\n4 4 4\n")
+    cfg = write_config(tmp_path, f"[analysis]\npoints = {pts}\n")
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{pts}:5:" in err
+    assert "expected 3 columns, got 2" in err
+    flat = tmp_path / "flat.txt"
+    flat.write_text("0 0\n1 2\n3 4\n")
+    assert read_points(flat).shape == (3, 2)
+
+
+@pytest.mark.parametrize("key", ["ramp_rate", "hold"])
+def test_freeze_rejects_unsupported_schedule_key(tmp_path, capsys, key):
+    body = f"[run]\nseed = 5\n{PACKING_BLOCK}\n[thermal]\ntarget_temp = -20\n{key} = 1\n"
+    cfg = write_config(tmp_path, body)
+    assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"[thermal] {key}" in capsys.readouterr().err
+
+
 def test_analyze_with_nothing_to_do_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "[analysis]\n")
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -142,8 +165,6 @@ seed = 5
 [thermal]
 start_temp = 20
 target_temp = -20
-ramp_rate = 1.0
-hold = 0
 """
     cfg = write_config(tmp_path, body)
     out = tmp_path / "out"

@@ -1,44 +1,54 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frostdem.errors import InvalidConfigError, UndefinedStatisticError
-from frostdem.frostheave import (ExpansionPhase, FreezeConfig,
-                                 bond_thermal_force, contact_statistics,
+from frostdem.frostheave import (FreezeConfig, contact_statistics,
                                  force_increase_pct, radius_increments,
-                                 run_freeze, thermal_radius_update,
-                                 volume_reduction_pct)
-from frostdem.mechanics import build_system
-from frostdem.packing import Phase
+                                 run_freeze, volume_reduction_pct)
+from frostdem.mechanics import (BondMaterial, ParticleSystem,
+                                SATURATED_MATERIALS, build_system)
+from frostdem.packing import ContactKind, CylinderDomain, ParticleAssembly, Phase
+from frostdem.thermal import ALPHA_ICE
 
+
+def increment(phase, radius, t_old, t_new):
+    """Radius increment of one particle for one temperature change."""
+    return radius_increments(np.array([t_old]), np.array([t_new]),
+                             np.array([radius]),
+                             np.array([phase], dtype=np.int8))[0]
 
 
 # ---------------------------------------------------------------------------
-# thermal_radius_update
+# radius increments
 
 def test_radius_update_zero_change():
-    assert thermal_radius_update(0.875, ExpansionPhase.WATER, 0.0) == 0.0
+    assert increment(Phase.WATER, 0.875, 5.0, 5.0) == 0.0
+    assert increment(Phase.WATER, 0.875, -5.0, -5.0) == 0.0
 
 
 def test_radius_update_liquid_shrinks_on_cooling():
-    d = thermal_radius_update(0.875, ExpansionPhase.WATER, -5.0)
-    assert d == pytest.approx(-7.74e-4, rel=1e-3)
+    assert increment(Phase.WATER, 0.875, 20.0, 15.0) \
+        == pytest.approx(-7.74e-4, rel=1e-3)
 
 
 def test_radius_update_ice_expands_on_cooling():
-    d = thermal_radius_update(0.875, ExpansionPhase.ICE, -10.0)
-    assert d == pytest.approx(1.819e-3, rel=1e-3)
+    assert increment(Phase.WATER, 0.875, 0.0, -10.0) \
+        == pytest.approx(1.819e-3, rel=1e-3)
 
 
 def test_radius_update_rock_shrinks_slightly():
-    d = thermal_radius_update(1.1, ExpansionPhase.ROCK, -10.0)
-    assert d == pytest.approx(-5.72e-5, rel=1e-3)
+    assert increment(Phase.ROCK, 1.1, 0.0, -10.0) == pytest.approx(-5.72e-5, rel=1e-3)
 
 
 def test_radius_update_rejects_nonfinite():
     with pytest.raises(InvalidConfigError):
-        thermal_radius_update(1.0, ExpansionPhase.ROCK, float("nan"))
+        increment(Phase.ROCK, 1.0, 20.0, float("nan"))
+    with pytest.raises(InvalidConfigError):
+        increment(Phase.WATER, 1.0, float("inf"), 0.0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -69,24 +79,66 @@ def test_radius_increments_split_at_zero():
 
 
 # ---------------------------------------------------------------------------
-# bond_thermal_force
+# bond thermal force: ParticleSystem.apply_bond_thermal_offsets adds
+# -alpha_b * L0 * dT to each intact bond, so its normal force changes by
+# -k_n * alpha_b * L0 * dT with k_n = E_b * 1e3 / (r_a + r_b) * pi (r_a + r_b)^2
+
+ROCK_MAT = SATURATED_MATERIALS[ContactKind.ROCK_ROCK]
+PAIR_RADIUS = 1.0
+PAIR_LENGTH = 2.0 * PAIR_RADIUS
+
+
+def bonded_pair(material=ROCK_MAT):
+    centers = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + PAIR_LENGTH]])
+    asm = ParticleAssembly(centers, np.full(2, PAIR_RADIUS),
+                           np.zeros(2, dtype=np.int8), np.full(2, 2600.0),
+                           CylinderDomain(3.0, 6.0))
+    system = ParticleSystem(asm, {ContactKind.ROCK_ROCK: material}, mass_scale=1.0)
+    assert system.n_bonds == 1
+    return system
+
+
+def pair_k_normal(material=ROCK_MAT):
+    return material.bond_modulus * 1e3 / PAIR_LENGTH * math.pi * PAIR_LENGTH ** 2
+
+
+def thermal_force(d_temp, alpha, system=None):
+    system = system or bonded_pair()
+    before = system.bond_normal_forces()[0]
+    system.apply_bond_thermal_offsets(np.full(2, d_temp), np.full(2, alpha))
+    return system.bond_normal_forces()[0] - before
+
 
 def test_bond_force_zero_change():
-    assert bond_thermal_force(100.0, 3.14, 2.079e-4, 2.0, 0.0) == 0.0
+    assert thermal_force(0.0, ALPHA_ICE) == 0.0
 
 
 def test_bond_force_unit_substitution():
-    assert bond_thermal_force(1.0, 1.0, 1.0, 1.0, 1.0) == -1.0
+    # alpha = 1/degC and dT = 1 degC: the offset is one full bond length
+    assert thermal_force(1.0, 1.0) == pytest.approx(-pair_k_normal() * PAIR_LENGTH)
 
 
 def test_bond_force_compressive_on_cooling():
-    d = bond_thermal_force(100.0, 3.14, 2.079e-4, 2.0, -10.0)
-    assert d == pytest.approx(1.306, rel=1e-3)
+    d = thermal_force(-10.0, ALPHA_ICE)
+    assert d > 0.0
+    assert d == pytest.approx(pair_k_normal() * ALPHA_ICE * PAIR_LENGTH * 10.0,
+                              rel=1e-12)
+    # the pair takes the smaller coefficient and the mean temperature change
+    system = bonded_pair()
+    system.apply_bond_thermal_offsets(np.array([-10.0, -30.0]),
+                                      np.array([ALPHA_ICE, 1.0]))
+    assert system.bond_normal_forces()[0] == pytest.approx(
+        pair_k_normal() * ALPHA_ICE * PAIR_LENGTH * 20.0, rel=1e-12)
 
 
 def test_bond_force_rejects_bad_geometry():
+    # a non-positive bond stiffness cannot reach the engine, and a broken
+    # bond takes no thermal offset
     with pytest.raises(InvalidConfigError):
-        bond_thermal_force(0.0, 1.0, 1.0, 1.0, 1.0)
+        BondMaterial(9.0, 0.0, 2.5, 40.0, 40.0, 45.0)
+    system = bonded_pair()
+    system.b_intact[:] = False
+    assert thermal_force(-10.0, ALPHA_ICE, system) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +219,6 @@ def test_water_bonds_never_break_in_pure_thermal(saturated_freeze):
     system = saturated_freeze.system
     broken = ~system.b_intact
     if np.any(broken):
-        from frostdem.packing import ContactKind
         kinds = system.b_kind[broken]
         assert np.all(kinds == ContactKind.ROCK_ROCK), \
             "only rock bonds may break under frost heave"
@@ -220,17 +271,7 @@ def test_freeze_volume_jump_grows_water_radii(small_saturated):
     assert np.allclose(ratio, (1.09) ** (1 / 3), rtol=1e-3)
 
 
-def test_failure_check_reachable_from_this_module():
-    from frostdem.frostheave import BondHealth, BondState, check_bond_failure
-    from frostdem.mechanics import SATURATED_MATERIALS
-    from frostdem.packing import ContactKind
-    mat = SATURATED_MATERIALS[ContactKind.ROCK_ROCK]
-    state = BondState(0.0, 0.0, 1.0, mat)
-    assert check_bond_failure(state) is BondHealth.INTACT
-
-
 def test_freeze_rejects_empty_assembly():
-    from frostdem.packing import CylinderDomain, ParticleAssembly
     empty = ParticleAssembly(np.zeros((0, 3)), np.zeros(0),
                              np.zeros(0, dtype=np.int8), np.zeros(0),
                              CylinderDomain(1.0, 1.0))

@@ -6,13 +6,10 @@ import pytest
 from frostdem.errors import (CurveWindowError, InvalidConfigError,
                              PreconditionError, StabilityError,
                              UndefinedStatisticError)
-from frostdem.mechanics import (BondForces, BondHealth, BondMaterial, BondState,
-                                MechanicalReport, ParticleSystem,
+from frostdem.mechanics import (BondMaterial, MechanicalReport, ParticleSystem,
                                 SATURATED_MATERIALS, StressStrainCurve,
-                                bond_force_update, bond_stiffnesses,
-                                build_system, calibrate, check_bond_failure,
-                                extract_mechanical_params, integrate_step,
-                                run_uniaxial_test)
+                                build_system, calibrate,
+                                extract_mechanical_params, run_uniaxial_test)
 from frostdem.packing import ContactKind, CylinderDomain, ParticleAssembly
 
 
@@ -26,38 +23,113 @@ def pair_assembly(gap=0.0, r=1.1):
                             CylinderDomain(3 * r, 6 * r))
 
 
+# Closed-form parallel-bond springs of two equal touching spheres, built from
+# the material constants alone: k_n = E_b * 1e3 / (r_a + r_b) * A with the
+# radius-sum disc A = pi * (r_a + r_b)^2, and k_s = k_n / bond_stiffness_ratio.
+
+def bond_area(r):
+    return math.pi * (2 * r) ** 2
+
+
+def bond_k_normal(material, r):
+    return material.bond_modulus * 1e3 / (2 * r) * bond_area(r)
+
+
+def held_pair(material=ROCK_MAT, r=1.0):
+    """Two touching spheres joined by one bond, held in place (inv_mass = 0)
+    so the bond sees exactly the displacement a test prescribes."""
+    system = ParticleSystem(pair_assembly(r=r), {ContactKind.ROCK_ROCK: material},
+                            damping=0.0, mass_scale=1.0)
+    system.inv_mass[:] = 0.0
+    assert system.n_bonds == 1
+    return system
+
+
+def bond_outcome(material, normal_stress, shear_stress=0.0, r=1.0):
+    """Load one bond to the given stresses (compression positive), take one
+    engine step and report "intact", "tensile" or "shear"."""
+    system = held_pair(material, r)
+    # normal stress = E_b * 1e3 * overlap / (r_a + r_b) for the bond spring
+    system.pos[1, 2] -= normal_stress * 2 * r / (material.bond_modulus * 1e3)
+    system.b_shear[0] = (shear_stress * bond_area(r), 0.0, 0.0)
+    system.step(system.stable_dt())
+    if system.n_intact_bonds:
+        return "intact"
+    assert len(system.crack_events) == 1
+    return system.crack_events[0].mode
+
+
+def breaking_displacement(material, r=1.0):
+    """Bisect the opening that breaks one held bond in tension within a
+    single step."""
+    def breaks(u):
+        system = held_pair(material, r)
+        system.pos[1, 2] += u
+        system.step(system.stable_dt())
+        return [c.mode for c in system.crack_events] == ["tensile"]
+
+    u_star = material.tensile_strength * bond_area(r) / bond_k_normal(material, r)
+    lo, hi = 0.0, 4.0 * u_star
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if breaks(mid) else (mid, hi)
+    return hi, u_star
+
+
 # ---------------------------------------------------------------------------
 # bond force law
 
 def test_zero_increments_leave_forces_unchanged():
-    f = bond_force_update(ROCK_MAT, 1.0, 1.0, BondForces(3.0, 1.0), 0.0, 0.0)
-    assert f == BondForces(3.0, 1.0)
+    system = held_pair()
+    system.pos[1, 2] -= 1e-4                     # preload in compression
+    system.b_shear[0] = (2.0, 0.0, 0.0)
+    f0 = system.bond_normal_forces().copy()
+    for _ in range(5):
+        system.step(system.stable_dt())
+    assert np.array_equal(system.bond_normal_forces(), f0)
+    assert np.array_equal(system.b_shear[0], (2.0, 0.0, 0.0))
 
 
 def test_normal_force_ramps_with_bond_stiffness():
-    k_n, _, _ = bond_stiffnesses(ROCK_MAT, 1.0, 1.0)
-    f = BondForces(0.0, 0.0)
-    du = -1e-4  # opening
+    # one bond opened in equal increments; the force pass must pull the pair
+    # back with k_n * opening, read from the first-step velocity change
+    k_n = bond_k_normal(ROCK_MAT, 1.0)
+    du = 1e-4  # opening, well inside the tensile strength
     for i in range(1, 6):
-        f = bond_force_update(ROCK_MAT, 1.0, 1.0, f, du, 0.0)
-        assert f.normal_force == pytest.approx(k_n * du * i)
+        system = ParticleSystem(pair_assembly(r=1.0),
+                                {ContactKind.ROCK_ROCK: ROCK_MAT},
+                                damping=0.0, mass_scale=1.0)
+        system.pos[1, 2] += du * i
+        assert system.bond_normal_forces()[0] == pytest.approx(-k_n * du * i)
+        dt = system.stable_dt()
+        system.step(dt)
+        assert system.vel[1, 2] * system.mass[1] / dt \
+            == pytest.approx(-k_n * du * i)
+        assert system.vel[0, 2] * system.mass[0] / dt \
+            == pytest.approx(k_n * du * i)
 
 
 def test_pure_shear_leaves_normal_unchanged():
-    f = bond_force_update(ROCK_MAT, 1.0, 1.0, BondForces(0.0, 0.0), 0.0, 2e-4)
-    assert f.normal_force == 0.0
-    assert f.shear_force != 0.0
+    # tangential relative motion loads the shear spring with k_s * slip and
+    # leaves the normal direction force free
+    system = ParticleSystem(pair_assembly(r=1.0), {ContactKind.ROCK_ROCK: ROCK_MAT},
+                            damping=0.0, mass_scale=1.0)
+    k_s = bond_k_normal(ROCK_MAT, 1.0) / ROCK_MAT.bond_stiffness_ratio
+    v = 2e-4
+    system.vel[1, 0] = v
+    dt = system.stable_dt()
+    system.step(dt)
+    assert np.all(system.vel[:, 2] == 0.0)
+    assert system.b_shear[0] == pytest.approx((-k_s * v * dt, 0.0, 0.0))
+    assert system.b_shear[0, 0] != 0.0
 
 
 def test_integrated_pair_separation_breaks_at_strength():
     # pull a bonded pair apart kinematically inside the engine: the crack
     # fires once the bond tension passes strength * area
     r = 1.0
-    system = ParticleSystem(pair_assembly(r=r), {ContactKind.ROCK_ROCK: ROCK_MAT},
-                            damping=0.0, mass_scale=1.0)
-    system.inv_mass[:] = 0.0  # hold both particles; displacement is prescribed
-    k_n, _, area = bond_stiffnesses(ROCK_MAT, r, r)
-    u_star = ROCK_MAT.tensile_strength * area / k_n
+    system = held_pair(r=r)
+    u_star = ROCK_MAT.tensile_strength * bond_area(r) / bond_k_normal(ROCK_MAT, r)
     du = u_star / 2000.0
     dt = system.stable_dt()
     moved = 0.0
@@ -73,50 +145,35 @@ def test_integrated_pair_separation_breaks_at_strength():
 
 def test_one_bond_tensile_failure_load_matches_closed_form():
     # bisect the breaking displacement; it must match strength*area/stiffness
-    k_n, _, area = bond_stiffnesses(ROCK_MAT, 1.0, 1.0)
-    u_star = ROCK_MAT.tensile_strength * area / k_n
-
-    def breaks(u):
-        forces = bond_force_update(ROCK_MAT, 1.0, 1.0, BondForces(0, 0), -u, 0.0)
-        state = BondState(forces.normal_force, 0.0, area, ROCK_MAT)
-        return check_bond_failure(state) is BondHealth.BROKEN_TENSILE
-
-    lo, hi = 0.0, 10 * u_star
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if breaks(mid):
-            hi = mid
-        else:
-            lo = mid
+    hi, u_star = breaking_displacement(ROCK_MAT)
     assert hi == pytest.approx(u_star, rel=1e-9)
 
 
 def test_bond_failure_envelope_reference_points():
-    area = 3.0
-    assert check_bond_failure(
-        BondState(0.0, 0.0, area, ROCK_MAT)) is BondHealth.INTACT
-    assert check_bond_failure(
-        BondState(-41.0 * area, 0.0, area, ROCK_MAT)) is BondHealth.BROKEN_TENSILE
+    assert bond_outcome(ROCK_MAT, 0.0) == "intact"
+    assert bond_outcome(ROCK_MAT, -41.0) == "tensile"
     water_mat = SATURATED_MATERIALS[ContactKind.WATER_WATER]
-    assert check_bond_failure(
-        BondState(-50.0 * area, 0.0, area, water_mat)) is BondHealth.INTACT
+    assert bond_outcome(water_mat, -50.0) == "intact"
 
 
 def test_shear_envelope_uses_friction_term():
-    area = 2.0
     # compression raises the shear limit: cohesion 40 + sigma_n * tan(45)
-    compressed = BondState(30.0 * area, 69.0 * area, area, ROCK_MAT)
-    assert check_bond_failure(compressed) is BondHealth.INTACT
-    sheared = BondState(30.0 * area, 71.0 * area, area, ROCK_MAT)
-    assert check_bond_failure(sheared) is BondHealth.BROKEN_SHEAR
+    assert bond_outcome(ROCK_MAT, 30.0, 69.0) == "intact"
+    assert bond_outcome(ROCK_MAT, 30.0, 71.0) == "shear"
 
 
-def test_bending_term_configurable():
-    area = math.pi  # bond radius 1, so bending stress equals 4*M/pi
-    state = BondState(0.0, 0.0, area, ROCK_MAT, bending_moment=41.0 * math.pi / 4)
-    assert check_bond_failure(state, include_bending=True) \
-        is BondHealth.BROKEN_TENSILE
-    assert check_bond_failure(state, include_bending=False) is BondHealth.INTACT
+def test_broken_bond_refreshes_stable_step():
+    # a contact spring far stiffer than the bond: once the bond breaks, the
+    # step that was stable before the break must be rejected
+    stiff_contact = BondMaterial(900.0, 9.0, 2.5, 40.0, 40.0, 45.0)
+    system = held_pair(stiff_contact)
+    dt = system.stable_dt()
+    system.pos[1, 2] += 0.1
+    system.step(dt)
+    assert system.n_intact_bonds == 0
+    assert system.stable_dt() < dt
+    with pytest.raises(StabilityError):
+        system.step(dt)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +185,7 @@ def test_zero_state_is_a_fixed_point():
                             damping=0.0, mass_scale=1.0)
     pos0 = system.pos.copy()
     for _ in range(100):
-        integrate_step(system, 1e-5)
+        system.step(1e-5)
     assert np.array_equal(system.pos, pos0)
     assert np.all(system.vel == 0.0)
 
@@ -136,7 +193,7 @@ def test_zero_state_is_a_fixed_point():
 def test_oscillator_frequency_matches_closed_form():
     system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT},
                             damping=0.0, mass_scale=1.0)
-    k_n, _, _ = bond_stiffnesses(ROCK_MAT, 1.1, 1.1)
+    k_n = bond_k_normal(ROCK_MAT, 1.1)
     m = system.mass[0]
     expected = math.sqrt(k_n * 2.0 / m) / (2.0 * math.pi)
     system.vel[0, 2] = 1.0
@@ -207,7 +264,7 @@ def test_unstable_step_rejected():
     system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT},
                             mass_scale=1.0)
     with pytest.raises(StabilityError):
-        integrate_step(system, system.stable_dt() * 10)
+        system.step(system.stable_dt() * 10)
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +410,19 @@ def test_calibration_input_validation(medium_saturated):
 
 def test_material_validation():
     with pytest.raises(InvalidConfigError):
-        BondMaterial(-1.0, 1.0, 0.6, 9.0, 2.5, 40.0, 40.0, 45.0)
+        BondMaterial(-1.0, 9.0, 2.5, 40.0, 40.0, 45.0)
     with pytest.raises(InvalidConfigError):
-        BondMaterial(9.0, 1.0, 0.6, 9.0, 2.5, 40.0, 40.0, 95.0)
+        BondMaterial(9.0, 9.0, 2.5, 40.0, 40.0, 95.0)
 
 
 def test_one_bond_failure_load_monotone_in_tensile_strength():
-    area = 2.5
+    area = bond_area(1.0)
     loads = []
     for strength in (10.0, 20.0, 40.0, 80.0):
         mat = ROCK_MAT.scaled(strength_factor=strength / ROCK_MAT.tensile_strength)
         # smallest tensile force that breaks the bond is strength * area
-        assert check_bond_failure(
-            BondState(-(strength - 1e-6) * area, 0.0, area, mat)) \
-            is BondHealth.INTACT
-        assert check_bond_failure(
-            BondState(-(strength + 1e-6) * area, 0.0, area, mat)) \
-            is BondHealth.BROKEN_TENSILE
+        assert bond_outcome(mat, -(strength - 1e-6)) == "intact"
+        assert bond_outcome(mat, -(strength + 1e-6)) == "tensile"
         loads.append(strength * area)
     assert loads == sorted(loads)
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from frostdem.errors import (InvalidConfigError, PackingInfeasibleError,
                              UndefinedStatisticError)
+from frostdem.mechanics import SATURATED_MATERIALS, build_system
 from frostdem.packing import (ContactKind, CylinderDomain, PackingConfig,
                               ParticleAssembly, Phase, compute_particle_counts,
-                              compute_resolution, detect_contacts,
+                              compute_resolution, contact_arrays,
                               generate_packing, measure_porosity,
                               porosity_from_counts)
 
@@ -164,7 +165,7 @@ def test_generate_infeasible_fraction_names_parameter():
 
 
 # ---------------------------------------------------------------------------
-# detect_contacts
+# contact_arrays
 
 def _two_sphere_assembly(distance):
     centers = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + distance]])
@@ -175,28 +176,34 @@ def _two_sphere_assembly(distance):
 
 
 def test_touching_spheres_contact():
-    contacts = detect_contacts(_two_sphere_assembly(2.0), 0.0)
-    assert len(contacts) == 1
-    c = contacts[0]
-    assert (c.particle_a, c.particle_b) == (0, 1)
-    assert c.kind == ContactKind.ROCK_WATER
-    assert abs(c.gap) < 1e-12
+    asm = _two_sphere_assembly(2.0)
+    ia, ib, gap = contact_arrays(asm, 0.0)
+    assert (ia.tolist(), ib.tolist()) == ([0], [1])
+    assert abs(gap[0]) < 1e-12
+    # the bond installed on that contact is a rock-water bond
+    assert build_system(asm, SATURATED_MATERIALS).b_kind.tolist() \
+        == [ContactKind.ROCK_WATER]
 
 
 def test_separated_spheres_no_contact():
-    assert detect_contacts(_two_sphere_assembly(2.5), 0.0) == []
+    ia, ib, gap = contact_arrays(_two_sphere_assembly(2.5), 0.0)
+    assert len(ia) == len(ib) == len(gap) == 0
 
 
 def test_negative_tolerance_rejected(small_saturated):
     with pytest.raises(InvalidConfigError):
-        detect_contacts(small_saturated, -0.1)
+        contact_arrays(small_saturated, -0.1)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 9])
 def test_contacts_match_brute_force(seed):
     asm = generate_packing(desk_config(seed=seed))
     tol = 0.05 * float(asm.radii.min())
-    found = {(c.particle_a, c.particle_b) for c in detect_contacts(asm, tol)}
+    ia, ib, gap = contact_arrays(asm, tol)
+    found = set(zip(ia.tolist(), ib.tolist()))
+    assert len(found) == len(ia)
+    assert np.all(ia < ib)
+    assert np.all(np.diff(ia * asm.n_particles + ib) > 0)  # lexicographic
     expected = set()
     n = asm.n_particles
     for i in range(n):
@@ -205,13 +212,18 @@ def test_contacts_match_brute_force(seed):
             if d <= asm.radii[i] + asm.radii[j] + tol:
                 expected.add((i, j))
     assert found == expected
+    d = np.linalg.norm(asm.centers[ia] - asm.centers[ib], axis=1)
+    assert np.allclose(gap, d - asm.radii[ia] - asm.radii[ib], rtol=0, atol=1e-12)
 
 
 def test_contact_kinds_follow_phases(small_saturated):
-    for c in detect_contacts(small_saturated, 0.05):
-        pa = small_saturated.phases[c.particle_a]
-        pb = small_saturated.phases[c.particle_b]
-        assert c.kind == ContactKind(int(pa) + int(pb))
+    system = build_system(small_saturated)
+    pa = small_saturated.phases[system.b_ia]
+    pb = small_saturated.phases[system.b_ib]
+    assert system.b_kind.tolist() == [ContactKind(int(a) + int(b))
+                                      for a, b in zip(pa, pb)]
+    assert set(system.b_kind.tolist()) >= {ContactKind.ROCK_ROCK,
+                                           ContactKind.ROCK_WATER}
 
 
 # ---------------------------------------------------------------------------

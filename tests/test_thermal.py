@@ -6,12 +6,9 @@ import pytest
 from frostdem.errors import InvalidConfigError, StabilityError
 from frostdem.packing import (CylinderDomain, ParticleAssembly, Phase,
                               contact_arrays)
-from frostdem.thermal import (BoundarySchedule,
-                              ConductionNetwork, PhaseState, TemperatureField,
-                              conduction_step, expansion_coefficient, heat_flux,
-                              phase_state, schedule_temperature,
+from frostdem.thermal import (ConductionNetwork, TemperatureField,
+                              ThermalProperties, expansion_coefficients,
                               surface_particle_ids, uniformity_report)
-
 
 
 def two_particle_assembly(r=1.0, gap=0.0, phase=Phase.ROCK):
@@ -23,63 +20,68 @@ def two_particle_assembly(r=1.0, gap=0.0, phase=Phase.ROCK):
 
 
 # ---------------------------------------------------------------------------
-# schedule
+# material data
 
-def test_schedule_start():
-    s = BoundarySchedule(20.0, -20.0, 1.0)
-    assert schedule_temperature(s, 0.0) == 20.0
-
-
-def test_schedule_ramp_completes_at_span_over_rate():
-    s = BoundarySchedule(20.0, -20.0, 1.0)
-    assert schedule_temperature(s, 40 * 60.0) == -20.0
-    assert schedule_temperature(s, 20 * 60.0) == pytest.approx(0.0)
-
-
-def test_schedule_long_hold():
-    s = BoundarySchedule(20.0, -20.0, 1.0, hold_duration=48 * 3600.0)
-    assert schedule_temperature(s, 48 * 3600.0) == -20.0
-
-
-def test_schedule_rejects_negative_time():
+def test_thermal_property_validation():
     with pytest.raises(InvalidConfigError):
-        schedule_temperature(BoundarySchedule(20.0, -20.0), -1.0)
-
-
-def test_schedule_and_property_validation():
-    from frostdem.thermal import ThermalProperties
+        ThermalProperties(-1.0, 877.0)
     with pytest.raises(InvalidConfigError):
-        BoundarySchedule(20.0, -20.0, ramp_rate=0.0)
-    with pytest.raises(InvalidConfigError):
-        BoundarySchedule(20.0, -20.0, hold_duration=-1.0)
-    with pytest.raises(InvalidConfigError):
-        ThermalProperties(-1.0, 877.0, 2.58, 0.052e-4)
-    with pytest.raises(InvalidConfigError):
-        ThermalProperties(7.7, 877.0, 2.58, 0.0)
+        ThermalProperties(7.7, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# phase classification
+# phase classification: expansion and conduction both switch at 0 degC
+
+WATER_PAIR = np.array([Phase.WATER, Phase.WATER], dtype=np.int8)
+
+
+def water_conductance(temperature):
+    """Conductance of one water-water contact; the harmonic mean of equal
+    conductivities is that conductivity, times area over distance."""
+    asm = two_particle_assembly(phase=Phase.WATER)
+    net = ConductionNetwork(asm, (np.array([0]), np.array([1])))
+    g = net.conductances(np.full(2, temperature))[0]
+    return g * net.dist[0] / net.area[0]
+
 
 def test_phase_above_zero_is_water():
-    assert phase_state(20.0) is PhaseState.WATER
-    assert expansion_coefficient(Phase.WATER, 20.0) == pytest.approx(1.769e-4)
+    assert expansion_coefficients(WATER_PAIR, np.full(2, 20.0)) \
+        == pytest.approx([1.769e-4, 1.769e-4])
+    assert water_conductance(20.0) == pytest.approx(0.6)
 
 
 def test_phase_below_zero_is_ice():
-    assert phase_state(-10.0) is PhaseState.ICE
-    assert expansion_coefficient(Phase.WATER, -10.0) == pytest.approx(2.079e-4)
+    assert expansion_coefficients(WATER_PAIR, np.full(2, -10.0)) \
+        == pytest.approx([2.079e-4, 2.079e-4])
+    assert water_conductance(-10.0) == pytest.approx(2.2)
 
 
 def test_phase_zero_boundary_assigned_to_ice():
-    assert phase_state(0.0) is PhaseState.ICE
+    assert expansion_coefficients(WATER_PAIR, np.zeros(2)) \
+        == pytest.approx([2.079e-4, 2.079e-4])
+    assert water_conductance(0.0) == pytest.approx(2.2)
+    rock = np.array([Phase.ROCK, Phase.WATER], dtype=np.int8)
+    assert expansion_coefficients(rock, np.array([0.0, 0.1])) \
+        == pytest.approx([0.052e-4, 1.769e-4])
 
 
 # ---------------------------------------------------------------------------
 # conduction
 
 def test_heat_flux_unit_substitution():
-    assert heat_flux(1.0, 1.0, 1.0, 1.0) == -1.0
+    # one contact between unit spheres: the first step moves
+    # k * A * (T_a - T_b) / d * dt joules from the hotter to the colder one
+    asm = two_particle_assembly()
+    net = ConductionNetwork(asm, (np.array([0]), np.array([1])))
+    field = TemperatureField(np.array([1.0, 0.0]), np.zeros(0, dtype=np.int64))
+    area = math.pi * 1e-3 ** 2        # m^2, disc of the smaller radius
+    distance = 2e-3                   # m, centre distance
+    dt = net.stable_dt(field.temperatures)
+    flux = 7.7 * area * 1.0 / distance
+    heat_mass = asm.masses() * 1e3 * 877.0
+    net.step(field, dt)
+    assert field.temperatures[0] == pytest.approx(1.0 - flux * dt / heat_mass[0])
+    assert field.temperatures[1] == pytest.approx(flux * dt / heat_mass[1])
 
 
 def test_uniform_field_unchanged(small_saturated):
@@ -165,18 +167,6 @@ def test_unstable_dt_rejected(small_saturated):
     limit = net.stable_dt(field.temperatures)
     with pytest.raises(StabilityError, match="stability limit"):
         net.step(field, 10 * limit)
-
-
-def test_conduction_step_functional_wrapper():
-    asm = two_particle_assembly()
-    from frostdem.packing import detect_contacts
-    contacts = detect_contacts(asm, 0.01)
-    field = TemperatureField(np.array([0.0, 10.0]), np.zeros(0, dtype=np.int64))
-    net = ConductionNetwork(asm, contacts)
-    out = conduction_step(asm, field, contacts, net.stable_dt(field.temperatures))
-    assert out.temperatures[0] > 0.0
-    assert out.temperatures[1] < 10.0
-    assert field.temperatures[0] == 0.0  # input untouched
 
 
 def test_boundary_repinned_after_step():
