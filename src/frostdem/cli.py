@@ -130,15 +130,21 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
             raise InputParseError(f"expected 7 columns, got {len(parts)}",
                                   line=lineno, path=str(p))
         try:
-            centers.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            radii.append(float(parts[4]))
-            phases.append(Phase.WATER if parts[5] == "water" else Phase.ROCK)
-            densities.append(float(parts[6]))
+            center = [float(parts[1]), float(parts[2]), float(parts[3])]
+            radius, density = float(parts[4]), float(parts[6])
         except ValueError:
             if not saw_data:
                 continue
             raise InputParseError(f"expected numbers, got {line!r}",
                                   line=lineno, path=str(p)) from None
+        if parts[5] not in ("rock", "water"):
+            raise InputParseError(
+                f"phase must be 'rock' or 'water', got {parts[5]!r}",
+                line=lineno, path=str(p))
+        centers.append(center)
+        radii.append(radius)
+        phases.append(Phase[parts[5].upper()])
+        densities.append(density)
         saw_data = True
     if not centers:
         raise InputParseError("no particle rows", line=1, path=str(p))

@@ -1,10 +1,12 @@
 """Bonded-particle mechanics: contact springs, explicit dynamics, uniaxial testing.
 
-Unit system is mm-N-MPa-tonne-second (1 N = 1 tonne*mm/s^2).  Contacts that
-carry an intact bond act through the bond springs (normal and shear, tension
-and compression, preloaded by any installation overlap); broken bonds and
-newly formed contacts act through a compression-only linear spring.  Bond
-normal force responds to the effective overlap, which includes the
+Unit system is mm-N-MPa-tonne-second (1 N = 1 tonne*mm/s^2).  All interacting
+pairs live in one pair table: the bonds installed at construction, followed
+by the unbonded contacts found since.  Pairs that carry an intact bond act
+through the bond springs (normal and shear, tension and compression,
+preloaded by any installation overlap); every other pair, a broken bond or
+an unbonded contact, acts through the one compression-only linear spring.
+Bond normal force responds to the effective overlap, which includes the
 accumulated thermal offsets applied by the freeze-coupling driver.
 """
 from __future__ import annotations
@@ -85,11 +87,6 @@ def bond_cross_section(r_a: float | np.ndarray, r_b: float | np.ndarray):
     return np.pi * (np.asarray(r_a) + np.asarray(r_b)) ** 2
 
 
-def contact_cross_section(r_a, r_b):
-    """Linear-contact area: disc of the smaller radius, mm^2."""
-    return np.pi * np.minimum(r_a, r_b) ** 2
-
-
 @dataclass(frozen=True)
 class CrackEvent:
     time: float
@@ -145,11 +142,16 @@ def extract_mechanical_params(curve: StressStrainCurve) -> MechanicalReport:
 # Explicit-dynamics particle system
 
 class ParticleSystem:
-    """Mutable simulation state: particles, bonds, transient contacts, platens.
+    """Mutable simulation state: particles, one pair table, platens.
 
-    Built once from an assembly; bonds are installed on pairs within
-    ``bond_gap_tol`` and never added afterwards.  Transient (unbonded)
-    contacts are refreshed from geometry as particles move or grow.
+    The pair table (``ia``, ``ib``, ``k_lin``) holds every interacting pair.
+    Its first ``n_bonds`` rows are the bonds, installed on pairs within
+    ``bond_gap_tol`` at construction and never added afterwards; the
+    per-bond state (``b_kind``, ``b_intact``, ``b_shear``, ...) is indexed
+    by those rows.  The rows after them are unbonded contacts, rebuilt from
+    geometry by :meth:`refresh_transient_contacts` as particles move or
+    grow.  ``k_lin`` is the linear contact spring of every row, the one law
+    for pairs without an intact bond.
     """
 
     def __init__(self, assembly: ParticleAssembly,
@@ -179,10 +181,6 @@ class ParticleSystem:
             bond_gap_tol = 0.05 * float(self.radii.min()) if self.n else 0.0
         self.bond_gap_tol = bond_gap_tol
         self._install_bonds()
-
-        self.t_ia = np.zeros(0, dtype=np.int64)
-        self.t_ib = np.zeros(0, dtype=np.int64)
-        self.t_klin = np.zeros(0)
         self.walls: dict | None = None
         self._dt_cache: float | None = None
 
@@ -198,22 +196,29 @@ class ParticleSystem:
             out[kind_arr == kind] = getattr(mat, attr)
         return out
 
+    def _pair_kind(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        return (self.phases[ia].astype(np.int64)
+                + self.phases[ib].astype(np.int64)).astype(np.int8)
+
+    def _linear_stiffness(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """Linear contact spring of each pair: E_c * 1e3 / (r_a + r_b) times
+        the disc of the smaller radius, at the current radii."""
+        r_a, r_b = self.radii[ia], self.radii[ib]
+        return self._material_for(self._pair_kind(ia, ib), "contact_modulus") \
+            * 1e3 / (r_a + r_b) * (np.pi * np.minimum(r_a, r_b) ** 2)
+
     def _install_bonds(self) -> None:
         ia, ib, gap = contact_arrays(self.assembly, self.bond_gap_tol)
-        self.b_ia, self.b_ib = ia, ib
-        m = len(ia)
-        self.b_kind = (self.phases[ia].astype(np.int64)
-                       + self.phases[ib].astype(np.int64)).astype(np.int8)
+        self.ia, self.ib = ia, ib
+        self.k_lin = self._linear_stiffness(ia, ib)
+        self.n_bonds = m = len(ia)
+        self.b_kind = self._pair_kind(ia, ib)
         r_a, r_b = self.radii[ia], self.radii[ib]
-        span = r_a + r_b
         self.b_area = np.asarray(bond_cross_section(r_a, r_b), dtype=float)
         self.b_k_normal = self._material_for(self.b_kind, "bond_modulus") * 1e3 \
-            / span * self.b_area
+            / (r_a + r_b) * self.b_area
         self.b_k_shear = self.b_k_normal / self._material_for(
             self.b_kind, "bond_stiffness_ratio")
-        area_lin = np.asarray(contact_cross_section(r_a, r_b), dtype=float)
-        self.b_k_lin = self._material_for(self.b_kind, "contact_modulus") * 1e3 \
-            / span * area_lin
         self.b_tensile = self._material_for(self.b_kind, "tensile_strength")
         self.b_cohesion = self._material_for(self.b_kind, "cohesion")
         self.b_tanphi = np.tan(np.radians(self._material_for(self.b_kind,
@@ -228,8 +233,12 @@ class ParticleSystem:
         self._bond_keys = ia * np.int64(max(self.n, 1)) + ib
 
     @property
-    def n_bonds(self) -> int:
-        return len(self.b_ia)
+    def b_ia(self) -> np.ndarray:
+        return self.ia[:self.n_bonds]
+
+    @property
+    def b_ib(self) -> np.ndarray:
+        return self.ib[:self.n_bonds]
 
     @property
     def n_intact_bonds(self) -> int:
@@ -262,76 +271,64 @@ class ParticleSystem:
 
     # -- geometry and forces --------------------------------------------------
 
-    def _bond_geometry(self):
-        d = self.pos[self.b_ib] - self.pos[self.b_ia]
+    def _pair_geometry(self):
+        """Distances, unit normals (a towards b) and overlaps of every pair."""
+        d = self.pos[self.ib] - self.pos[self.ia]
         dist = np.linalg.norm(d, axis=1)
         normal = d / np.maximum(dist, 1e-12)[:, None]
-        overlap = self.radii[self.b_ia] + self.radii[self.b_ib] - dist
+        overlap = self.radii[self.ia] + self.radii[self.ib] - dist
         return dist, normal, overlap
+
+    def _bond_rows(self, per_pair: np.ndarray, per_bond: np.ndarray) -> np.ndarray:
+        """``per_pair`` with the rows of intact bonds taken from ``per_bond``."""
+        out = per_pair.copy()
+        out[:self.n_bonds] = np.where(self.b_intact, per_bond,
+                                      per_pair[:self.n_bonds])
+        return out
+
+    def _normal_forces(self, overlap: np.ndarray) -> np.ndarray:
+        """Normal force of every pair, compression positive: the bond spring
+        on the effective overlap for intact bonds, the compression-only
+        linear spring on the geometric overlap for every other pair."""
+        f_bond = self.b_k_normal * (overlap[:self.n_bonds] + self.b_offset
+                                    - self.b_form_ref)
+        return self._bond_rows(self.k_lin * np.maximum(overlap, 0.0), f_bond)
 
     def bond_normal_forces(self) -> np.ndarray:
         """Per-bond normal force, compression positive; broken bonds act as
         compression-only linear contacts on geometric overlap."""
-        _, _, overlap = self._bond_geometry()
-        eff = overlap + self.b_offset
-        f_bond = self.b_k_normal * (eff - self.b_form_ref)
-        f_lin = self.b_k_lin * np.maximum(overlap, 0.0)
-        return np.where(self.b_intact, f_bond, f_lin)
+        return self._normal_forces(self._pair_geometry()[2])[:self.n_bonds]
 
     def _accumulate_forces(self, dt: float, mutate: bool = True):
-        force = np.zeros_like(self.pos)
-        contact_mag_sum = 0.0
-        contact_count = 0
+        nb = self.n_bonds
+        _, normal, overlap = self._pair_geometry()
+        fn = self._normal_forces(overlap)
+        if mutate:
+            # incremental shear on intact bonds, rotated into the tangent plane
+            n_b = normal[:nb]
+            v_rel = self.vel[self.b_ib] - self.vel[self.b_ia]
+            v_n = np.einsum("ij,ij->i", v_rel, n_b)
+            v_t = v_rel - v_n[:, None] * n_b
+            self.b_shear[self.b_intact] -= (self.b_k_shear[self.b_intact, None]
+                                            * v_t[self.b_intact] * dt)
+            s_n = np.einsum("ij,ij->i", self.b_shear, n_b)
+            self.b_shear -= s_n[:, None] * n_b
+            self.b_shear[~self.b_intact] = 0.0
+            if self._check_failures(fn[:nb]):
+                # a bond broken in this step acts as a linear contact at once
+                fn = self._normal_forces(overlap)
 
-        if self.n_bonds:
-            dist, normal, overlap = self._bond_geometry()
-            eff = overlap + self.b_offset
-            f_bond = self.b_k_normal * (eff - self.b_form_ref)
-            f_lin = self.b_k_lin * np.maximum(overlap, 0.0)
-
-            if mutate:
-                # incremental shear on intact bonds, rotated into the tangent plane
-                v_rel = self.vel[self.b_ib] - self.vel[self.b_ia]
-                v_n = np.einsum("ij,ij->i", v_rel, normal)
-                v_t = v_rel - v_n[:, None] * normal
-                self.b_shear[self.b_intact] -= (self.b_k_shear[self.b_intact, None]
-                                                * v_t[self.b_intact] * dt)
-                s_n = np.einsum("ij,ij->i", self.b_shear, normal)
-                self.b_shear -= s_n[:, None] * normal
-                self.b_shear[~self.b_intact] = 0.0
-                self._check_failures(np.where(self.b_intact, f_bond, f_lin))
-
-            fn = np.where(self.b_intact, f_bond, f_lin)
-            shear = np.where(self.b_intact[:, None], self.b_shear, 0.0)
-
-            force_on_b = fn[:, None] * normal + shear
-            for axis in range(3):
-                force[:, axis] += np.bincount(self.b_ib,
-                                              weights=force_on_b[:, axis],
-                                              minlength=self.n)
-                force[:, axis] -= np.bincount(self.b_ia,
-                                              weights=force_on_b[:, axis],
-                                              minlength=self.n)
-            contact_mag_sum += float(np.abs(fn).sum()
-                                     + np.linalg.norm(shear, axis=1).sum())
-            contact_count += self.n_bonds
-
-        if len(self.t_ia):
-            d = self.pos[self.t_ib] - self.pos[self.t_ia]
-            dist = np.linalg.norm(d, axis=1)
-            normal = d / np.maximum(dist, 1e-12)[:, None]
-            overlap = self.radii[self.t_ia] + self.radii[self.t_ib] - dist
-            fn = self.t_klin * np.maximum(overlap, 0.0)
-            force_on_b = fn[:, None] * normal
-            for axis in range(3):
-                force[:, axis] += np.bincount(self.t_ib,
-                                              weights=force_on_b[:, axis],
-                                              minlength=self.n)
-                force[:, axis] -= np.bincount(self.t_ia,
-                                              weights=force_on_b[:, axis],
-                                              minlength=self.n)
-            contact_mag_sum += float(np.abs(fn).sum())
-            contact_count += len(self.t_ia)
+        shear = np.where(self.b_intact[:, None], self.b_shear, 0.0)
+        pair_force = fn[:, None] * normal          # force on b, minus on a
+        pair_force[:nb] += shear
+        force = np.empty_like(self.pos)
+        for axis in range(3):
+            force[:, axis] = (
+                np.bincount(self.ib, weights=pair_force[:, axis], minlength=self.n)
+                - np.bincount(self.ia, weights=pair_force[:, axis], minlength=self.n))
+        contact_mag_sum = float(np.abs(fn).sum()
+                                + np.linalg.norm(shear, axis=1).sum())
+        contact_count = len(self.ia)
 
         if self.walls is not None:
             w = self.walls
@@ -347,15 +344,15 @@ class ParticleSystem:
 
         return force, contact_mag_sum, max(contact_count, 1)
 
-    def _check_failures(self, fn: np.ndarray) -> None:
+    def _check_failures(self, fn: np.ndarray) -> bool:
         """Break intact bonds outside the parallel-bond strength envelope.
 
         Tensile failure when normal tension exceeds the tensile strength;
         shear failure when shear stress exceeds cohesion plus the
-        compression-scaled friction term.
+        compression-scaled friction term.  Returns whether any bond broke.
         """
         if not self.n_bonds:
-            return
+            return False
         intact = self.b_intact
         sigma_n = np.where(intact, fn / self.b_area, 0.0)
         # rotational DOF are not carried, so there is no bending moment and
@@ -368,7 +365,7 @@ class ParticleSystem:
             & (tau > self.b_cohesion + sigma_n * self.b_tanphi)
         failed = np.flatnonzero(tensile_fail | shear_fail)
         if len(failed) == 0:
-            return
+            return False
         mid = 0.5 * (self.pos[self.b_ia[failed]] + self.pos[self.b_ib[failed]])
         for row, idx in enumerate(failed):
             mode = "tensile" if tensile_fail[idx] else "shear"
@@ -379,6 +376,7 @@ class ParticleSystem:
         # a broken bond acts through the contact spring, which changes the
         # particle stiffness totals behind the stable step
         self._dt_cache = None
+        return True
 
     # -- stepping -------------------------------------------------------------
 
@@ -386,15 +384,9 @@ class ParticleSystem:
         """Safety-scaled critical step from per-particle stiffness totals."""
         if self._dt_cache is not None:
             return self._dt_cache
-        k_sum = np.zeros(self.n)
-        if self.n_bonds:
-            k_pair = np.where(self.b_intact, self.b_k_normal + self.b_k_shear,
-                              self.b_k_lin)
-            k_sum += np.bincount(self.b_ia, weights=k_pair, minlength=self.n)
-            k_sum += np.bincount(self.b_ib, weights=k_pair, minlength=self.n)
-        if len(self.t_ia):
-            k_sum += np.bincount(self.t_ia, weights=self.t_klin, minlength=self.n)
-            k_sum += np.bincount(self.t_ib, weights=self.t_klin, minlength=self.n)
+        k_pair = self._bond_rows(self.k_lin, self.b_k_normal + self.b_k_shear)
+        k_sum = (np.bincount(self.ia, weights=k_pair, minlength=self.n)
+                 + np.bincount(self.ib, weights=k_pair, minlength=self.n))
         if self.walls is not None:
             k_sum += self.walls["k"]
         active = k_sum > 0
@@ -421,9 +413,11 @@ class ParticleSystem:
         self.step_count += 1
 
     def run(self, n_steps: int, dt: float | None = None) -> None:
+        """``n_steps`` steps of ``dt`` (default: the stable step), each cut to
+        the stable step of the moment, which a bond break can shorten."""
         dt = self.stable_dt() if dt is None else dt
         for _ in range(n_steps):
-            self.step(dt)
+            self.step(min(dt, self.stable_dt()))
 
     def unbalanced_ratio(self) -> float:
         """Mean net force over mean contact force magnitude."""
@@ -448,7 +442,7 @@ class ParticleSystem:
         steps = 0
         while ratio > tol and steps < max_steps:
             for _ in range(check_every):
-                self.step(dt)
+                self.step(min(dt, self.stable_dt()))
             steps += check_every
             if steps % quench_every == 0:
                 self.vel[:] = 0.0
@@ -459,25 +453,20 @@ class ParticleSystem:
     # -- transient contacts ----------------------------------------------------
 
     def refresh_transient_contacts(self, tolerance: float = 0.0) -> None:
-        """Rebuild unbonded contacts from current geometry.
+        """Rebuild the unbonded rows of the pair table from current geometry.
 
-        Pairs that carry a bond entry (intact or broken) are excluded; broken
-        bonds already act as linear contacts in the bond pass.
+        Pairs that carry a bond row (intact or broken) are excluded; a broken
+        bond already acts as a linear contact through its own row.
         """
         snapshot = ParticleAssembly(self.pos, self.radii, self.phases,
                                     self.assembly.densities, self.assembly.domain)
         ia, ib, _ = contact_arrays(snapshot, tolerance)
-        if len(ia):
-            keys = ia * np.int64(max(self.n, 1)) + ib
-            new = ~np.isin(keys, self._bond_keys)
-            ia, ib = ia[new], ib[new]
-        r_a, r_b = self.radii[ia], self.radii[ib]
-        kind = (self.phases[ia].astype(np.int64)
-                + self.phases[ib].astype(np.int64)).astype(np.int8)
-        area = np.asarray(contact_cross_section(r_a, r_b), dtype=float)
-        self.t_ia, self.t_ib = ia, ib
-        self.t_klin = self._material_for(kind, "contact_modulus") * 1e3 \
-            / (r_a + r_b) * area
+        new = ~np.isin(ia * np.int64(max(self.n, 1)) + ib, self._bond_keys)
+        ia, ib = ia[new], ib[new]
+        nb = self.n_bonds
+        self.ia = np.concatenate([self.ia[:nb], ia])
+        self.ib = np.concatenate([self.ib[:nb], ib])
+        self.k_lin = np.concatenate([self.k_lin[:nb], self._linear_stiffness(ia, ib)])
         self._dt_cache = None
 
     # -- thermal coupling hooks -------------------------------------------------
@@ -511,49 +500,24 @@ class ParticleSystem:
         return (self.mass[:, None] * self.vel).sum(axis=0)
 
     def max_compressive_force(self) -> float:
-        """Largest compressive normal contact force over bonds and contacts."""
-        best = 0.0
-        if self.n_bonds:
-            best = max(best, float(np.max(np.maximum(self.bond_normal_forces(), 0.0),
-                                          initial=0.0)))
-        if len(self.t_ia):
-            d = self.pos[self.t_ib] - self.pos[self.t_ia]
-            overlap = self.radii[self.t_ia] + self.radii[self.t_ib] \
-                - np.linalg.norm(d, axis=1)
-            best = max(best, float(np.max(self.t_klin * np.maximum(overlap, 0.0),
-                                          initial=0.0)))
-        return best
+        """Largest compressive normal force over the pair table."""
+        fn = self._normal_forces(self._pair_geometry()[2])
+        return float(np.max(fn, initial=0.0))
 
     def active_pair_count(self) -> int:
-        """Intact bonds plus unbonded pairs currently overlapping."""
-        count = self.n_intact_bonds
-        if self.n_bonds:
-            _, _, overlap = self._bond_geometry()
-            count += int(np.count_nonzero(~self.b_intact & (overlap > 0.0)))
-        if len(self.t_ia):
-            d = self.pos[self.t_ib] - self.pos[self.t_ia]
-            overlap = self.radii[self.t_ia] + self.radii[self.t_ib] \
-                - np.linalg.norm(d, axis=1)
-            count += int(np.count_nonzero(overlap > 0.0))
-        return count
+        """Intact bonds plus the other pairs currently overlapping."""
+        held = self._bond_rows(np.zeros(len(self.ia), dtype=bool), self.b_intact)
+        return int(np.count_nonzero(held | (self._pair_geometry()[2] > 0.0)))
 
     def contact_lens_volume(self) -> float:
         """Total overlap-lens volume over all geometrically overlapping pairs."""
-        total = 0.0
-        for ia, ib in ((self.b_ia, self.b_ib), (self.t_ia, self.t_ib)):
-            if not len(ia):
-                continue
-            d = np.linalg.norm(self.pos[ib] - self.pos[ia], axis=1)
-            r_a, r_b = self.radii[ia], self.radii[ib]
-            mask = (r_a + r_b - d) > 0.0
-            if not np.any(mask):
-                continue
-            dd, ra, rb = d[mask], r_a[mask], r_b[mask]
-            lens = (np.pi * (ra + rb - dd) ** 2
-                    * (dd ** 2 + 2.0 * dd * (ra + rb) - 3.0 * (ra - rb) ** 2)
-                    / (12.0 * np.maximum(dd, 1e-12)))
-            total += float(lens.sum())
-        return total
+        dist, _, overlap = self._pair_geometry()
+        mask = overlap > 0.0
+        dd, ra, rb = dist[mask], self.radii[self.ia[mask]], self.radii[self.ib[mask]]
+        lens = (np.pi * (ra + rb - dd) ** 2
+                * (dd ** 2 + 2.0 * dd * (ra + rb) - 3.0 * (ra - rb) ** 2)
+                / (12.0 * np.maximum(dd, 1e-12)))
+        return float(lens.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +582,9 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
     acc_count = 0
     refresh_every = 500
     for step in range(max_steps):
-        system.walls["z_top"] -= platen_velocity * dt
-        system.step(dt)
+        h = min(dt, system.stable_dt())
+        system.walls["z_top"] -= platen_velocity * h
+        system.step(h)
         stress_acc += system.platen_stress()
         acc_count += 1
         strain = system.platen_strain()

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InvalidConfigError, PackingInfeasibleError, UndefinedStatisticError
 
@@ -230,64 +231,24 @@ def porosity_from_counts(config: PackingConfig, n_water: int, n_rock: int) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Spatial hashing
+# Neighbour search
 
-class _CellGrid:
-    """Uniform hash grid over particle centers for neighbor queries."""
+def _near_pairs(centers: np.ndarray, radii: np.ndarray, reach: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, gap) for pairs with surface gap <= ``reach``, a < b.
 
-    def __init__(self, centers: np.ndarray, cell: float):
-        self.cell = cell
-        self.centers = centers
-        if len(centers):
-            self.origin = centers.min(axis=0) - cell
-            idx = np.floor((centers - self.origin) / cell).astype(np.int64)
-        else:
-            self.origin = np.zeros(3)
-            idx = np.zeros((0, 3), dtype=np.int64)
-        self.index = idx
-        self.buckets: dict[tuple, np.ndarray] = {}
-        if len(centers):
-            order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-            sorted_idx = idx[order]
-            change = np.ones(len(order), dtype=bool)
-            change[1:] = np.any(sorted_idx[1:] != sorted_idx[:-1], axis=1)
-            starts = np.flatnonzero(change)
-            ends = np.append(starts[1:], len(order))
-            for s, e in zip(starts, ends):
-                key = tuple(sorted_idx[s])
-                self.buckets[key] = order[s:e]
-
-    def candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All particle pairs sharing a cell or in adjacent cells, a < b."""
-        pairs_a, pairs_b = [], []
-        offsets = [(dx, dy, dz)
-                   for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-        for key, members in self.buckets.items():
-            for off in offsets:
-                nkey = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-                if nkey < key:
-                    continue
-                other = self.buckets.get(nkey)
-                if other is None:
-                    continue
-                if nkey == key:
-                    n = len(members)
-                    if n > 1:
-                        ii, jj = np.triu_indices(n, k=1)
-                        pairs_a.append(members[ii])
-                        pairs_b.append(members[jj])
-                else:
-                    aa = np.repeat(members, len(other))
-                    bb = np.tile(other, len(members))
-                    pairs_a.append(aa)
-                    pairs_b.append(bb)
-        if not pairs_a:
-            return (np.zeros(0, dtype=np.int64),) * 2
-        a = np.concatenate(pairs_a)
-        b = np.concatenate(pairs_b)
-        swap = a > b
-        a[swap], b[swap] = b[swap], a[swap].copy()
-        return a, b
+    A k-d tree proposes every pair within ``2 * max(radii) + reach`` of each
+    other; pairs are sorted lexicographically, which fixes the summation order
+    of everything that scatters over them.
+    """
+    pairs = cKDTree(centers).query_pairs(2.0 * float(radii.max()) + reach,
+                                         output_type="ndarray")
+    a, b = pairs[:, 0], pairs[:, 1]
+    gap = np.linalg.norm(centers[a] - centers[b], axis=1) - radii[a] - radii[b]
+    keep = gap <= reach
+    a, b, gap = a[keep], b[keep], gap[keep]
+    order = np.lexsort((b, a))
+    return a[order], b[order], gap[order]
 
 
 def contact_arrays(assembly: ParticleAssembly, tolerance: float
@@ -299,21 +260,10 @@ def contact_arrays(assembly: ParticleAssembly, tolerance: float
     """
     if tolerance < 0:
         raise InvalidConfigError("detection tolerance must be >= 0")
-    n = assembly.n_particles
-    if n < 2:
+    if assembly.n_particles < 2:
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0))
-    cell = 2.0 * float(assembly.radii.max()) + tolerance
-    grid = _CellGrid(assembly.centers, cell)
-    a, b = grid.candidate_pairs()
-    if len(a) == 0:
-        return a, b, np.zeros(0)
-    d = np.linalg.norm(assembly.centers[a] - assembly.centers[b], axis=1)
-    gap = d - assembly.radii[a] - assembly.radii[b]
-    keep = gap <= tolerance
-    a, b, gap = a[keep], b[keep], gap[keep]
-    order = np.lexsort((b, a))
-    return a[order], b[order], gap[order]
+    return _near_pairs(assembly.centers, assembly.radii, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +294,9 @@ class _PairCache:
             moved = np.max(np.abs(centers - self._anchor))
             if moved <= 0.5 * self.skin:
                 return self.a, self.b
-        cell = 2.0 * float(self.radii.max()) + self.skin
-        grid = _CellGrid(centers, cell)
-        a, b = grid.candidate_pairs()
-        if len(a):
-            d = np.linalg.norm(centers[a] - centers[b], axis=1)
-            near = d <= self.radii[a] + self.radii[b] + self.skin
-            a, b = a[near], b[near]
-        self.a, self.b = a, b
+        self.a, self.b, _ = _near_pairs(centers, self.radii, self.skin)
         self._anchor = centers.copy()
-        return a, b
+        return self.a, self.b
 
 
 def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,

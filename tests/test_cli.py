@@ -3,7 +3,7 @@ import pytest
 
 from frostdem.cli import main, read_particles, read_points
 from frostdem.config import ExperimentConfig, parse_config_text
-from frostdem.errors import InvalidConfigError
+from frostdem.errors import InputParseError, InvalidConfigError
 from frostdem.packing import CylinderDomain
 
 
@@ -328,3 +328,17 @@ def test_particle_snapshot_roundtrip(tmp_path):
     assert asm.n_particles > 0
     assert asm.n_water > 0
     assert np.all(asm.radii > 0)
+
+
+def test_snapshot_phase_word_must_be_rock_or_water(tmp_path, capsys):
+    # a misspelt phase is an input error at its line, not a rock particle
+    snap = tmp_path / "particles.tsv"
+    snap.write_text("id\tx\ty\tz\tradius\tphase\tdensity\n"
+                    "0\t0\t0\t2\t1\trock\t2600\n"
+                    "1\t0\t0\t4\t1\twtaer\t960\n")
+    with pytest.raises(InputParseError, match=r"particles\.tsv:3: .*'wtaer'"):
+        read_particles(snap, CylinderDomain(5.0, 10.0))
+    cfg = write_config(tmp_path, f"{PACKING_BLOCK}\n[mechanics]\n"
+                                 f"load_particles = {snap}\n")
+    assert main(["compress", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "particles.tsv:3" in capsys.readouterr().err

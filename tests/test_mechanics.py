@@ -6,8 +6,9 @@ import pytest
 from frostdem.errors import (CurveWindowError, InvalidConfigError,
                              PreconditionError, StabilityError,
                              UndefinedStatisticError)
-from frostdem.mechanics import (BondMaterial, MechanicalReport, ParticleSystem,
-                                SATURATED_MATERIALS, StressStrainCurve,
+from frostdem.mechanics import (DT_SAFETY, BondMaterial, MechanicalReport,
+                                ParticleSystem, SATURATED_MATERIALS,
+                                StressStrainCurve,
                                 build_system, calibrate,
                                 extract_mechanical_params, run_uniaxial_test)
 from frostdem.packing import ContactKind, CylinderDomain, ParticleAssembly
@@ -174,6 +175,107 @@ def test_broken_bond_refreshes_stable_step():
     assert system.stable_dt() < dt
     with pytest.raises(StabilityError):
         system.step(dt)
+
+
+@pytest.mark.parametrize("advance", ["run", "equilibrate"])
+def test_stepping_loops_shrink_dt_after_a_stiffening_break(advance):
+    # the same stiff contact spring: the stepping loops take the shorter
+    # stable step that the break leaves instead of failing on the old one
+    stiff_contact = BondMaterial(900.0, 9.0, 2.5, 40.0, 40.0, 45.0)
+    system = held_pair(stiff_contact)
+    dt = system.stable_dt()
+    system.pos[1, 2] += 0.1
+    if advance == "run":
+        system.run(2)
+        assert system.time == pytest.approx(dt + system.stable_dt(), rel=1e-12)
+    else:
+        system.equilibrate(max_steps=200)
+    assert system.n_intact_bonds == 0
+    assert system.stable_dt() < dt
+
+
+# ---------------------------------------------------------------------------
+# pair table: intact bond, broken bond and unbonded contact side by side
+
+def linear_k(material, r):
+    """Closed-form linear contact spring of two equal spheres:
+    E_c * 1e3 / (r_a + r_b) times the disc of the smaller radius."""
+    return material.contact_modulus * 1e3 / (2 * r) * math.pi * r ** 2
+
+
+def sphere_mass(r, density):
+    return 4.0 / 3.0 * math.pi * r ** 3 * density * 1e-12
+
+
+def pair_table_system(overlaps, densities=(2600.0, 26.0, 2.6), r=1.0):
+    """Three far-apart pairs of equal rock spheres, pair k = particles 2k and
+    2k+1: an intact bond, a broken bond, and an unbonded contact formed after
+    installation.  ``overlaps`` sets each pair's geometric overlap."""
+    centers = []
+    for k, gap in enumerate((0.0, 0.0, 0.5)):  # the third starts out of bond reach
+        centers += [[10.0 * k, 0.0, 2.0], [10.0 * k, 0.0, 2.0 + 2 * r + gap]]
+    asm = ParticleAssembly(np.array(centers), np.full(6, r),
+                           np.zeros(6, dtype=np.int8), np.repeat(densities, 2),
+                           CylinderDomain(30.0, 10.0))
+    system = ParticleSystem(asm, {ContactKind.ROCK_ROCK: ROCK_MAT},
+                            damping=0.0, mass_scale=1.0)
+    assert system.n_bonds == 2
+    system.b_intact[1] = False
+    system.pos[1::2, 2] = system.pos[0::2, 2] + 2 * r - np.asarray(overlaps)
+    system.refresh_transient_contacts()
+    return system
+
+
+def test_pair_table_observables_match_closed_forms():
+    r, overlaps = 1.0, (1e-4, 2e-4, 5e-4)
+    system = pair_table_system(overlaps, r=r)
+    k_n, k_lin = bond_k_normal(ROCK_MAT, r), linear_k(ROCK_MAT, r)
+    forces = [k_n * overlaps[0], k_lin * overlaps[1], k_lin * overlaps[2]]
+    assert system.bond_normal_forces() == pytest.approx(forces[:2], rel=1e-9)
+    # the unbonded contact carries the largest force
+    assert system.max_compressive_force() == pytest.approx(forces[2], rel=1e-9)
+    assert system.active_pair_count() == 3
+    # lens of two equal spheres at centre distance d: pi (4r + d)(2r - d)^2 / 12
+    lens = sum(math.pi * (4 * r + (2 * r - u)) * u ** 2 / 12.0 for u in overlaps)
+    assert system.contact_lens_volume() == pytest.approx(lens, rel=1e-9)
+    # a broken bond that no longer overlaps is no active pair; an intact
+    # bond in tension still is
+    system.pos[3, 2] += 0.5
+    system.pos[1, 2] += 2e-4
+    assert system.active_pair_count() == 2
+
+
+def test_pair_table_stable_dt_matches_closed_form():
+    r, densities = 1.0, (2600.0, 26.0, 2.6)
+    system = pair_table_system((1e-4, 2e-4, 5e-4), densities, r)
+    k_bond = bond_k_normal(ROCK_MAT, r) * (1.0 + 1.0 / ROCK_MAT.bond_stiffness_ratio)
+    k_lin = linear_k(ROCK_MAT, r)
+    m_a, m_b, m_c = (sphere_mass(r, rho) for rho in densities)
+    expected = DT_SAFETY * min(math.sqrt(m_a / k_bond), math.sqrt(m_b / k_lin),
+                               math.sqrt(m_c / k_lin))
+    # the light pair on the unbonded contact sets the step
+    assert expected == DT_SAFETY * math.sqrt(m_c / k_lin)
+    assert system.stable_dt() == pytest.approx(expected, rel=1e-12)
+    # once that contact is gone, the broken bond's contact spring sets it
+    system.pos[5, 2] += 1.0
+    system.refresh_transient_contacts()
+    assert system.stable_dt() == pytest.approx(DT_SAFETY * math.sqrt(m_b / k_lin),
+                                               rel=1e-12)
+
+
+def test_broken_bond_and_unbonded_contact_carry_the_same_normal_force():
+    overlap = 3e-4
+    system = pair_table_system((1e-4, overlap, overlap), densities=(2600.0,) * 3)
+    expected = linear_k(ROCK_MAT, 1.0) * overlap
+    assert system.bond_normal_forces()[1] == pytest.approx(expected, rel=1e-9)
+    dt = system.stable_dt()
+    system.step(dt)
+    # undamped first step from rest: the upper sphere of each pair is pushed
+    # up by exactly the normal force
+    f_broken = system.vel[3, 2] * system.mass[3] / dt
+    f_contact = system.vel[5, 2] * system.mass[5] / dt
+    assert f_broken == pytest.approx(expected, rel=1e-9)
+    assert f_contact == pytest.approx(f_broken, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

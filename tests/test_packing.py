@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -195,10 +196,18 @@ def test_negative_tolerance_rejected(small_saturated):
         contact_arrays(small_saturated, -0.1)
 
 
+@functools.cache
+def _desk_packing(seed):
+    return generate_packing(desk_config(seed=seed))
+
+
+# reach in units of the minimum radius: touching contacts, bond
+# installation, freeze skin, packing relaxation skin
+@pytest.mark.parametrize("reach", [0.0, 0.05, 0.25, 0.3])
 @pytest.mark.parametrize("seed", [0, 3, 9])
-def test_contacts_match_brute_force(seed):
-    asm = generate_packing(desk_config(seed=seed))
-    tol = 0.05 * float(asm.radii.min())
+def test_contacts_match_brute_force(seed, reach):
+    asm = _desk_packing(seed)
+    tol = reach * float(asm.radii.min())
     ia, ib, gap = contact_arrays(asm, tol)
     found = set(zip(ia.tolist(), ib.tolist()))
     assert len(found) == len(ia)
