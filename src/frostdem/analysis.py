@@ -247,8 +247,8 @@ class BoxCountResult(NamedTuple):
 
 
 def box_counting_dimension(points: np.ndarray,
-                           scale_range: Sequence[float] | None = None,
-                           min_scales: int = 4) -> BoxCountResult:
+                           scale_range: Sequence[float] | None = None
+                           ) -> BoxCountResult:
     """Fractal dimension from occupied-box counts over dyadic scales.
 
     Default scales are powers of two from the bounding-box size down to four
@@ -283,7 +283,7 @@ def box_counting_dimension(points: np.ndarray,
         while s >= floor and len(scales) < 24:
             scales.append(s)
             s /= 2.0
-        while len(scales) < min_scales:
+        while len(scales) < 4:
             scales.append((scales[-1] if scales else extent) / 2.0)
         scales = np.array(scales)
     else:

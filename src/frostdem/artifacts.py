@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .mechanics import ParticleSystem, StressStrainCurve
-from .packing import ParticleAssembly, Phase
+from .packing import ContactKind, ParticleAssembly, Phase
 
 
 def fmt(value) -> str:
@@ -74,7 +74,6 @@ def write_particles(path: str | Path, assembly: ParticleAssembly) -> Path:
 
 
 def write_bonds(path: str | Path, system: ParticleSystem) -> Path:
-    from .packing import ContactKind
     rows = []
     for idx in range(system.n_bonds):
         rows.append((int(system.b_ia[idx]), int(system.b_ib[idx]),

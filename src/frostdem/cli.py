@@ -20,9 +20,11 @@ from .config import ExperimentConfig
 from .errors import (FrostDemError, InputParseError, InvalidConfigError,
                      StabilityError)
 from .frostheave import FreezeConfig, run_freeze
-from .mechanics import (DRY_MATERIALS, SATURATED_MATERIALS, MechanicalReport,
-                        calibrate, extract_mechanical_params, run_uniaxial_test)
-from .packing import CylinderDomain, ParticleAssembly, Phase, generate_packing
+from .mechanics import (DEFAULT_MASS_SCALE, DRY_MATERIALS, SATURATED_MATERIALS,
+                        MechanicalReport, calibrate, extract_mechanical_params,
+                        run_uniaxial_test)
+from .packing import (ContactKind, CylinderDomain, ParticleAssembly, Phase,
+                      generate_packing)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,18 +174,20 @@ def cmd_freeze(config: ExperimentConfig, args) -> int:
     thermal = config.section("thermal", required=False)
     # the boundary steps through the stage checkpoints in conducted substeps
     # and each stage holds until the field is uniform, so a ramp rate or a
-    # hold time would have no effect; reject them rather than ignore them
-    for key in ("ramp_rate", "hold"):
+    # hold time would have no effect, and the mass scale is not a setting;
+    # reject them rather than ignore them
+    schedule = ("the boundary follows stage_temps or target_temp in "
+                "conducted substeps")
+    fixed_mass = f"the mass scale is fixed at {DEFAULT_MASS_SCALE:g}"
+    for key, reason in (("ramp_rate", schedule), ("hold", schedule),
+                        ("mass_scale", fixed_mass)):
         if key in thermal.values:
-            raise InvalidConfigError(
-                f"[thermal] {key} is not supported: the boundary follows "
-                "stage_temps or target_temp in conducted substeps")
+            raise InvalidConfigError(f"[thermal] {key} is not supported: {reason}")
     common = dict(
         start_temp=thermal.get_float("start_temp", 20.0),
         substep_dt_max=thermal.get_float("substep_dt_max", 2.0),
         water_prestress=thermal.get_float("water_prestress", 0.008),
         freeze_volume_jump=thermal.get_float("freeze_volume_jump", 0.0),
-        mass_scale=thermal.get_float("mass_scale", 1.0e6),
     )
     stage_temps = thermal.get_float_list("stage_temps")
     target_temp = thermal.get_float("target_temp")
@@ -254,11 +258,9 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
     if peak_target is not None and modulus_target is not None:
         budget = mech.get_int("calibration_budget", 20)
         targets = MechanicalReport(peak_target, modulus_target, 0.0, 0.0)
-        from .packing import ContactKind
         calibrated = calibrate(targets, materials[ContactKind.ROCK_ROCK], budget,
                                assembly, platen_velocity=platen_velocity,
-                               target_strain=target_strain,
-                               water_materials=materials if assembly.n_water else None)
+                               target_strain=target_strain)
         materials[ContactKind.ROCK_ROCK] = calibrated.material
         audit_rows = ((r.round_index, r.material.bond_modulus,
                        r.material.contact_modulus, r.material.tensile_strength,

@@ -17,6 +17,10 @@ class StabilityError(FrostDemError):
     """An explicit time step exceeds its stability limit."""
 
 
+class ConvergenceError(StabilityError):
+    """An iteration hit its step cap before reaching its tolerance."""
+
+
 class UndefinedStatisticError(FrostDemError):
     """A requested statistic is undefined for the given input (e.g. zero baseline)."""
 

@@ -14,10 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, UndefinedStatisticError
+from .errors import ConvergenceError, InvalidConfigError, UndefinedStatisticError
 from .mechanics import (BondMaterial, ContactKind, CrackEvent, ParticleSystem,
                         build_system)
-from .packing import ParticleAssembly, Phase, contact_arrays
+# contact_arrays is unused here; bench/test_harness.py checks its probe binding
+from .packing import ParticleAssembly, Phase, contact_arrays  # noqa: F401
 from .thermal import (ALPHA_ICE, ALPHA_ROCK, ALPHA_WATER, ConductionNetwork,
                       TemperatureField, UNIFORMITY_LIMIT, expansion_coefficients,
                       surface_particle_ids)
@@ -87,13 +88,28 @@ def contact_statistics(system: ParticleSystem,
 # ---------------------------------------------------------------------------
 # Freeze pipeline
 
+#: Mechanical steps after each coupled substep.
+SUBSTEP_RELAX_STEPS = 150
+
+#: Unbalanced-force ratio the set-up and every stage end equilibrate to.
+STAGE_RELAX_TOL = 1e-3
+
+#: Interior-boundary deviation, degC, each substep conducts down to; it sits
+#: inside the uniformity limit, so every stage ends with a uniform field.
+CONDUCTION_TOL = 0.9 * UNIFORMITY_LIMIT
+
+#: Conduction steps one substep may take before the run fails.
+CONDUCTION_STEP_CAP = 50_000
+
+
 @dataclass(frozen=True)
 class FreezeConfig:
-    """Stage schedule and coupling controls for one freeze run.
+    """Stage schedule and thermal loading of one freeze run.
 
     The laboratory hold duration is replaced by conduction until the
-    center-surface deviation passes the uniformity limit; the stage targets
-    default to the freezing checkpoints 0, -10 and -20 degC.
+    center-surface deviation is within ``CONDUCTION_TOL``; the stage targets
+    default to the freezing checkpoints 0, -10 and -20 degC.  Relaxation and
+    conduction controls are the module constants above.
     """
 
     start_temp: float = 20.0
@@ -101,11 +117,6 @@ class FreezeConfig:
     substep_dt_max: float = 2.0          # degC per coupled substep
     water_prestress: float = 0.008       # water radius inflation at setup
     freeze_volume_jump: float = 0.0      # one-off volume jump at first freeze
-    relax_steps: int = 150               # mechanical steps per substep
-    stage_relax_tol: float = 1e-3        # unbalanced ratio at stage ends
-    conduction_tol: float = 0.45         # degC, interior-boundary during substeps
-    conduction_step_cap: int = 50_000
-    mass_scale: float = 1.0e6
 
     def __post_init__(self):
         if self.substep_dt_max <= 0:
@@ -168,14 +179,18 @@ def run_freeze(assembly: ParticleAssembly,
     """Drive the coupled freeze: conduction, particle expansion, relaxation.
 
     Per stage, the boundary temperature steps down in small increments; after
-    each increment the temperature field conducts to near-uniformity, then
-    particle radii and bond thermal offsets update from the per-particle
-    temperature changes and the contact network relaxes mechanically.
-    Contact statistics are captured at the baseline and at each stage end.
+    each increment the temperature field conducts to within
+    ``CONDUCTION_TOL`` of the boundary (``ConvergenceError`` past
+    ``CONDUCTION_STEP_CAP`` steps), then particle radii and bond thermal
+    offsets update from the per-particle temperature changes and the contact
+    network relaxes mechanically.  A stage end conducts no further, since
+    the last substep left the field uniform at the target; it refreshes the
+    unbonded contacts and equilibrates.  Contact statistics are captured
+    at the baseline and at each stage end.
     """
     if assembly.n_particles == 0:
         raise InvalidConfigError("cannot freeze an empty assembly")
-    system = build_system(assembly, materials, mass_scale=config.mass_scale)
+    system = build_system(assembly, materials)
 
     water = system.phases == Phase.WATER
     if config.water_prestress > 0 and np.any(water):
@@ -183,15 +198,14 @@ def run_freeze(assembly: ParticleAssembly,
             np.where(water, system.radii * config.water_prestress, 0.0))
     skin = 0.25 * float(system.radii.min())
     system.refresh_transient_contacts(skin)
-    system.equilibrate(tol=config.stage_relax_tol, max_steps=30_000)
+    system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=30_000)
 
     boundary = surface_particle_ids(assembly)
     field = TemperatureField(np.full(assembly.n_particles, config.start_temp,
                                      dtype=float), boundary)
-    # conduction runs over the full near-contact graph, not just bonds
-    cond_ia, cond_ib, _ = contact_arrays(assembly,
-                                         0.05 * float(assembly.radii.min()))
-    conduction = ConductionNetwork(assembly, (cond_ia, cond_ib))
+    # heat flows through every bond row, intact or broken: the pairs that
+    # were within the installation gap when the system was built
+    conduction = ConductionNetwork(assembly, (system.b_ia, system.b_ib))
     reachable = conduction.boundary_reachable(boundary)
 
     baseline = contact_statistics(system)
@@ -208,8 +222,8 @@ def run_freeze(assembly: ParticleAssembly,
         for i in range(n_sub):
             t_boundary = stage_from + (target - stage_from) * (i + 1) / n_sub
             field.pin_boundary(t_boundary)
-            _conduct_until(conduction, field, t_boundary, config.conduction_tol,
-                           config.conduction_step_cap, reachable)
+            _conduct_until(conduction, field, t_boundary, CONDUCTION_TOL,
+                           CONDUCTION_STEP_CAP, reachable)
             d_temp = field.temperatures - t_prev_particles
             d_radius = radius_increments(t_prev_particles, field.temperatures,
                                          system.radii, system.phases)
@@ -223,21 +237,9 @@ def run_freeze(assembly: ParticleAssembly,
             system.apply_bond_thermal_offsets(d_temp, alpha_now)
             t_prev_particles = field.temperatures.copy()
             system.refresh_transient_contacts(skin)
-            system.run(config.relax_steps)
-        # stage end: tighter uniformity, then mechanical settling
-        _conduct_until(conduction, field, t_boundary,
-                       0.9 * UNIFORMITY_LIMIT, config.conduction_step_cap,
-                       reachable)
-        d_temp = field.temperatures - t_prev_particles
-        if np.any(d_temp != 0.0):
-            d_radius = radius_increments(t_prev_particles, field.temperatures,
-                                         system.radii, system.phases)
-            system.apply_radius_increments(d_radius)
-            system.apply_bond_thermal_offsets(
-                d_temp, expansion_coefficients(system.phases, field.temperatures))
-            t_prev_particles = field.temperatures.copy()
+            system.run(SUBSTEP_RELAX_STEPS)
         system.refresh_transient_contacts(skin)
-        system.equilibrate(tol=config.stage_relax_tol, max_steps=30_000)
+        system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=30_000)
         stats = contact_statistics(system, baseline)
         stages.append(FreezeStageRow(_stage_label(stage_from, target), target, stats))
 
@@ -247,31 +249,33 @@ def run_freeze(assembly: ParticleAssembly,
 
 def _conduct_until(network: ConductionNetwork, field: TemperatureField,
                    boundary_value: float, tol: float, step_cap: int,
-                   reachable: np.ndarray | None = None) -> None:
+                   reachable: np.ndarray) -> None:
     """Explicit conduction steps until the interior tracks the boundary.
 
-    Particles without a conductive path to the boundary follow the schedule
-    directly (the chamber bathes the whole specimen); only reachable interior
-    particles enter the convergence measure.
+    Particles without a conductive path to the boundary (``reachable``
+    false) follow the schedule directly (the chamber bathes the whole
+    specimen); only reachable interior particles enter the convergence
+    measure.  Raises :class:`~frostdem.errors.ConvergenceError` when the
+    deviation still exceeds ``tol`` after ``step_cap`` steps.
     """
-    n = len(field.temperatures)
-    if reachable is None:
-        reachable = network.boundary_reachable(field.boundary_ids)
     field.temperatures[~reachable] = boundary_value
     interior = reachable.copy()
     interior[field.boundary_ids] = False
-    if not np.any(interior):
-        field.temperatures[:] = boundary_value
-        field.pin_boundary(boundary_value)
-        return
     dt = network.worst_case_stable_dt()
-    if not math.isfinite(dt):
+    if not np.any(interior) or not math.isfinite(dt):
         field.temperatures[:] = boundary_value
         field.pin_boundary(boundary_value)
         return
+
+    def deviation() -> float:
+        return float(np.max(np.abs(field.temperatures[interior] - boundary_value)))
     for _ in range(step_cap):
-        dev = float(np.max(np.abs(field.temperatures[interior] - boundary_value)))
-        if dev <= tol:
+        if deviation() <= tol:
             return
         network.step(field, dt, boundary_value)
         field.temperatures[~reachable] = boundary_value
+    dev = deviation()
+    if dev > tol:
+        raise ConvergenceError(
+            f"conduction left a deviation of {dev:g} degC after {step_cap} "
+            f"steps; the tolerance is {tol:g} degC")

@@ -145,19 +145,18 @@ class ParticleSystem:
     """Mutable simulation state: particles, one pair table, platens.
 
     The pair table (``ia``, ``ib``, ``k_lin``) holds every interacting pair.
-    Its first ``n_bonds`` rows are the bonds, installed on pairs within
-    ``bond_gap_tol`` at construction and never added afterwards; the
-    per-bond state (``b_kind``, ``b_intact``, ``b_shear``, ...) is indexed
-    by those rows.  The rows after them are unbonded contacts, rebuilt from
-    geometry by :meth:`refresh_transient_contacts` as particles move or
-    grow.  ``k_lin`` is the linear contact spring of every row, the one law
-    for pairs without an intact bond.
+    Its first ``n_bonds`` rows are the bonds, installed at construction on
+    pairs whose gap is at most 5% of the minimum radius and never added
+    afterwards; the per-bond state (``b_kind``, ``b_intact``, ``b_shear``,
+    ...) is indexed by those rows.  The rows after them are unbonded
+    contacts, rebuilt from geometry by :meth:`refresh_transient_contacts` as
+    particles move or grow.  ``k_lin`` is the linear contact spring of every
+    row, the one law for pairs without an intact bond.
     """
 
     def __init__(self, assembly: ParticleAssembly,
                  materials: dict[ContactKind, BondMaterial],
-                 *, bond_gap_tol: float | None = None,
-                 damping: float = DEFAULT_DAMPING,
+                 *, damping: float = DEFAULT_DAMPING,
                  mass_scale: float = DEFAULT_MASS_SCALE):
         self.assembly = assembly
         self.materials = dict(materials)
@@ -174,12 +173,6 @@ class ParticleSystem:
         self.time = 0.0
         self.step_count = 0
         self.crack_events: list[CrackEvent] = []
-
-        if bond_gap_tol is None:
-            # detection-tolerance default: 5% of the minimum radius, acting
-            # as the parallel-bond installation gap
-            bond_gap_tol = 0.05 * float(self.radii.min()) if self.n else 0.0
-        self.bond_gap_tol = bond_gap_tol
         self._install_bonds()
         self.walls: dict | None = None
         self._dt_cache: float | None = None
@@ -208,7 +201,8 @@ class ParticleSystem:
             * 1e3 / (r_a + r_b) * (np.pi * np.minimum(r_a, r_b) ** 2)
 
     def _install_bonds(self) -> None:
-        ia, ib, gap = contact_arrays(self.assembly, self.bond_gap_tol)
+        gap_tol = 0.05 * float(self.radii.min()) if self.n else 0.0
+        ia, ib, gap = contact_arrays(self.assembly, gap_tol)
         self.ia, self.ib = ia, ib
         self.k_lin = self._linear_stiffness(ia, ib)
         self.n_bonds = m = len(ia)
@@ -428,12 +422,12 @@ class ParticleSystem:
         return (float(np.abs(force).sum()) / max(self.n, 1)) / mean_contact
 
     def equilibrate(self, tol: float = EQUILIBRIUM_RATIO,
-                    max_steps: int = 60_000, check_every: int = 100,
-                    quench_every: int = 1000) -> float:
+                    max_steps: int = 60_000) -> float:
         """Damped stepping until the unbalanced ratio drops below ``tol``.
 
-        Velocities are zeroed periodically, which kills the limit cycles of
-        rattlers and flickering near-zero contacts.
+        The ratio is checked every 100 steps.  Velocities are zeroed every
+        1000 steps, which kills the limit cycles of rattlers and flickering
+        near-zero contacts.
         """
         dt = self.stable_dt()
         if not math.isfinite(dt):
@@ -441,10 +435,10 @@ class ParticleSystem:
         ratio = self.unbalanced_ratio()
         steps = 0
         while ratio > tol and steps < max_steps:
-            for _ in range(check_every):
+            for _ in range(100):
                 self.step(min(dt, self.stable_dt()))
-            steps += check_every
-            if steps % quench_every == 0:
+            steps += 100
+            if steps % 1000 == 0:
                 self.vel[:] = 0.0
             ratio = self.unbalanced_ratio()
         self.vel[:] = 0.0
@@ -524,21 +518,18 @@ class ParticleSystem:
 # Uniaxial compression test and calibration
 
 def build_system(assembly: ParticleAssembly,
-                 materials: dict[ContactKind, BondMaterial] | None = None,
-                 **kwargs) -> ParticleSystem:
+                 materials: dict[ContactKind, BondMaterial] | None = None
+                 ) -> ParticleSystem:
     """Construct a particle system with sensible defaults for the phase mix."""
     if materials is None:
         materials = SATURATED_MATERIALS if assembly.n_water else DRY_MATERIALS
-    return ParticleSystem(assembly, materials, **kwargs)
+    return ParticleSystem(assembly, materials)
 
 
 def run_uniaxial_test(assembly_or_system, platen_velocity: float,
                       target_strain: float,
                       materials: dict[ContactKind, BondMaterial] | None = None,
-                      *, sample_interval: float = 2e-5,
-                      stop_fraction: float = 0.6,
-                      max_steps: int = 2_000_000,
-                      mass_scale: float = DEFAULT_MASS_SCALE) -> StressStrainCurve:
+                      *, stop_fraction: float = 0.6) -> StressStrainCurve:
     """Rigid-platen axial compression to ``target_strain``.
 
     Accepts either a raw assembly (it is then equilibrated against the
@@ -555,7 +546,7 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
             raise PreconditionError(
                 "system is not equilibrated (mean unbalanced force ratio >= 1e-4)")
     else:
-        system = build_system(assembly_or_system, materials, mass_scale=mass_scale)
+        system = build_system(assembly_or_system, materials)
         # settle unconfined first, then seat the platens force-free at the
         # relaxed extremes so zero velocity means zero measured stress
         system.equilibrate()
@@ -576,12 +567,13 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
                                  np.array(times))
 
     gap0 = system.walls["gap0"]
+    sample_interval = 2e-5      # strain between two curve samples
     next_sample = sample_interval
     peak = 0.0
     stress_acc = 0.0
     acc_count = 0
     refresh_every = 500
-    for step in range(max_steps):
+    for step in range(2_000_000):
         h = min(dt, system.stable_dt())
         system.walls["z_top"] -= platen_velocity * h
         system.step(h)
@@ -636,15 +628,14 @@ CALIBRATION_TOLERANCE = 0.05
 
 def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
               assembly: ParticleAssembly, *,
-              platen_velocity: float, target_strain: float,
-              water_materials: dict[ContactKind, BondMaterial] | None = None,
-              mass_scale: float = DEFAULT_MASS_SCALE) -> CalibrationResult:
+              platen_velocity: float, target_strain: float) -> CalibrationResult:
     """Deterministic coordinate descent on the rock-bond micro-parameters.
 
     Scales the contact/bond moduli to match the target modulus, then the
     bond strengths to match the target peak, re-simulating after each
     adjustment until both relative errors fall under 5% or the simulation
-    budget is exhausted (the result is then flagged non-converged).
+    budget is exhausted (the result is then flagged non-converged).  The
+    water bonds of a saturated assembly keep :data:`SATURATED_MATERIALS`.
     """
     if targets.peak_strength <= 0 or targets.elastic_modulus <= 0:
         raise InvalidConfigError("calibration targets must be positive")
@@ -652,11 +643,10 @@ def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
         raise InvalidConfigError("budget must be >= 1")
 
     def run_with(mod_scale: float, str_scale: float) -> MechanicalReport:
-        mats = dict(water_materials or
-                    (SATURATED_MATERIALS if assembly.n_water else {}))
+        mats = dict(SATURATED_MATERIALS if assembly.n_water else {})
         mats[ContactKind.ROCK_ROCK] = initial.scaled(mod_scale, str_scale)
         curve = run_uniaxial_test(assembly.copy(), platen_velocity, target_strain,
-                                  mats, mass_scale=mass_scale)
+                                  mats)
         return extract_mechanical_params(curve)
 
     # secant updates in log space absorb the mildly nonlinear response of the

@@ -362,15 +362,14 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
 
 
 def generate_packing(config: PackingConfig, *,
-                     max_overlap_frac: float = 1e-3,
                      polish_sweeps: int = 8000) -> ParticleAssembly:
     """Generate the two-phase packing for ``config``.
 
     Particles are seeded at half size at random positions, grown to full
     size with relaxation sweeps between growth steps, then polished until
-    the residual pairwise overlap is at most ``max_overlap_frac`` of the
-    smaller radius.  Water particles are mixed uniformly at random among
-    rock particles.  Deterministic for a fixed ``config.rng_seed``.
+    the residual pairwise overlap is at most 1e-3 of the smallest radius.
+    Water particles are mixed uniformly at random among rock particles.
+    Deterministic for a fixed ``config.rng_seed``.
     """
     config.validate()
     n_water, n_rock = compute_particle_counts(config)
@@ -412,7 +411,7 @@ def generate_packing(config: PackingConfig, *,
         r = radii * scale
         centers, _ = _relax_overlaps(centers, r, domain,
                                      4e-3 * float(r.min()), 600, rng=rng)
-    max_overlap = max_overlap_frac * float(radii.min())
+    max_overlap = 1e-3 * float(radii.min())
     centers, residual = _relax_overlaps(centers, radii, domain, max_overlap,
                                         polish_sweeps, under_relax=0.8, rng=rng)
     recoveries = 0
@@ -428,8 +427,8 @@ def generate_packing(config: PackingConfig, *,
                                             rng=rng)
     if residual > max_overlap:
         raise PackingInfeasibleError(
-            f"could not relax overlaps below {max_overlap_frac:.0e} of the "
-            f"minimum radius (residual {residual / float(radii.min()):.2%}); "
+            "could not relax overlaps below 1e-03 of the minimum radius "
+            f"(residual {residual / float(radii.min()):.2%}); "
             f"solid_fraction={config.solid_fraction} is the limiting parameter")
 
     densities = np.where(rock_mask, config.rock_density, config.water_density)

@@ -86,7 +86,8 @@ class ConductionNetwork:
     Contact area is the circle of the smaller radius; the effective
     conductivity between unlike particles is the harmonic mean, recomputed
     from current phase states each step (water conductivity changes on
-    freezing).
+    freezing).  A step computes the conductances once and takes both its
+    stability limit and its heat flux from them.
     """
 
     def __init__(self, assembly: ParticleAssembly,
@@ -125,9 +126,10 @@ class ConductionNetwork:
         per-contact bound and guarantees temperatures stay inside the convex
         hull of current values.
         """
-        if len(self.ia) == 0:
-            return np.inf
-        g = self.conductances(temperatures)
+        return self._stable_dt(self.conductances(temperatures))
+
+    def _stable_dt(self, g: np.ndarray) -> float:
+        """:meth:`stable_dt` from the per-contact conductances ``g``."""
         g_sum = np.bincount(self.ia, weights=g, minlength=self.n) \
             + np.bincount(self.ib, weights=g, minlength=self.n)
         active = g_sum > 0
@@ -157,13 +159,13 @@ class ConductionNetwork:
     def step(self, field: TemperatureField, dt: float,
              boundary_value: float | None = None) -> None:
         """Advance the field in place by one explicit step."""
-        limit = self.stable_dt(field.temperatures)
-        if dt > limit * (1.0 + 1e-12):
-            raise StabilityError(
-                f"conduction step dt={dt:g} s exceeds stability limit {limit:g} s")
         t = field.temperatures
         if len(self.ia):
             g = self.conductances(t)
+            limit = self._stable_dt(g)
+            if dt > limit * (1.0 + 1e-12):
+                raise StabilityError(f"conduction step dt={dt:g} s exceeds "
+                                     f"stability limit {limit:g} s")
             flux = g * (t[self.ia] - t[self.ib])   # W, positive a -> b
             dq = flux * dt
             t -= np.bincount(self.ia, weights=dq, minlength=self.n) / self.heat_mass
@@ -194,13 +196,11 @@ def uniformity_report(field: TemperatureField,
     return UniformityReport(dev, dev < UNIFORMITY_LIMIT)
 
 
-def surface_particle_ids(assembly: ParticleAssembly,
-                         shell: float | None = None) -> np.ndarray:
+def surface_particle_ids(assembly: ParticleAssembly) -> np.ndarray:
     """Particles within one max-radius shell of any cylinder surface."""
     if assembly.n_particles == 0:
         return np.zeros(0, dtype=np.int64)
-    if shell is None:
-        shell = float(assembly.radii.max())
+    shell = float(assembly.radii.max())
     c, r = assembly.centers, assembly.radii
     rho = np.hypot(c[:, 0], c[:, 1])
     near_side = rho + r >= assembly.domain.radius - shell

@@ -106,7 +106,7 @@ def test_analyze_points_row_width_change_cites_line(tmp_path, capsys):
     assert read_points(flat).shape == (3, 2)
 
 
-@pytest.mark.parametrize("key", ["ramp_rate", "hold"])
+@pytest.mark.parametrize("key", ["ramp_rate", "hold", "mass_scale"])
 def test_freeze_rejects_unsupported_schedule_key(tmp_path, capsys, key):
     body = f"[run]\nseed = 5\n{PACKING_BLOCK}\n[thermal]\ntarget_temp = -20\n{key} = 1\n"
     cfg = write_config(tmp_path, body)
@@ -130,6 +130,17 @@ def test_stability_error_exits_4(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, f"[run]\nseed = 1\n{PACKING_BLOCK}")
     assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     assert "stability error" in capsys.readouterr().err
+
+
+def test_freeze_conduction_cap_exits_4(tmp_path, capsys, monkeypatch):
+    from frostdem import frostheave
+
+    monkeypatch.setattr(frostheave, "CONDUCTION_STEP_CAP", 1)
+    cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
+    assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "stability error: conduction left a deviation" in err
+    assert "tolerance is 0.45 degC" in err
 
 
 # ---------------------------------------------------------------------------

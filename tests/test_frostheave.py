@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frostdem.errors import InvalidConfigError, UndefinedStatisticError
-from frostdem.frostheave import (FreezeConfig, contact_statistics,
-                                 force_increase_pct, radius_increments,
-                                 run_freeze, volume_reduction_pct)
+from frostdem.errors import (ConvergenceError, InvalidConfigError,
+                             UndefinedStatisticError)
+from frostdem.frostheave import (CONDUCTION_TOL, FreezeConfig, _conduct_until,
+                                 contact_statistics, force_increase_pct,
+                                 radius_increments, run_freeze,
+                                 volume_reduction_pct)
 from frostdem.mechanics import (BondMaterial, ParticleSystem,
                                 SATURATED_MATERIALS, build_system)
 from frostdem.packing import ContactKind, CylinderDomain, ParticleAssembly, Phase
-from frostdem.thermal import ALPHA_ICE
+from frostdem.thermal import (ALPHA_ICE, ConductionNetwork, TemperatureField,
+                              surface_particle_ids)
 
 
 def increment(phase, radius, t_old, t_new):
@@ -269,6 +272,33 @@ def test_freeze_volume_jump_grows_water_radii(small_saturated):
     # 9% volume jump is about 2.9% radius growth over the plain run
     ratio = jumped.system.radii[water] / plain.system.radii[water]
     assert np.allclose(ratio, (1.09) ** (1 / 3), rtol=1e-3)
+
+
+def _first_substep(asm):
+    """Network, 20 degC field with its boundary pinned to 18 degC, reach."""
+    system = build_system(asm)
+    network = ConductionNetwork(asm, (system.b_ia, system.b_ib))
+    boundary = surface_particle_ids(asm)
+    field = TemperatureField(np.full(asm.n_particles, 20.0), boundary)
+    field.pin_boundary(18.0)
+    return network, field, network.boundary_reachable(boundary)
+
+
+def test_conduction_fails_loudly_at_its_step_cap(small_saturated):
+    network, field, reachable = _first_substep(small_saturated)
+    with pytest.raises(ConvergenceError, match=r"after 1 steps.*0\.45 degC"):
+        _conduct_until(network, field, 18.0, CONDUCTION_TOL, 1, reachable)
+    # a field that reaches the tolerance on the last allowed step passes
+    network, field, reachable = _first_substep(small_saturated)
+    _conduct_until(network, field, 18.0, CONDUCTION_TOL, 50_000, reachable)
+    needed = round(field.time / network.worst_case_stable_dt())
+    assert needed > 1
+    network, field, reachable = _first_substep(small_saturated)
+    _conduct_until(network, field, 18.0, CONDUCTION_TOL, needed, reachable)
+    network, field, reachable = _first_substep(small_saturated)
+    with pytest.raises(ConvergenceError):
+        _conduct_until(network, field, 18.0, CONDUCTION_TOL, needed - 1,
+                       reachable)
 
 
 def test_freeze_rejects_empty_assembly():

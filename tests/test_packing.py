@@ -235,6 +235,18 @@ def test_contact_kinds_follow_phases(small_saturated):
                                            ContactKind.ROCK_WATER}
 
 
+@pytest.mark.parametrize("packing", ["small_saturated", "small_dry"])
+def test_bonds_are_the_pairs_within_the_conduction_reach(packing, request):
+    # the freeze driver conducts heat over the bond rows; they must be the
+    # pairs within 5% of the minimum radius, the conduction graph's reach
+    asm = request.getfixturevalue(packing)
+    system = build_system(asm)
+    ia, ib, _ = contact_arrays(asm, 0.05 * asm.radii.min())
+    assert len(ia) > 0
+    np.testing.assert_array_equal(system.b_ia, ia)
+    np.testing.assert_array_equal(system.b_ib, ib)
+
+
 # ---------------------------------------------------------------------------
 # measure_porosity
 
