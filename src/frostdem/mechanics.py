@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (CurveWindowError, InvalidConfigError, PreconditionError,
-                     StabilityError, UndefinedStatisticError)
+from .errors import (ConvergenceError, CurveWindowError, InvalidConfigError,
+                     PreconditionError, StabilityError, UndefinedStatisticError)
 from .packing import ContactKind, ParticleAssembly, contact_arrays
 
 #: Default Cundall local damping coefficient for quasi-static runs.
@@ -32,6 +32,9 @@ DEFAULT_MASS_SCALE = 1.0e6
 
 #: Mean unbalanced-force ratio accepted as equilibrium.
 EQUILIBRIUM_RATIO = 1e-4
+
+#: Loading steps a uniaxial test may take before it fails.
+LOADING_STEP_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,15 @@ class ParticleSystem:
         self.b_length0 = np.linalg.norm(self.pos[ib] - self.pos[ia], axis=1) if m else np.zeros(0)
         self.b_intact = np.ones(m, dtype=bool)
         self.b_shear = np.zeros((m, 3))
+        self._k_shear_intact = self.b_k_shear * self.b_intact
         self._bond_keys = ia * np.int64(max(self.n, 1)) + ib
+        self._index_pairs()
+
+    def _index_pairs(self) -> None:
+        """Flat scatter index of the pair table: the x, y, z slots of every
+        row's particle b, then of every row's particle a."""
+        self._scatter_idx = ((np.concatenate((self.ib, self.ia)) * 3)[:, None]
+                             + np.arange(3)).ravel()
 
     @property
     def b_ia(self) -> np.ndarray:
@@ -267,76 +278,73 @@ class ParticleSystem:
 
     def _pair_geometry(self):
         """Distances, unit normals (a towards b) and overlaps of every pair."""
-        d = self.pos[self.ib] - self.pos[self.ia]
-        dist = np.linalg.norm(d, axis=1)
+        ia, ib = self.ia, self.ib
+        d = self.pos.take(ib, axis=0) - self.pos.take(ia, axis=0)
+        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
         normal = d / np.maximum(dist, 1e-12)[:, None]
-        overlap = self.radii[self.ia] + self.radii[self.ib] - dist
+        overlap = self.radii.take(ia) + self.radii.take(ib) - dist
         return dist, normal, overlap
-
-    def _bond_rows(self, per_pair: np.ndarray, per_bond: np.ndarray) -> np.ndarray:
-        """``per_pair`` with the rows of intact bonds taken from ``per_bond``."""
-        out = per_pair.copy()
-        out[:self.n_bonds] = np.where(self.b_intact, per_bond,
-                                      per_pair[:self.n_bonds])
-        return out
 
     def _normal_forces(self, overlap: np.ndarray) -> np.ndarray:
         """Normal force of every pair, compression positive: the bond spring
         on the effective overlap for intact bonds, the compression-only
         linear spring on the geometric overlap for every other pair."""
+        fn = self.k_lin * np.maximum(overlap, 0.0)
         f_bond = self.b_k_normal * (overlap[:self.n_bonds] + self.b_offset
                                     - self.b_form_ref)
-        return self._bond_rows(self.k_lin * np.maximum(overlap, 0.0), f_bond)
+        np.copyto(fn[:self.n_bonds], f_bond, where=self.b_intact)
+        return fn
 
     def bond_normal_forces(self) -> np.ndarray:
         """Per-bond normal force, compression positive; broken bonds act as
         compression-only linear contacts on geometric overlap."""
         return self._normal_forces(self._pair_geometry()[2])[:self.n_bonds]
 
+    def _platen_forces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Upward push of the bottom platen and downward push of the top
+        platen on every particle."""
+        w, z = self.walls, self.pos[:, 2]
+        f_bot = w["k"] * np.maximum(w["z_bot"] + self.radii - z, 0.0)
+        f_top = w["k"] * np.maximum(z + self.radii - w["z_top"], 0.0)
+        return f_bot, f_top
+
     def _accumulate_forces(self, dt: float, mutate: bool = True):
+        """Net force on every particle and the normal force of every pair.
+
+        With ``mutate`` the bond shear advances by ``dt`` and the failure
+        envelope is checked.  A broken bond's shear is zero and its shear
+        stiffness in ``_k_shear_intact`` is zero, so it stays zero.
+        """
         nb = self.n_bonds
         _, normal, overlap = self._pair_geometry()
         fn = self._normal_forces(overlap)
-        if mutate:
-            # incremental shear on intact bonds, rotated into the tangent plane
+        if mutate and nb:
+            # incremental shear on intact bonds, rotated into the tangent
+            # plane; projecting after the increment drops its normal part
             n_b = normal[:nb]
-            v_rel = self.vel[self.b_ib] - self.vel[self.b_ia]
-            v_n = np.einsum("ij,ij->i", v_rel, n_b)
-            v_t = v_rel - v_n[:, None] * n_b
-            self.b_shear[self.b_intact] -= (self.b_k_shear[self.b_intact, None]
-                                            * v_t[self.b_intact] * dt)
+            v_rel = self.vel.take(self.ib[:nb], axis=0) \
+                - self.vel.take(self.ia[:nb], axis=0)
+            self.b_shear -= (self._k_shear_intact * dt)[:, None] * v_rel
             s_n = np.einsum("ij,ij->i", self.b_shear, n_b)
             self.b_shear -= s_n[:, None] * n_b
-            self.b_shear[~self.b_intact] = 0.0
             if self._check_failures(fn[:nb]):
                 # a bond broken in this step acts as a linear contact at once
                 fn = self._normal_forces(overlap)
 
-        shear = np.where(self.b_intact[:, None], self.b_shear, 0.0)
-        pair_force = fn[:, None] * normal          # force on b, minus on a
-        pair_force[:nb] += shear
-        force = np.empty_like(self.pos)
-        for axis in range(3):
-            force[:, axis] = (
-                np.bincount(self.ib, weights=pair_force[:, axis], minlength=self.n)
-                - np.bincount(self.ia, weights=pair_force[:, axis], minlength=self.n))
-        contact_mag_sum = float(np.abs(fn).sum()
-                                + np.linalg.norm(shear, axis=1).sum())
-        contact_count = len(self.ia)
+        m = len(fn)
+        pair_force = np.empty((2 * m, 3))         # force on b, then on a
+        np.multiply(fn[:, None], normal, out=pair_force[:m])
+        pair_force[:nb] += self.b_shear
+        np.negative(pair_force[:m], out=pair_force[m:])
+        force = np.bincount(self._scatter_idx, weights=pair_force.ravel(),
+                            minlength=3 * self.n).reshape(self.n, 3)
 
         if self.walls is not None:
-            w = self.walls
-            ov_bot = w["z_bot"] + self.radii - self.pos[:, 2]
-            f_bot = w["k"] * np.maximum(ov_bot, 0.0)
-            ov_top = self.pos[:, 2] + self.radii - w["z_top"]
-            f_top = w["k"] * np.maximum(ov_top, 0.0)
+            f_bot, f_top = self._platen_forces()
             force[:, 2] += f_bot - f_top
-            w["f_bot"] = float(f_bot.sum())
-            w["f_top"] = float(f_top.sum())
-            contact_mag_sum += w["f_bot"] + w["f_top"]
-            contact_count += int(np.count_nonzero(f_bot) + np.count_nonzero(f_top))
-
-        return force, contact_mag_sum, max(contact_count, 1)
+            self.walls["f_bot"] = float(f_bot.sum())
+            self.walls["f_top"] = float(f_top.sum())
+        return force, fn
 
     def _check_failures(self, fn: np.ndarray) -> bool:
         """Break intact bonds outside the parallel-bond strength envelope.
@@ -345,32 +353,32 @@ class ParticleSystem:
         shear failure when shear stress exceeds cohesion plus the
         compression-scaled friction term.  Returns whether any bond broke.
         """
-        if not self.n_bonds:
-            return False
-        intact = self.b_intact
-        sigma_n = np.where(intact, fn / self.b_area, 0.0)
+        sigma_n = fn / self.b_area
         # rotational DOF are not carried, so there is no bending moment and
         # the extreme-fiber tension is the normal tension alone
-        tension = -sigma_n
-        shear_mag = np.linalg.norm(self.b_shear, axis=1)
-        tau = np.where(intact, shear_mag / self.b_area, 0.0)
-        tensile_fail = intact & (tension > self.b_tensile)
-        shear_fail = intact & ~tensile_fail \
-            & (tau > self.b_cohesion + sigma_n * self.b_tanphi)
-        failed = np.flatnonzero(tensile_fail | shear_fail)
-        if len(failed) == 0:
+        tensile = -sigma_n > self.b_tensile
+        tau = np.sqrt(np.einsum("ij,ij->i", self.b_shear, self.b_shear)) / self.b_area
+        failing = self.b_intact & (tensile
+                                   | (tau > self.b_cohesion + sigma_n * self.b_tanphi))
+        if not failing.any():
             return False
+        failed = np.flatnonzero(failing)
         mid = 0.5 * (self.pos[self.b_ia[failed]] + self.pos[self.b_ib[failed]])
         for row, idx in enumerate(failed):
-            mode = "tensile" if tensile_fail[idx] else "shear"
+            mode = "tensile" if tensile[idx] else "shear"
             self.crack_events.append(CrackEvent(
                 self.time, tuple(float(x) for x in mid[row]), mode))
-        self.b_intact[failed] = False
-        self.b_shear[failed] = 0.0
-        # a broken bond acts through the contact spring, which changes the
-        # particle stiffness totals behind the stable step
-        self._dt_cache = None
+        self._break_bonds(failed)
         return True
+
+    def _break_bonds(self, rows: np.ndarray) -> None:
+        """Turn the bonds ``rows`` into linear contacts: no shear, no shear
+        stiffness, and a fresh stable step, since the contact spring changes
+        the particle stiffness totals behind it."""
+        self.b_intact[rows] = False
+        self.b_shear[rows] = 0.0
+        self._k_shear_intact = self.b_k_shear * self.b_intact
+        self._dt_cache = None
 
     # -- stepping -------------------------------------------------------------
 
@@ -378,7 +386,9 @@ class ParticleSystem:
         """Safety-scaled critical step from per-particle stiffness totals."""
         if self._dt_cache is not None:
             return self._dt_cache
-        k_pair = self._bond_rows(self.k_lin, self.b_k_normal + self.b_k_shear)
+        k_pair = self.k_lin.copy()
+        np.copyto(k_pair[:self.n_bonds], self.b_k_normal + self.b_k_shear,
+                  where=self.b_intact)
         k_sum = (np.bincount(self.ia, weights=k_pair, minlength=self.n)
                  + np.bincount(self.ib, weights=k_pair, minlength=self.n))
         if self.walls is not None:
@@ -398,7 +408,7 @@ class ParticleSystem:
         if dt > self.stable_dt() * (1.0 + 1e-12):
             raise StabilityError(
                 f"dt={dt:g} s exceeds stability limit {self.stable_dt():g} s")
-        force, _, _ = self._accumulate_forces(dt)
+        force, _ = self._accumulate_forces(dt)
         if self.damping > 0.0:
             force = force - self.damping * np.abs(force) * np.sign(self.vel)
         self.vel += force * self.inv_mass[:, None] * dt
@@ -415,8 +425,15 @@ class ParticleSystem:
 
     def unbalanced_ratio(self) -> float:
         """Mean net force over mean contact force magnitude."""
-        force, mag_sum, count = self._accumulate_forces(0.0, mutate=False)
-        mean_contact = mag_sum / count
+        force, fn = self._accumulate_forces(0.0, mutate=False)
+        mag_sum = float(np.abs(fn).sum() + np.sqrt(
+            np.einsum("ij,ij->i", self.b_shear, self.b_shear)).sum())
+        count = len(self.ia)
+        if self.walls is not None:
+            f_bot, f_top = self._platen_forces()
+            mag_sum += self.walls["f_bot"] + self.walls["f_top"]
+            count += int(np.count_nonzero(f_bot) + np.count_nonzero(f_top))
+        mean_contact = mag_sum / max(count, 1)
         if mean_contact <= 1e-12:
             return 0.0
         return (float(np.abs(force).sum()) / max(self.n, 1)) / mean_contact
@@ -427,7 +444,8 @@ class ParticleSystem:
 
         The ratio is checked every 100 steps.  Velocities are zeroed every
         1000 steps, which kills the limit cycles of rattlers and flickering
-        near-zero contacts.
+        near-zero contacts.  A ratio that is not finite raises
+        :class:`~frostdem.errors.StabilityError`.
         """
         dt = self.stable_dt()
         if not math.isfinite(dt):
@@ -441,6 +459,7 @@ class ParticleSystem:
             if steps % 1000 == 0:
                 self.vel[:] = 0.0
             ratio = self.unbalanced_ratio()
+        _require_finite(ratio)
         self.vel[:] = 0.0
         return ratio
 
@@ -461,6 +480,7 @@ class ParticleSystem:
         self.ia = np.concatenate([self.ia[:nb], ia])
         self.ib = np.concatenate([self.ib[:nb], ib])
         self.k_lin = np.concatenate([self.k_lin[:nb], self._linear_stiffness(ia, ib)])
+        self._index_pairs()
         self._dt_cache = None
 
     # -- thermal coupling hooks -------------------------------------------------
@@ -500,7 +520,8 @@ class ParticleSystem:
 
     def active_pair_count(self) -> int:
         """Intact bonds plus the other pairs currently overlapping."""
-        held = self._bond_rows(np.zeros(len(self.ia), dtype=bool), self.b_intact)
+        held = np.zeros(len(self.ia), dtype=bool)
+        held[:self.n_bonds] = self.b_intact
         return int(np.count_nonzero(held | (self._pair_geometry()[2] > 0.0)))
 
     def contact_lens_volume(self) -> float:
@@ -512,6 +533,12 @@ class ParticleSystem:
                 * (dd ** 2 + 2.0 * dd * (ra + rb) - 3.0 * (ra - rb) ** 2)
                 / (12.0 * np.maximum(dd, 1e-12)))
         return float(lens.sum())
+
+
+def _require_finite(ratio: float) -> None:
+    if not math.isfinite(ratio):
+        raise StabilityError(f"the unbalanced-force ratio is {ratio}: the "
+                             "particle state is no longer finite")
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +563,17 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
     platens first) or a prepared :class:`ParticleSystem`, which must already
     satisfy the equilibrium precondition.  Sampling occurs on a fixed strain
     grid; the run stops at the target strain or once post-peak stress falls
-    below ``stop_fraction`` of the peak.
+    below ``stop_fraction`` of the peak.  A run that reaches neither within
+    :data:`LOADING_STEP_CAP` steps raises
+    :class:`~frostdem.errors.ConvergenceError`.
     """
     if isinstance(assembly_or_system, ParticleSystem):
         system = assembly_or_system
         if system.walls is None:
             system.set_platens()
-        if system.unbalanced_ratio() > EQUILIBRIUM_RATIO:
+        ratio = system.unbalanced_ratio()
+        _require_finite(ratio)
+        if ratio > EQUILIBRIUM_RATIO:
             raise PreconditionError(
                 "system is not equilibrated (mean unbalanced force ratio >= 1e-4)")
     else:
@@ -573,7 +604,7 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
     stress_acc = 0.0
     acc_count = 0
     refresh_every = 500
-    for step in range(2_000_000):
+    for step in range(LOADING_STEP_CAP):
         h = min(dt, system.stable_dt())
         system.walls["z_top"] -= platen_velocity * h
         system.step(h)
@@ -596,6 +627,10 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
         if (step + 1) % refresh_every == 0:
             system.refresh_transient_contacts(0.1 * float(system.radii.min()))
             dt = system.stable_dt()
+    else:
+        raise ConvergenceError(
+            f"loading reached a strain of {system.platen_strain():g} after "
+            f"{LOADING_STEP_CAP} steps; the target is {target_strain:g}")
     return StressStrainCurve(np.array(strains), np.array(stresses), np.array(times))
 
 

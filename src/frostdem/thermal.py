@@ -84,10 +84,10 @@ class ConductionNetwork:
     """Precomputed contact-graph data for fast conduction stepping.
 
     Contact area is the circle of the smaller radius; the effective
-    conductivity between unlike particles is the harmonic mean, recomputed
-    from current phase states each step (water conductivity changes on
-    freezing).  A step computes the conductances once and takes both its
-    stability limit and its heat flux from them.
+    conductivity between unlike particles is the harmonic mean at the
+    current phase states (water conductivity changes on freezing).  A step
+    takes both its stability limit and its heat flux from conductances it
+    keeps until a water particle crosses 0 degC.
     """
 
     def __init__(self, assembly: ParticleAssembly,
@@ -107,6 +107,10 @@ class ConductionNetwork:
                        ROCK_PROPERTIES.heat_capacity,
                        WATER_FROZEN_PROPERTIES.heat_capacity)
         self.heat_mass = mass_kg * cap     # J/degC per particle
+        self._water = assembly.phases == Phase.WATER
+        # liquid-water mask the cached conductances and their limit belong to
+        self._liquid: np.ndarray | None = None
+        self._g = self._g_limit = None
 
     def conductances(self, temperatures: np.ndarray) -> np.ndarray:
         """Per-contact conductance W/degC at current phase states."""
@@ -161,12 +165,16 @@ class ConductionNetwork:
         """Advance the field in place by one explicit step."""
         t = field.temperatures
         if len(self.ia):
-            g = self.conductances(t)
-            limit = self._stable_dt(g)
+            liquid = self._water & (t > 0.0)
+            if not np.array_equal(liquid, self._liquid):
+                self._g = self.conductances(t)
+                self._g_limit = self._stable_dt(self._g)
+                self._liquid = liquid
+            g, limit = self._g, self._g_limit
             if dt > limit * (1.0 + 1e-12):
                 raise StabilityError(f"conduction step dt={dt:g} s exceeds "
                                      f"stability limit {limit:g} s")
-            flux = g * (t[self.ia] - t[self.ib])   # W, positive a -> b
+            flux = g * (t.take(self.ia) - t.take(self.ib))   # W, positive a -> b
             dq = flux * dt
             t -= np.bincount(self.ia, weights=dq, minlength=self.n) / self.heat_mass
             t += np.bincount(self.ib, weights=dq, minlength=self.n) / self.heat_mass

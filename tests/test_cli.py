@@ -143,6 +143,17 @@ def test_freeze_conduction_cap_exits_4(tmp_path, capsys, monkeypatch):
     assert "tolerance is 0.45 degC" in err
 
 
+def test_compress_loading_cap_exits_4(tmp_path, capsys, monkeypatch):
+    from frostdem import mechanics
+
+    monkeypatch.setattr(mechanics, "LOADING_STEP_CAP", 1)
+    cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
+    assert main(["compress", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "stability error: loading reached a strain of" in err
+    assert "after 1 steps; the target is 0.015" in err
+
+
 # ---------------------------------------------------------------------------
 # pipelines
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from frostdem.errors import (CurveWindowError, InvalidConfigError,
-                             PreconditionError, StabilityError,
-                             UndefinedStatisticError)
+from frostdem import mechanics
+from frostdem.errors import (ConvergenceError, CurveWindowError,
+                             InvalidConfigError, PreconditionError,
+                             StabilityError, UndefinedStatisticError)
 from frostdem.mechanics import (DT_SAFETY, BondMaterial, MechanicalReport,
                                 ParticleSystem, SATURATED_MATERIALS,
                                 StressStrainCurve,
@@ -220,7 +221,7 @@ def pair_table_system(overlaps, densities=(2600.0, 26.0, 2.6), r=1.0):
     system = ParticleSystem(asm, {ContactKind.ROCK_ROCK: ROCK_MAT},
                             damping=0.0, mass_scale=1.0)
     assert system.n_bonds == 2
-    system.b_intact[1] = False
+    system._break_bonds(np.array([1]))
     system.pos[1::2, 2] = system.pos[0::2, 2] + 2 * r - np.asarray(overlaps)
     system.refresh_transient_contacts()
     return system
@@ -276,6 +277,142 @@ def test_broken_bond_and_unbonded_contact_carry_the_same_normal_force():
     f_contact = system.vel[5, 2] * system.mass[5] / dt
     assert f_broken == pytest.approx(expected, rel=1e-9)
     assert f_contact == pytest.approx(f_broken, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# force pass against a brute-force per-pair oracle
+
+def mixed_table_system():
+    """Three far-apart tilted pairs of rock spheres, pair k = particles 2k and
+    2k+1: an intact bond carrying shear and a thermal offset, a bond broken
+    by the engine and pushed back into overlap, and an unbonded contact,
+    with both platens touching and every particle moving."""
+    r = 1.0
+    axes = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, 0.8], [0.48, 0.36, 0.8]])
+    centers = []
+    for k, gap in enumerate((0.0, 0.0, 0.5)):  # the third starts out of bond reach
+        base = np.array([10.0 * k, 0.0, 2.0])
+        centers += [base, base + (2 * r + gap) * axes[k]]
+    asm = ParticleAssembly(np.array(centers), np.full(6, r),
+                           np.zeros(6, dtype=np.int8), np.full(6, 2600.0),
+                           CylinderDomain(30.0, 10.0))
+    system = ParticleSystem(asm, {ContactKind.ROCK_ROCK: ROCK_MAT},
+                            damping=0.0, mass_scale=1.0)
+    assert system.n_bonds == 2
+    # open the second bond far past its tensile strength: one step breaks it
+    system.pos[3] += 0.1 * axes[1]
+    system.step(system.stable_dt())
+    assert [c.mode for c in system.crack_events] == ["tensile"]
+    for k, overlap in enumerate((1e-3, 2e-3, 3e-3)):
+        system.pos[2 * k + 1] = system.pos[2 * k] + (2 * r - overlap) * axes[k]
+    system.refresh_transient_contacts()
+    tangent = np.cross(axes[0], [0.0, 1.0, 0.0])
+    system.b_shear[0] = 5.0 * tangent / np.linalg.norm(tangent)
+    system.b_offset[0] = 2e-5
+    system.set_platens()
+    system.walls["z_bot"] += 2e-4
+    system.walls["z_top"] -= 2e-4
+    system.vel[:] = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 3))
+    assert system.b_intact.tolist() == [True, False]
+    assert len(system.ia) == 3
+    return system
+
+
+def oracle_forces(system):
+    """Net particle forces and the unbalanced ratio, one pair at a time."""
+    force = np.zeros((system.n, 3))
+    mag_sum, count = 0.0, 0
+    for row, (a, b) in enumerate(zip(system.ia, system.ib)):
+        d = system.pos[b] - system.pos[a]
+        dist = math.sqrt(float(d @ d))
+        overlap = system.radii[a] + system.radii[b] - dist
+        if row < system.n_bonds and system.b_intact[row]:
+            fn = system.b_k_normal[row] * (overlap + system.b_offset[row]
+                                           - system.b_form_ref[row])
+            shear = system.b_shear[row]
+        else:
+            fn = system.k_lin[row] * max(overlap, 0.0)
+            shear = np.zeros(3)
+        f = fn * d / dist + shear
+        force[b] += f
+        force[a] -= f
+        mag_sum += abs(fn) + math.sqrt(float(shear @ shear))
+        count += 1
+    w = system.walls
+    touching = {"bot": 0, "top": 0}
+    for p in range(system.n):
+        z, r, k = system.pos[p, 2], system.radii[p], w["k"][p]
+        f_bot = k * max(w["z_bot"] + r - z, 0.0)
+        f_top = k * max(z + r - w["z_top"], 0.0)
+        force[p, 2] += f_bot - f_top
+        mag_sum += f_bot + f_top
+        count += (f_bot != 0.0) + (f_top != 0.0)
+        touching["bot"] += f_bot != 0.0
+        touching["top"] += f_top != 0.0
+    ratio = (np.abs(force).sum() / system.n) / (mag_sum / count)
+    return force, ratio, touching
+
+
+def oracle_shear_step(system, dt):
+    """Bond shear after one step: slip increment on intact bonds, then
+    rotation into the current tangent plane, one bond at a time."""
+    shear = system.b_shear.copy()
+    for row in range(system.n_bonds):
+        if not system.b_intact[row]:
+            continue
+        a, b = system.ia[row], system.ib[row]
+        d = system.pos[b] - system.pos[a]
+        n = d / math.sqrt(float(d @ d))
+        v_rel = system.vel[b] - system.vel[a]
+        v_t = v_rel - (v_rel @ n) * n
+        s = shear[row] - system.b_k_shear[row] * v_t * dt
+        shear[row] = s - (s @ n) * n
+    return shear
+
+
+def assert_forces_match(system, actual, expected):
+    # the engine and the loop may round a centre distance apart by an ulp,
+    # which the stiffest spring turns into a force: that is the absolute
+    # floor next to the relative 1e-12
+    k_max = max(system.k_lin.max(), system.b_k_normal.max(),
+                system.walls["k"].max())
+    ulp = np.spacing(2.0 * system.radii.max())
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=4 * k_max * ulp)
+
+
+def test_force_pass_matches_per_pair_oracle():
+    system = mixed_table_system()
+    expected, ratio, touching = oracle_forces(system)
+    assert touching["bot"] == 3 and touching["top"] >= 1
+    force, _ = system._accumulate_forces(0.0, mutate=False)
+    assert_forces_match(system, force, expected)
+    assert system.unbalanced_ratio() == pytest.approx(ratio, rel=1e-12)
+
+
+def test_step_advances_shear_and_forces_like_the_oracle():
+    system = mixed_table_system()
+    for _ in range(100):
+        dt = system.stable_dt()
+        shear = oracle_shear_step(system, dt)
+        saved = system.b_shear.copy()
+        system.b_shear[:] = shear
+        expected, _, _ = oracle_forces(system)
+        system.b_shear[:] = saved
+        vel0 = system.vel.copy()
+        system.step(dt)
+        scale = np.abs(shear).max()
+        np.testing.assert_allclose(system.b_shear, shear, rtol=1e-12,
+                                   atol=1e-12 * scale)
+        # undamped: the velocity change is the net force the step applied
+        assert_forces_match(system,
+                            (system.vel - vel0) * system.mass[:, None] / dt,
+                            expected)
+        # the broken bond carries no shear at all
+        assert np.all(system.b_shear[1] == 0.0)
+    assert system.b_intact.tolist() == [True, False]
+    assert np.any(system.b_shear[0] != 0.0)
+    _, ratio, _ = oracle_forces(system)
+    assert system.unbalanced_ratio() == pytest.approx(ratio, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +602,33 @@ def test_uniaxial_requires_equilibrium(medium_saturated):
     system.vel[:, 2] = 5.0  # blatantly out of equilibrium
     with pytest.raises(PreconditionError):
         run_uniaxial_test(system, 2.0, 0.01)
+
+
+def test_equilibrate_raises_on_a_nan_ratio():
+    # a preloaded pair is out of equilibrium, so equilibrate steps; a NaN
+    # velocity turns the positions and then the ratio into NaN
+    system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT})
+    system.pos[1, 2] -= 1e-4
+    system.vel[1, 0] = np.nan
+    with pytest.raises(StabilityError, match="ratio is nan"):
+        system.equilibrate()
+
+
+def test_uniaxial_test_raises_on_a_nan_ratio():
+    # a NaN ratio must not pass the equilibrium precondition
+    system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT})
+    system.set_platens()
+    system.vel[0, 2] = np.nan
+    system.step(system.stable_dt())
+    with pytest.raises(StabilityError, match="ratio is nan"):
+        run_uniaxial_test(system, 2.0, 0.01)
+
+
+def test_uniaxial_test_raises_at_the_loading_step_cap(monkeypatch):
+    monkeypatch.setattr(mechanics, "LOADING_STEP_CAP", 10)
+    with pytest.raises(ConvergenceError,
+                       match=r"strain of \S+ after 10 steps; the target is 0\.01"):
+        run_uniaxial_test(pair_assembly(), 2.0, 0.01)
 
 
 def test_negative_platen_velocity_rejected(medium_saturated):

@@ -169,6 +169,28 @@ def test_unstable_dt_rejected(small_saturated):
         net.step(field, 10 * limit)
 
 
+def test_kept_conductances_follow_every_phase_change(small_saturated):
+    # one network keeps its conductances between steps; a fresh network per
+    # step computes them anew: the two agree bit for bit while water
+    # particles cross 0 degC
+    asm = small_saturated
+    ia, ib, _ = contact_arrays(asm, 0.05)
+    kept = ConductionNetwork(asm, (ia, ib))
+    rng = np.random.default_rng(2)
+    field = TemperatureField(rng.uniform(-5, 5, asm.n_particles),
+                             np.zeros(0, dtype=np.int64))
+    fresh = field.copy()
+    dt = kept.worst_case_stable_dt()
+    water = asm.phases == Phase.WATER
+    liquid_counts = set()
+    for _ in range(300):
+        kept.step(field, dt)
+        ConductionNetwork(asm, (ia, ib)).step(fresh, dt)
+        assert np.array_equal(field.temperatures, fresh.temperatures)
+        liquid_counts.add(int(np.count_nonzero(water & (field.temperatures > 0.0))))
+    assert len(liquid_counts) > 3
+
+
 def test_boundary_repinned_after_step():
     asm = two_particle_assembly()
     net = ConductionNetwork(asm, (np.array([0]), np.array([1])))
