@@ -280,7 +280,7 @@ def box_counting_dimension(points: np.ndarray,
         # that they only bias the fit
         scales = []
         s = extent / 2.0
-        while s >= floor and len(scales) < 24:
+        while s >= floor:
             scales.append(s)
             s /= 2.0
         while len(scales) < 4:

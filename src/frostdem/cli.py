@@ -10,6 +10,7 @@ stability error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from .config import ExperimentConfig
 from .errors import (FrostDemError, InputParseError, InvalidConfigError,
                      StabilityError)
 from .frostheave import FreezeConfig, run_freeze
-from .mechanics import (DEFAULT_MASS_SCALE, DRY_MATERIALS, SATURATED_MATERIALS,
-                        MechanicalReport, calibrate, extract_mechanical_params,
+from .mechanics import (DEFAULT_MASS_SCALE, MechanicalReport, calibrate,
+                        default_materials, extract_mechanical_params,
                         run_uniaxial_test)
 from .packing import (ContactKind, CylinderDomain, ParticleAssembly, Phase,
                       generate_packing)
@@ -38,7 +39,8 @@ EXIT_STABILITY = 4
 def _read_rows(path: Path, n_columns: tuple[int, ...], kind: str):
     """Numeric rows from a columnar text file; '#' headers and one optional
     column-name row are skipped.  The first data row fixes the column count,
-    which must be one of ``n_columns``.  Errors cite the 1-based line number."""
+    which must be one of ``n_columns``, and every value must be finite.
+    Errors cite the 1-based line number."""
     if not path.exists():
         raise InvalidConfigError(f"{kind} file not found: {path}")
     rows = []
@@ -75,7 +77,25 @@ def _read_rows(path: Path, n_columns: tuple[int, ...], kind: str):
     if not rows:
         raise InputParseError(f"no data rows in {kind} file", line=1,
                               path=str(path))
-    return np.array(rows), meta
+    data = np.array(rows)
+    if not np.isfinite(data).all():
+        # only on failure: read again for the first line holding nan or inf
+        lines = path.read_text().splitlines()
+        lineno = next(n for n, raw in enumerate(lines, start=1)
+                      if not _finite_row(raw))
+        raise InputParseError(
+            f"expected finite numbers, got {lines[lineno - 1].strip()!r}",
+            line=lineno, path=str(path))
+    return data, meta
+
+
+def _finite_row(raw: str) -> bool:
+    """False only for a line of numbers of which one is not finite."""
+    parts = raw.replace(",", "\t").split()
+    try:
+        return all(math.isfinite(float(p)) for p in parts)
+    except ValueError:
+        return True
 
 
 def read_wave_record(path: str | Path) -> analysis.WaveRecord:
@@ -132,18 +152,20 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
             raise InputParseError(f"expected 7 columns, got {len(parts)}",
                                   line=lineno, path=str(p))
         try:
-            center = [float(parts[1]), float(parts[2]), float(parts[3])]
-            radius, density = float(parts[4]), float(parts[6])
+            x, y, z, radius, density = (float(parts[i]) for i in (1, 2, 3, 4, 6))
         except ValueError:
             if not saw_data:
                 continue
             raise InputParseError(f"expected numbers, got {line!r}",
                                   line=lineno, path=str(p)) from None
+        if not all(map(math.isfinite, (x, y, z, radius, density))):
+            raise InputParseError(f"expected finite numbers, got {line!r}",
+                                  line=lineno, path=str(p))
         if parts[5] not in ("rock", "water"):
             raise InputParseError(
                 f"phase must be 'rock' or 'water', got {parts[5]!r}",
                 line=lineno, path=str(p))
-        centers.append(center)
+        centers.append((x, y, z))
         radii.append(radius)
         phases.append(Phase[parts[5].upper()])
         densities.append(density)
@@ -249,7 +271,6 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
         assembly = read_particles(load_path, domain)
     else:
         assembly = generate_packing(config.packing_config(seed))
-    materials = dict(SATURATED_MATERIALS if assembly.n_water else DRY_MATERIALS)
 
     files = []
     peak_target = mech.get_float("calibrate_peak")
@@ -258,10 +279,10 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
     if peak_target is not None and modulus_target is not None:
         budget = mech.get_int("calibration_budget", 20)
         targets = MechanicalReport(peak_target, modulus_target, 0.0, 0.0)
-        calibrated = calibrate(targets, materials[ContactKind.ROCK_ROCK], budget,
-                               assembly, platen_velocity=platen_velocity,
+        calibrated = calibrate(targets,
+                               default_materials(assembly)[ContactKind.ROCK_ROCK],
+                               budget, assembly, platen_velocity=platen_velocity,
                                target_strain=target_strain)
-        materials[ContactKind.ROCK_ROCK] = calibrated.material
         audit_rows = ((r.round_index, r.material.bond_modulus,
                        r.material.contact_modulus, r.material.tensile_strength,
                        r.material.cohesion, r.sim_peak, r.sim_modulus,
@@ -273,9 +294,10 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
              "tensile_strength_mpa", "cohesion_mpa", "sim_peak_mpa",
              "sim_modulus_gpa", "peak_rel_err", "modulus_rel_err"),
             audit_rows).name)
-
-    curve = run_uniaxial_test(assembly.copy(), platen_velocity, target_strain,
-                              materials)
+        # the last calibration run is the run of the calibrated material
+        curve = calibrated.curve
+    else:
+        curve = run_uniaxial_test(assembly, platen_velocity, target_strain)
     report = extract_mechanical_params(curve)
     files.append(artifacts.write_curve(out_dir / "curve.tsv", curve).name)
     pairs = [("peak_strength_mpa", report.peak_strength),

@@ -12,7 +12,7 @@ accumulated thermal offsets applied by the freeze-coupling driver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -541,16 +541,28 @@ def _require_finite(ratio: float) -> None:
                              "particle state is no longer finite")
 
 
+def _finite_sample(what: str, value: float, strain: float) -> float:
+    if not math.isfinite(value):
+        raise StabilityError(f"the {what} is {value} at a strain of {strain:g}: "
+                             "the particle state is no longer finite")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Uniaxial compression test and calibration
+
+def default_materials(assembly: ParticleAssembly) -> dict[ContactKind, BondMaterial]:
+    """A fresh copy of the shipped table for the assembly's phase mix:
+    :data:`SATURATED_MATERIALS` if it holds water, else :data:`DRY_MATERIALS`."""
+    return dict(SATURATED_MATERIALS if assembly.n_water else DRY_MATERIALS)
+
 
 def build_system(assembly: ParticleAssembly,
                  materials: dict[ContactKind, BondMaterial] | None = None
                  ) -> ParticleSystem:
-    """Construct a particle system with sensible defaults for the phase mix."""
-    if materials is None:
-        materials = SATURATED_MATERIALS if assembly.n_water else DRY_MATERIALS
-    return ParticleSystem(assembly, materials)
+    """Construct a particle system; ``materials`` default to the phase mix's."""
+    return ParticleSystem(assembly, default_materials(assembly)
+                          if materials is None else materials)
 
 
 def run_uniaxial_test(assembly_or_system, platen_velocity: float,
@@ -565,7 +577,10 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
     grid; the run stops at the target strain or once post-peak stress falls
     below ``stop_fraction`` of the peak.  A run that reaches neither within
     :data:`LOADING_STEP_CAP` steps raises
-    :class:`~frostdem.errors.ConvergenceError`.
+    :class:`~frostdem.errors.ConvergenceError`; a platen stress that is not
+    finite at a sample, or a position that is not finite at a contact
+    refresh, raises :class:`~frostdem.errors.StabilityError`.  The assembly
+    is only read.
     """
     if isinstance(assembly_or_system, ParticleSystem):
         system = assembly_or_system
@@ -592,12 +607,12 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
         for _ in range(5):
             system.run(20, dt)
             strains.append(system.platen_strain())
-            stresses.append(system.platen_stress())
+            stresses.append(_finite_sample("platen stress", system.platen_stress(),
+                                           strains[-1]))
             times.append(system.time)
         return StressStrainCurve(np.array(strains), np.array(stresses),
                                  np.array(times))
 
-    gap0 = system.walls["gap0"]
     sample_interval = 2e-5      # strain between two curve samples
     next_sample = sample_interval
     peak = 0.0
@@ -612,7 +627,7 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
         acc_count += 1
         strain = system.platen_strain()
         if strain >= next_sample:
-            stress = stress_acc / acc_count
+            stress = _finite_sample("platen stress", stress_acc / acc_count, strain)
             strains.append(strain)
             stresses.append(stress)
             times.append(system.time)
@@ -625,6 +640,8 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
                     and strain > MODULUS_WINDOW[1] * 1.5):
                 break
         if (step + 1) % refresh_every == 0:
+            # a position that is not finite would reach the k-d tree
+            _finite_sample("position sum", float(system.pos.sum()), strain)
             system.refresh_transient_contacts(0.1 * float(system.radii.min()))
             dt = system.stable_dt()
     else:
@@ -646,11 +663,15 @@ class CalibrationRound:
 
 @dataclass
 class CalibrationResult:
+    """Outcome of :func:`calibrate`: one audit round per simulation run, and
+    ``curve``, the run of the returned ``material``."""
+
     material: BondMaterial
     converged: bool
     sim_runs: int
     adjustment_rounds: int
-    audit: list[CalibrationRound] = field(default_factory=list)
+    audit: list[CalibrationRound]
+    curve: StressStrainCurve
 
     @property
     def final(self) -> CalibrationRound:
@@ -671,18 +692,12 @@ def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
     adjustment until both relative errors fall under 5% or the simulation
     budget is exhausted (the result is then flagged non-converged).  The
     water bonds of a saturated assembly keep :data:`SATURATED_MATERIALS`.
+    The result keeps the curve of the last run, the run of its material.
     """
     if targets.peak_strength <= 0 or targets.elastic_modulus <= 0:
         raise InvalidConfigError("calibration targets must be positive")
     if budget < 1:
         raise InvalidConfigError("budget must be >= 1")
-
-    def run_with(mod_scale: float, str_scale: float) -> MechanicalReport:
-        mats = dict(SATURATED_MATERIALS if assembly.n_water else {})
-        mats[ContactKind.ROCK_ROCK] = initial.scaled(mod_scale, str_scale)
-        curve = run_uniaxial_test(assembly.copy(), platen_velocity, target_strain,
-                                  mats)
-        return extract_mechanical_params(curve)
 
     # secant updates in log space absorb the mildly nonlinear response of the
     # packing; each knob keeps its last (log scale, log response) point
@@ -698,27 +713,27 @@ def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
     mod_scale, str_scale = 1.0, 1.0
     mod_hist: list[tuple[float, float]] = []
     str_hist: list[tuple[float, float]] = []
-    result = CalibrationResult(initial, False, 0, 0)
-    report = run_with(mod_scale, str_scale)
-    result.sim_runs += 1
+    audit: list[CalibrationRound] = []
     while True:
+        material = initial.scaled(mod_scale, str_scale)
+        materials = default_materials(assembly)
+        materials[ContactKind.ROCK_ROCK] = material
+        curve = run_uniaxial_test(assembly, platen_velocity, target_strain,
+                                  materials)
+        report = extract_mechanical_params(curve)
         err_peak = (report.peak_strength - targets.peak_strength) \
             / targets.peak_strength
         err_mod = (report.elastic_modulus - targets.elastic_modulus) \
             / targets.elastic_modulus
-        material = initial.scaled(mod_scale, str_scale)
-        result.audit.append(CalibrationRound(result.adjustment_rounds, material,
-                                             report.peak_strength,
-                                             report.elastic_modulus,
-                                             err_peak, err_mod))
+        audit.append(CalibrationRound(len(audit), material, report.peak_strength,
+                                      report.elastic_modulus, err_peak, err_mod))
         mod_hist.append((math.log(mod_scale), math.log(report.elastic_modulus)))
         str_hist.append((math.log(str_scale), math.log(report.peak_strength)))
         converged = (abs(err_peak) < CALIBRATION_TOLERANCE
                      and abs(err_mod) < CALIBRATION_TOLERANCE)
-        if converged or result.sim_runs >= budget:
-            result.material = material
-            result.converged = converged
-            return result
+        if converged or len(audit) >= budget:
+            return CalibrationResult(material, converged, len(audit),
+                                     len(audit) - 1, audit, curve)
         if abs(err_mod) >= CALIBRATION_TOLERANCE:
             step = secant_step(mod_hist, targets.elastic_modulus,
                                report.elastic_modulus, default_exp=1.3)
@@ -727,6 +742,3 @@ def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
             step = secant_step(str_hist, targets.peak_strength,
                                report.peak_strength, default_exp=1.0)
             str_scale *= math.exp(float(np.clip(step, -1.2, 1.2)))
-        result.adjustment_rounds += 1
-        report = run_with(mod_scale, str_scale)
-        result.sim_runs += 1

@@ -164,15 +164,6 @@ class ResolutionResult(NamedTuple):
     passes: bool
 
 
-class PorosityEstimate(NamedTuple):
-    value: float
-    std_error: float
-    samples: int
-
-
-#: Minimum sample count accepted by :func:`measure_porosity`.
-MIN_POROSITY_SAMPLES = 10_000
-
 #: Resolution acceptance threshold (strict inequality).
 RESOLUTION_THRESHOLD = 5.0
 
@@ -435,39 +426,3 @@ def generate_packing(config: PackingConfig, *,
     return ParticleAssembly(centers, radii, phases, densities, domain,
                             config.rng_seed)
 
-
-def measure_porosity(assembly: ParticleAssembly, samples: int,
-                     seed: int = 0) -> PorosityEstimate:
-    """Monte Carlo estimate of water volume / total particle volume.
-
-    Uniform sample points over the domain are classified by the phase of the
-    containing sphere; the ratio is estimated among solid hits with its
-    binomial standard error.
-    """
-    if assembly.n_particles == 0:
-        raise UndefinedStatisticError("porosity undefined for empty assembly")
-    if samples < MIN_POROSITY_SAMPLES:
-        raise InvalidConfigError(
-            f"need at least {MIN_POROSITY_SAMPLES} samples, got {samples}")
-    rng = np.random.default_rng(seed)
-    pts = _random_points_in_cylinder(rng, samples, assembly.domain.radius,
-                                     assembly.domain.height,
-                                     np.zeros(samples))
-    water_hits = 0
-    solid_hits = 0
-    chunk = 2048
-    centers, radii = assembly.centers, assembly.radii
-    water_mask = assembly.phases == Phase.WATER
-    for start in range(0, samples, chunk):
-        p = pts[start:start + chunk]
-        d2 = ((p[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        inside = d2 <= (radii ** 2)[None, :]
-        in_any = inside.any(axis=1)
-        in_water = (inside & water_mask[None, :]).any(axis=1)
-        solid_hits += int(in_any.sum())
-        water_hits += int(in_water.sum())
-    if solid_hits == 0:
-        return PorosityEstimate(0.0, 0.0, samples)
-    p = water_hits / solid_hits
-    se = math.sqrt(max(p * (1.0 - p), 1e-30) / solid_hits)
-    return PorosityEstimate(p, se, samples)

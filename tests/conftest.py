@@ -1,7 +1,10 @@
 """Shared fixtures: canonical desk-scale assemblies, reused across modules."""
 
+import itertools
+
 import pytest
 
+from frostdem.mechanics import ParticleSystem
 from frostdem.packing import PackingConfig, generate_packing
 
 
@@ -13,6 +16,22 @@ def desk_config(porosity=0.0859, radius=5.0, height=10.0, seed=5,
         water_radius_min=0.8, water_radius_max=0.95,
         cylinder_radius=radius, cylinder_height=height,
         rng_seed=seed, solid_fraction=solid_fraction)
+
+
+def corrupt_loading(monkeypatch, when, corrupt):
+    """Make ``ParticleSystem.step`` call ``corrupt(system)`` once, after the
+    first step with platens for which ``when(system, n)`` holds, where ``n``
+    counts the steps taken with platens."""
+    original = ParticleSystem.step
+    count, done = itertools.count(1), []
+
+    def step(self, dt):
+        original(self, dt)
+        if self.walls is not None and not done and when(self, next(count)):
+            corrupt(self)
+            done.append(True)
+
+    monkeypatch.setattr(ParticleSystem, "step", step)
 
 
 @pytest.fixture(scope="session")

@@ -271,6 +271,16 @@ def test_empty_point_set_rejected():
         box_counting_dimension(np.zeros((0, 2)))
 
 
+def test_default_scales_stop_at_fourteen_halvings():
+    # coincident pairs make the mean nearest-neighbour distance zero, so only
+    # the floor extent / 2**14 ends the halving of the default scales
+    pts = np.repeat(np.random.default_rng(3).random((40, 3)), 2, axis=0)
+    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    result = box_counting_dimension(pts)
+    assert len(result.scales) == 14
+    assert result.scales[-1] == extent / 2 ** 14
+
+
 def test_box_dimension_invariances():
     rng = np.random.default_rng(5)
     pts = rng.random((3000, 2))

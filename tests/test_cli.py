@@ -6,6 +6,8 @@ from frostdem.config import ExperimentConfig, parse_config_text
 from frostdem.errors import InputParseError, InvalidConfigError
 from frostdem.packing import CylinderDomain
 
+from conftest import corrupt_loading
+
 
 PACKING_BLOCK = """
 [packing]
@@ -152,6 +154,38 @@ def test_compress_loading_cap_exits_4(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "stability error: loading reached a strain of" in err
     assert "after 1 steps; the target is 0.015" in err
+
+
+def test_compress_non_finite_loading_exits_4(tmp_path, capsys, monkeypatch):
+    def nan_velocity(system):
+        system.vel[0] = np.nan
+
+    corrupt_loading(monkeypatch, lambda s, n: n == 20, nan_velocity)
+    cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
+    assert main(["compress", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert "stability error: the platen stress is nan at a strain of" \
+        in capsys.readouterr().err
+
+
+def test_snapshot_non_finite_value_exits_3(tmp_path, capsys):
+    snap = tmp_path / "particles.tsv"
+    snap.write_text("id\tx\ty\tz\tradius\tphase\tdensity\n"
+                    "0\t0\t0\t2\t1\trock\t2600\n"
+                    "1\t0\tnan\t4\t1\twater\t960\n")
+    cfg = write_config(tmp_path, f"{PACKING_BLOCK}\n[mechanics]\n"
+                                 f"load_particles = {snap}\n")
+    assert main(["compress", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "particles.tsv:3: expected finite numbers" in err
+
+
+def test_analyze_points_non_finite_value_exits_3(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("# cloud\nx y z\n0 0 0\n1 1 1\n2 inf 2\n3 3 nan\n")
+    cfg = write_config(tmp_path, f"[analysis]\npoints = {pts}\n")
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{pts}:5: expected finite numbers, got '2 inf 2'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +339,46 @@ calibration_budget = 20
     assert abs(float(report["calibration_peak_rel_err"])) < 0.05
     assert abs(float(report["calibration_modulus_rel_err"])) < 0.05
     assert (out / "calibration_log.tsv").exists()
+
+
+def test_compress_with_calibration_simulates_each_material_once(
+        tmp_path, monkeypatch):
+    # the calibrated material's run is the last calibration run, so compress
+    # writes that run's curve instead of simulating the material again
+    from frostdem import artifacts, cli, mechanics
+
+    runs = []
+    original = mechanics.run_uniaxial_test
+
+    def counted(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(mechanics, "run_uniaxial_test", counted)
+    monkeypatch.setattr(cli, "run_uniaxial_test", counted)
+    body = f"""
+[run]
+seed = 5
+{PACKING_BLOCK}
+[mechanics]
+platen_velocity = 2.0
+target_strain = 0.004
+calibrate_peak = 500.0
+calibrate_modulus = 40.0
+calibration_budget = 2
+"""
+    cfg = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["compress", "--config", cfg, "--out", str(out)]) == 0
+    assert len(runs) == 2
+    last = artifacts.write_curve(tmp_path / "last_run.tsv", runs[-1])
+    assert (out / "curve.tsv").read_bytes() == last.read_bytes()
+    report = dict(line.split(" = ") for line
+                  in (out / "mech_report.txt").read_text().splitlines())
+    assert report["calibration_runs"] == "2"
+    peak = mechanics.extract_mechanical_params(runs[-1]).peak_strength
+    # the report keeps 12 significant digits
+    assert float(report["peak_strength_mpa"]) == pytest.approx(peak, rel=1e-11)
 
 
 def test_compress_nonconverged_calibration_still_exits_zero(tmp_path):

@@ -14,6 +14,8 @@ from frostdem.mechanics import (DT_SAFETY, BondMaterial, MechanicalReport,
                                 extract_mechanical_params, run_uniaxial_test)
 from frostdem.packing import ContactKind, CylinderDomain, ParticleAssembly
 
+from conftest import corrupt_loading
+
 
 ROCK_MAT = SATURATED_MATERIALS[ContactKind.ROCK_ROCK]
 
@@ -588,12 +590,18 @@ def test_uniaxial_loading_is_quasi_static(medium_saturated):
 
 
 def test_uniaxial_determinism(medium_saturated):
-    c1 = run_uniaxial_test(medium_saturated.copy(), 2.0, 0.006,
-                           scaled_materials())
-    c2 = run_uniaxial_test(medium_saturated.copy(), 2.0, 0.006,
-                           scaled_materials())
+    # run_uniaxial_test only reads its assembly, so both runs share one and
+    # its arrays come back bit-identical
+    asm = medium_saturated
+    before = [a.copy() for a in (asm.centers, asm.radii, asm.phases,
+                                 asm.densities)]
+    c1 = run_uniaxial_test(asm, 2.0, 0.006, scaled_materials())
+    c2 = run_uniaxial_test(asm, 2.0, 0.006, scaled_materials())
     assert np.array_equal(c1.stress, c2.stress)
     assert np.array_equal(c1.strain, c2.strain)
+    for old, new in zip(before, (asm.centers, asm.radii, asm.phases,
+                                 asm.densities)):
+        assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
 
 
 def test_uniaxial_requires_equilibrium(medium_saturated):
@@ -631,6 +639,33 @@ def test_uniaxial_test_raises_at_the_loading_step_cap(monkeypatch):
         run_uniaxial_test(pair_assembly(), 2.0, 0.01)
 
 
+def nan_velocity(system):
+    system.vel[0] = np.nan
+
+
+def nan_position(system):
+    system.pos[0, 0] = np.nan
+
+
+@pytest.mark.parametrize("velocity, target, when, corrupt, what", [
+    # early: the next curve sample sees the NaN platen stress
+    (2.0, 0.015, lambda s, n: n == 20, nan_velocity, "platen stress"),
+    # an x position turned NaN just before a contact refresh leaves the
+    # platen stress finite for a step; the refresh must not reach the k-d tree
+    (2.0, 0.015, lambda s, n: n == 499, nan_position, "position sum"),
+    # late: no refresh comes before the run ends at its target strain
+    (2.0, 0.004, lambda s, n: s.platen_strain() >= 0.0036, nan_velocity,
+     "platen stress"),
+    # held platens sample the stress every 20 steps
+    (0.0, 0.01, lambda s, n: n == 1, nan_velocity, "platen stress"),
+], ids=["early", "before_refresh", "late", "held"])
+def test_uniaxial_loading_raises_on_a_non_finite_state(
+        small_saturated, monkeypatch, velocity, target, when, corrupt, what):
+    corrupt_loading(monkeypatch, when, corrupt)
+    with pytest.raises(StabilityError, match=rf"the {what} is nan at a strain of "):
+        run_uniaxial_test(small_saturated, velocity, target)
+
+
 def test_negative_platen_velocity_rejected(medium_saturated):
     with pytest.raises(InvalidConfigError):
         run_uniaxial_test(medium_saturated.copy(), -1.0, 0.01)
@@ -650,6 +685,9 @@ def test_calibration_fixed_point(medium_saturated):
     assert result.adjustment_rounds == 0
     assert result.sim_runs == 1
     assert result.material == mats[ContactKind.ROCK_ROCK]
+    # the one run is the reference run again, and the result keeps it
+    assert np.array_equal(result.curve.strain, curve.strain)
+    assert np.array_equal(result.curve.stress, curve.stress)
 
 
 def test_calibration_doubled_strength_converges_quickly(medium_saturated):

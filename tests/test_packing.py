@@ -13,8 +13,7 @@ from frostdem.mechanics import SATURATED_MATERIALS, build_system
 from frostdem.packing import (ContactKind, CylinderDomain, PackingConfig,
                               ParticleAssembly, Phase, compute_particle_counts,
                               compute_resolution, contact_arrays,
-                              generate_packing, measure_porosity,
-                              porosity_from_counts)
+                              generate_packing, porosity_from_counts)
 
 from conftest import desk_config
 
@@ -146,8 +145,7 @@ def test_generate_overlap_bound(small_saturated):
 
 
 def test_generate_porosity_near_target(small_saturated):
-    est = measure_porosity(small_saturated, 40_000, seed=3)
-    assert abs(est.value - 0.0859) < 0.01 + 3 * est.std_error
+    assert abs(small_saturated.analytic_porosity() - 0.0859) < 0.01
 
 
 def test_generate_porosity_near_target_mid_scale():
@@ -155,8 +153,7 @@ def test_generate_porosity_near_target_mid_scale():
     cfg = desk_config(porosity=0.12, radius=8.0, height=26.0, seed=3)
     asm = generate_packing(cfg)
     assert asm.n_rock > 400 and asm.n_water > 50
-    est = measure_porosity(asm, 60_000, seed=9)
-    assert abs(est.value - 0.12) < 0.01 + 3 * est.std_error
+    assert abs(asm.analytic_porosity() - 0.12) < 0.01
 
 
 def test_generate_infeasible_fraction_names_parameter():
@@ -248,11 +245,10 @@ def test_bonds_are_the_pairs_within_the_conduction_reach(packing, request):
 
 
 # ---------------------------------------------------------------------------
-# measure_porosity
+# analytic_porosity
 
 def test_porosity_all_rock_is_zero(small_dry):
-    est = measure_porosity(small_dry, 20_000, seed=1)
-    assert est.value == 0.0
+    assert small_dry.analytic_porosity() == 0.0
 
 
 def test_porosity_two_equal_particles_is_half():
@@ -260,18 +256,7 @@ def test_porosity_two_equal_particles_is_half():
     asm = ParticleAssembly(centers, np.array([1.0, 1.0]),
                            np.array([Phase.ROCK, Phase.WATER], dtype=np.int8),
                            np.array([2600.0, 960.0]), CylinderDomain(4.0, 8.0))
-    est = measure_porosity(asm, 200_000, seed=2)
-    assert abs(est.value - 0.5) <= 3 * est.std_error
-
-
-def test_porosity_matches_analytic_sum(small_saturated):
-    est = measure_porosity(small_saturated, 150_000, seed=4)
-    assert abs(est.value - small_saturated.analytic_porosity()) <= 3 * est.std_error
-
-
-def test_porosity_sample_floor(small_saturated):
-    with pytest.raises(InvalidConfigError):
-        measure_porosity(small_saturated, 999)
+    assert asm.analytic_porosity() == 0.5
 
 
 def test_porosity_empty_assembly_errors():
@@ -279,7 +264,7 @@ def test_porosity_empty_assembly_errors():
                            np.zeros(0, dtype=np.int8), np.zeros(0),
                            CylinderDomain(1.0, 1.0))
     with pytest.raises(UndefinedStatisticError):
-        measure_porosity(asm, 20_000)
+        asm.analytic_porosity()
 
 
 def test_config_validation():
