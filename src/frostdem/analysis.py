@@ -260,6 +260,8 @@ def box_counting_dimension(points: np.ndarray,
         raise UndefinedStatisticError("cannot compute a dimension of no points")
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):
         raise InvalidConfigError("points must be an (N, 2) or (N, 3) array")
+    if not np.isfinite(pts).all():
+        raise InvalidConfigError("points must be finite")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     extent = float(np.max(hi - lo))
@@ -271,8 +273,13 @@ def box_counting_dimension(points: np.ndarray,
     if scale_range is None:
         if len(pts) > 1:
             tree = cKDTree(pts)
-            nn, _ = tree.query(pts, k=2)
-            floor = 4.0 * float(np.mean(nn[:, 1]))
+            # querying in the tree's own point order keeps its walk in
+            # cache; the distances go back to input order before the mean
+            order = tree.indices
+            nn, _ = tree.query(pts[order], k=2)
+            nearest = np.empty(len(pts))
+            nearest[order] = nn[:, 1]
+            floor = 4.0 * float(np.mean(nearest))
         else:
             floor = extent / 16.0
         floor = max(floor, extent / 2 ** 14)
@@ -296,7 +303,7 @@ def box_counting_dimension(points: np.ndarray,
         n_boxes = np.maximum(np.ceil((hi - lo) / s - 1e-12), 1.0)
         idx = np.floor((pts - lo) / s)
         idx = np.minimum(idx, n_boxes - 1.0).astype(np.int64)
-        counts[i] = len(np.unique(idx, axis=0))
+        counts[i] = _occupied_boxes(idx, n_boxes)
 
     log_s = np.log(scales)
     log_n = np.log(counts)
@@ -306,6 +313,21 @@ def box_counting_dimension(points: np.ndarray,
     ss_tot = float(np.sum((log_n - log_n.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return BoxCountResult(float(-slope), r2, scales, counts)
+
+
+def _occupied_boxes(idx: np.ndarray, n_boxes: np.ndarray) -> int:
+    """Number of distinct rows of the box indices ``idx`` (N, d), each
+    column below its entry of ``n_boxes``.
+
+    Each row ravels into one int64 key while the grid has fewer than 2**63
+    boxes; a finer grid, which only a caller-supplied scale can ask for,
+    counts the row changes of a lexicographic sort instead.
+    """
+    if math.prod(int(n) for n in n_boxes) < 2 ** 63:
+        keys = np.ravel_multi_index(tuple(idx.T), n_boxes.astype(np.int64))
+        return len(np.unique(keys))
+    rows = idx[np.lexsort(idx.T)]
+    return 1 + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ stability error.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from pathlib import Path
@@ -36,34 +37,101 @@ EXIT_STABILITY = 4
 # ---------------------------------------------------------------------------
 # Input-file readers
 
+#: Every byte a row body may hold for ``_load_body`` to parse it: with only
+#: these, np.loadtxt and the line loop split lines and fields alike, and
+#: numpy converts each field to the same double as ``float``.
+_PLAIN_BODY = b"0123456789.eE+- \t\n"
+#: Line ends ``str.splitlines`` knows besides "\n" (``read_text`` has already
+#: turned "\r\n" and "\r" into "\n").
+_OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _read_rows(path: Path, n_columns: tuple[int, ...], kind: str):
     """Numeric rows from a columnar text file; '#' headers and one optional
     column-name row are skipped.  The first data row fixes the column count,
     which must be one of ``n_columns``, and every value must be finite.
-    Errors cite the 1-based line number."""
+    Header values come back as ``meta[key] = (text, line number)``.  Errors
+    cite the 1-based line number.
+
+    A plain body is parsed by one ``np.loadtxt``; anything else, and every
+    malformed file, goes through the line loop, which gives the same result
+    and is the one that reports errors."""
     if not path.exists():
         raise InvalidConfigError(f"{kind} file not found: {path}")
+    text = path.read_text()
+    fast = _load_body(text, n_columns)
+    if fast is not None:
+        return fast
+    return _read_rows_by_line(text, n_columns, path, kind)
+
+
+def _load_body(text: str, n_columns: tuple[int, ...]):
+    """(data, meta) of ``_read_rows`` with the rows after the header parsed
+    by np.loadtxt, or None where that might not match the line loop."""
+    meta: dict[str, tuple[str, int]] = {}
+    pos = 0
+    lineno = 0
+    while True:
+        if pos >= len(text):
+            return None
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        lineno += 1
+        line = text[pos:end].strip()
+        if line.startswith("#"):
+            _meta_line(line, lineno, meta)
+        elif line and _numbers(line) is not None:
+            break
+        pos = end + 1
+    body = text[pos:].encode()
+    if (any(c in text[:pos] for c in _OTHER_LINE_ENDS)
+            or body.translate(None, _PLAIN_BODY)):
+        return None
+    try:
+        data = np.loadtxt(io.BytesIO(body), ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[1] not in n_columns or not np.isfinite(data).all():
+        return None
+    return data, meta
+
+
+def _meta_line(line: str, lineno: int, meta: dict) -> None:
+    """Record a '# key = value' line in ``meta``."""
+    body = line.lstrip("#").strip()
+    if "=" in body:
+        key, value = body.split("=", 1)
+        meta[key.strip()] = (value.strip(), lineno)
+
+
+def _numbers(line: str) -> list[float] | None:
+    """The values of a data line, or None if a field is not a number."""
+    try:
+        return [float(p) for p in line.replace(",", "\t").split()]
+    except ValueError:
+        return None
+
+
+def _read_rows_by_line(text: str, n_columns: tuple[int, ...], path: Path,
+                       kind: str):
+    """``_read_rows`` one line at a time."""
+    lines = text.splitlines()
     rows = []
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[str, int]] = {}
     width = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
+            _meta_line(line, lineno, meta)
             continue
-        parts = line.replace(",", "\t").split()
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
+        values = _numbers(line)
+        if values is None:
             if width is None:
                 continue  # single column-name header row
             raise InputParseError(f"expected numbers, got {line!r}",
-                                  line=lineno, path=str(path)) from None
+                                  line=lineno, path=str(path))
         if width is None:
             if len(values) not in n_columns:
                 raise InputParseError(
@@ -79,8 +147,7 @@ def _read_rows(path: Path, n_columns: tuple[int, ...], kind: str):
                               path=str(path))
     data = np.array(rows)
     if not np.isfinite(data).all():
-        # only on failure: read again for the first line holding nan or inf
-        lines = path.read_text().splitlines()
+        # only on failure: look again for the first line holding nan or inf
         lineno = next(n for n, raw in enumerate(lines, start=1)
                       if not _finite_row(raw))
         raise InputParseError(
@@ -91,11 +158,8 @@ def _read_rows(path: Path, n_columns: tuple[int, ...], kind: str):
 
 def _finite_row(raw: str) -> bool:
     """False only for a line of numbers of which one is not finite."""
-    parts = raw.replace(",", "\t").split()
-    try:
-        return all(math.isfinite(float(p)) for p in parts)
-    except ValueError:
-        return True
+    values = _numbers(raw)
+    return values is None or all(map(math.isfinite, values))
 
 
 def read_wave_record(path: str | Path) -> analysis.WaveRecord:
@@ -103,26 +167,30 @@ def read_wave_record(path: str | Path) -> analysis.WaveRecord:
     block declaring bar and specimen geometry."""
     data, meta = _read_rows(Path(path), (4,), "waveform")
 
-    def need(key):
+    def header(key, required=True):
         if key not in meta:
+            if not required:
+                return None
             raise InputParseError(f"missing '# {key} = ...' header", line=1,
                                   path=str(path))
+        text, lineno = meta[key]
         try:
-            return float(meta[key])
+            value = float(text)
         except ValueError:
-            raise InputParseError(f"header {key} must be a number", line=1,
-                                  path=str(path)) from None
-
-    def optional(key):
-        return float(meta[key]) if key in meta else None
+            value = math.nan
+        if not math.isfinite(value):
+            raise InputParseError(
+                f"header {key} must be a finite number, got {text!r}",
+                line=lineno, path=str(path))
+        return value
 
     return analysis.WaveRecord(
         time=data[:, 0], strain_incident=data[:, 1],
         strain_reflected=data[:, 2], strain_transmitted=data[:, 3],
-        bar_area=need("bar_area"), bar_wave_speed=need("bar_wave_speed"),
-        bar_modulus=need("bar_modulus"),
-        specimen_area=optional("specimen_area"),
-        specimen_length=optional("specimen_length"))
+        bar_area=header("bar_area"), bar_wave_speed=header("bar_wave_speed"),
+        bar_modulus=header("bar_modulus"),
+        specimen_area=header("specimen_area", required=False),
+        specimen_length=header("specimen_length", required=False))
 
 
 def read_spectrum(path: str | Path):
@@ -340,8 +408,8 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
             files.append(artifacts.write_table(
                 out_dir / "dynamic_curve.tsv",
                 ("time_s", "strain", "stress_mpa", "strain_rate"),
-                zip(response.time, response.strain, response.stress,
-                    response.strain_rate)).name)
+                np.column_stack((response.time, response.strain,
+                                 response.stress, response.strain_rate))).name)
             if static_strength:
                 dynamic = float(np.max(response.stress))
                 pairs.append(("rdif", analysis.compute_rdif(dynamic, static_strength)))

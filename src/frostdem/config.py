@@ -6,6 +6,7 @@ nesting.  Every read goes through a typed accessor that names the offending
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,10 +62,13 @@ class Section:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise InvalidConfigError(
-                f"[{self.name}] {key} must be a number, got {raw!r}") from None
+                f"[{self.name}] {key} must be a finite number, got {raw!r}")
+        return value
 
     def get_int(self, key: str, default: int | None = None,
                 required: bool = False) -> int | None:
@@ -82,11 +86,14 @@ class Section:
         if raw is None:
             return default
         try:
-            return [float(v) for v in raw.split(",") if v.strip()]
+            values = [float(v) for v in raw.split(",") if v.strip()]
         except ValueError:
+            values = [math.nan]
+        if not all(map(math.isfinite, values)):
             raise InvalidConfigError(
-                f"[{self.name}] {key} must be comma-separated numbers, "
-                f"got {raw!r}") from None
+                f"[{self.name}] {key} must be comma-separated finite numbers, "
+                f"got {raw!r}")
+        return values
 
 
 @dataclass

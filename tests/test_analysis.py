@@ -271,6 +271,13 @@ def test_empty_point_set_rejected():
         box_counting_dimension(np.zeros((0, 2)))
 
 
+def test_non_finite_points_rejected():
+    pts = np.random.default_rng(2).random((20, 3))
+    pts[7, 1] = np.nan
+    with pytest.raises(InvalidConfigError, match="finite"):
+        box_counting_dimension(pts)
+
+
 def test_default_scales_stop_at_fourteen_halvings():
     # coincident pairs make the mean nearest-neighbour distance zero, so only
     # the floor extent / 2**14 ends the halving of the default scales
@@ -291,6 +298,51 @@ def test_box_dimension_invariances():
     scaled = box_counting_dimension(pts * 3.5, scale_range=base.scales * 3.5)
     ref = box_counting_dimension(pts, scale_range=base.scales)
     assert scaled.dimension == pytest.approx(ref.dimension, abs=1e-12)
+
+
+def oracle_counts(pts, scales):
+    """Occupied boxes per scale by np.unique over the rows of box indices,
+    with the box indices formed as box_counting_dimension forms them."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    counts = []
+    for s in scales:
+        n_boxes = np.maximum(np.ceil((hi - lo) / s - 1e-12), 1.0)
+        idx = np.minimum(np.floor((pts - lo) / s), n_boxes - 1.0)
+        counts.append(len(np.unique(idx.astype(np.int64), axis=0)))
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]),
+       cells=st.lists(st.integers(0, 16), min_size=6, max_size=240),
+       jitter=st.integers(0, 40), seed=st.integers(0, 2 ** 16),
+       dyadic=st.booleans())
+def test_box_counts_match_row_unique_oracle(dim, cells, jitter, seed, dyadic):
+    # grid points sit exactly on box edges at every dyadic scale, and a
+    # short cell list repeats points many times over
+    rng = np.random.default_rng(seed)
+    grid = np.array(cells[:len(cells) // dim * dim], float).reshape(-1, dim)
+    pts = np.vstack([grid / 16.0 * 8.0, rng.random((jitter, dim)) * 8.0])
+    if np.ptp(pts, axis=0).max() == 0.0:
+        return
+    scales = 8.0 / 2.0 ** np.arange(1, 6) if dyadic else None
+    result = box_counting_dimension(pts, scale_range=scales)
+    assert list(result.counts) == oracle_counts(pts, result.scales)
+
+
+def test_box_counts_past_the_int64_key_fall_back_to_row_sort():
+    # boxes of 1e-3 over a 1e7 wide cloud make a grid of about 1e30 boxes,
+    # more than one int64 key can number
+    rng = np.random.default_rng(11)
+    pts = rng.random((2000, 3)) * 1e7
+    pts[:500] = pts[500:1000]             # duplicated points
+    pts[1000:1200, 1:] = pts[1200:1400, 1:]  # rows apart in x alone
+    scales = np.array([1e-3, 1e-2, 1e5, 1e6])
+    n_boxes = np.ceil(np.ptp(pts, axis=0) / scales[0])
+    assert np.prod(n_boxes) >= 2.0 ** 63
+    result = box_counting_dimension(pts, scale_range=scales)
+    assert list(result.counts) == oracle_counts(pts, result.scales)
+    assert result.counts[-1] == 1500      # the finest boxes part every point
 
 
 # ---------------------------------------------------------------------------

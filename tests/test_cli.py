@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frostdem import cli
 from frostdem.cli import main, read_particles, read_points
 from frostdem.config import ExperimentConfig, parse_config_text
 from frostdem.errors import InputParseError, InvalidConfigError
@@ -186,6 +189,134 @@ def test_analyze_points_non_finite_value_exits_3(tmp_path, capsys):
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert f"{pts}:5: expected finite numbers, got '2 inf 2'" in err
+
+
+WAVE_HEADER = ("# bar_area = 1e-3\n# bar_wave_speed = 5000\n"
+               "# bar_modulus = 200\n")
+
+
+@pytest.mark.parametrize("header, line, value", [
+    # a required key cites its own line, not line 1
+    (WAVE_HEADER.replace("200", "two hundred"), 3, "'two hundred'"),
+    (WAVE_HEADER.replace("1e-3", "nan"), 1, "'nan'"),
+    (WAVE_HEADER + "# specimen_length = 0.05\n# specimen_area = abc\n", 5,
+     "'abc'"),
+    (WAVE_HEADER + "# specimen_area = -inf\n", 4, "'-inf'"),
+], ids=["non_numeric_required", "nan_required", "non_numeric_optional",
+        "inf_optional"])
+def test_analyze_bad_header_value_cites_its_line(tmp_path, capsys, header,
+                                                 line, value):
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(header + "time\te_i\te_r\te_t\n0\t0\t0\t0\n1e-6\t0\t0\t0\n")
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n")
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{wave}:{line}: header " in err
+    assert f"must be a finite number, got {value}" in err
+
+
+@pytest.mark.parametrize("body, key", [
+    ("t2_areas = 1,2\nt2_baseline_area = inf\n", "t2_baseline_area"),
+    ("t2_areas = 1,nan\nt2_baseline_area = 3\n", "t2_areas"),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, body, key):
+    cfg = write_config(tmp_path, "[analysis]\n" + body)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"[analysis] {key} must be" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the readers' np.loadtxt fast path against the line loop
+
+READER_FILES = {
+    "meta_and_names": WAVE_HEADER + "#  a note\n#k=v\ntime\te_i\te_r\te_t\n"
+                      "0\t1\t2\t3\n1e-6\t-1.5e3\t+.5\t7.\n2e-6 -0 0 1E-310\n",
+    "blank_lines": "\n  \n0 1 2 3\n\n\t\n  4\t5  6 7  \n   \n",
+    "one_row": "0 1 2 3",
+    "comma_rows": "a,b,c,d\n0,1,2,3\n4, 5, 6, 7\n",
+    "mid_file_hash": "0 1 2 3\n# bar_area = 9\n4 5 6 7\n",
+    "trailing_comment": "0 1 2 3\n4 5 6 7 # note\n",
+    "nan": "x y z w\n0 1 2 3\n4 nan 6 7\n",
+    "inf": "0 1 2 3\n4 5 6 -inf\n",
+    "overflow": "0 1 2 3\n1e999 5 6 7\n",
+    "short_row": "0 1 2 3\n4 5 6\n8 9 10 11\n",
+    "wide_first_row": "0 1 2 3 4\n",
+    "bad_token": "0 1 2 3\n4 5e 6 7\n",
+    "names_after_data": "0 1 2 3\nt a b c\n",
+    "empty": "",
+    "no_rows": "# a = 1\nname row\n\n",
+    "form_feed_in_header": "# a = 1\x0c# b = 2\n0 1 2 3\n",
+    "form_feed_in_body": "0 1 2 3\n4 5\x0c6 7\n",
+    "unit_separator_in_body": "0 1 2 3\n4 5\x1f6 7\n",
+    "line_separator_in_body": "0 1 2 3\n4 5\u20286 7\n",
+    "non_ascii": "# \u00b5 = 1\nt\t\u00b5m\ta\tb\n0 1 2 3\n",
+    "non_ascii_body": "0 1 2 3\n\u0664 5 6 7\n",
+    "underscore": "0 1 2 3\n4_0 5 6 7\n",
+    "crlf": "# a = 1\r\n0 1 2 3\r\n4 5 6 7\r\n",
+}
+
+
+def read_both(path, n_columns=(4,)):
+    """What ``_read_rows`` and the line loop make of one file: (data bytes,
+    shape, meta) or the error's line and message."""
+    def outcome(read):
+        try:
+            data, meta = read()
+        except InputParseError as exc:
+            return exc.line, str(exc)
+        return data.tobytes(), data.shape, meta
+    return (outcome(lambda: cli._read_rows(path, n_columns, "waveform")),
+            outcome(lambda: cli._read_rows_by_line(
+                path.read_text(), n_columns, path, "waveform")))
+
+
+@pytest.mark.parametrize("name", sorted(READER_FILES))
+def test_fast_reader_matches_line_loop(tmp_path, name):
+    path = tmp_path / "rows.tsv"
+    path.write_text(READER_FILES[name])
+    fast, by_line = read_both(path)
+    assert fast == by_line
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(allow_nan=False, width=64), min_size=2,
+                              max_size=3), min_size=1, max_size=6),
+       form=st.sampled_from(["%r", "%.10g", "%.3e", "%.17g"]),
+       tail=st.text(alphabet="0123456789.eE+- \t\n", max_size=30))
+def test_fast_reader_matches_line_loop_on_plain_bodies(tmp_path_factory, rows,
+                                                       form, tail):
+    # any text of the bytes the fast path accepts, malformed or not
+    body = "\n".join(" ".join(form % v for v in row) for row in rows)
+    path = tmp_path_factory.mktemp("rows") / "rows.tsv"
+    path.write_text("# k = v\nx y z\n" + body + tail)
+    fast, by_line = read_both(path, (2, 3))
+    assert fast == by_line
+
+
+def test_benchmark_style_files_take_the_fast_path(tmp_path, monkeypatch):
+    # waveform, points and spectrum files as np.savetxt writes them
+    def no_line_loop(*args):
+        raise AssertionError("fell back to the line loop")
+    monkeypatch.setattr(cli, "_read_rows_by_line", no_line_loop)
+    rng = np.random.default_rng(4)
+    wave = tmp_path / "wave.tsv"
+    np.savetxt(wave, np.column_stack([np.arange(50) * 1e-8,
+                                      rng.normal(size=(50, 3)) * 1e-4]),
+               fmt="%.10g",
+               delimiter="\t", comments="",
+               header=WAVE_HEADER.strip() + "\n# specimen_area = 4.9e-4"
+                      "\ntime\te_i\te_r\te_t")
+    record = cli.read_wave_record(wave)
+    assert len(record.time) == 50 and record.specimen_area == 4.9e-4
+    pts = tmp_path / "points.tsv"
+    np.savetxt(pts, rng.random((40, 3)) * 50, fmt="%.10g", delimiter="\t")
+    assert read_points(pts).shape == (40, 3)
+    spectrum = tmp_path / "spectrum.tsv"
+    np.savetxt(spectrum, np.column_stack([np.logspace(-2, 4, 30),
+                                          rng.random(30)]),
+               fmt="%.10g", delimiter="\t", comments="",
+               header="t2_ms\tamplitude")
+    assert len(cli.read_spectrum(spectrum)) == 30
 
 
 # ---------------------------------------------------------------------------
