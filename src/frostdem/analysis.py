@@ -56,8 +56,11 @@ class WaveRecord:
             raise InvalidConfigError("all series must share the time base")
         if len(self.time) == 0:
             raise InvalidConfigError("series are empty")
-        if self.bar_area <= 0 or self.bar_wave_speed <= 0:
-            raise InvalidConfigError("bar area and wave speed must be > 0")
+        if self.bar_area <= 0 or self.bar_wave_speed <= 0 or self.bar_modulus <= 0:
+            raise InvalidConfigError("bar area, wave speed and modulus must be > 0")
+        if any(v is not None and v <= 0
+               for v in (self.specimen_area, self.specimen_length)):
+            raise InvalidConfigError("specimen area and length must be > 0")
         if len(self.time) > 1:
             dt = np.diff(self.time)
             if not np.allclose(dt, dt[0], rtol=1e-6, atol=1e-15):
@@ -195,19 +198,6 @@ class DynamicResponse:
     strain: np.ndarray
     strain_rate: np.ndarray      # 1/s
 
-    def curve(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.strain, self.stress
-
-
-def face_stresses(record: WaveRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Front (incident-side) and back (transmitted-side) specimen stresses, MPa."""
-    if record.specimen_area is None:
-        raise InvalidConfigError("specimen area is required")
-    factor = record.bar_area * record.bar_modulus * 1e3 / record.specimen_area
-    front = factor * (record.strain_incident + record.strain_reflected)
-    back = factor * record.strain_transmitted
-    return front, back
-
 
 def reconstruct_three_wave(record: WaveRecord) -> DynamicResponse:
     """Specimen stress, strain rate and strain from the three waves.
@@ -246,14 +236,13 @@ class BoxCountResult(NamedTuple):
     degenerate: bool = False
 
 
-def box_counting_dimension(points: np.ndarray,
-                           scale_range: Sequence[float] | None = None
-                           ) -> BoxCountResult:
+def box_counting_dimension(points: np.ndarray) -> BoxCountResult:
     """Fractal dimension from occupied-box counts over dyadic scales.
 
-    Default scales are powers of two from the bounding-box size down to four
-    times the mean nearest-neighbor distance.  The dimension is the negated
-    slope of log(count) against log(scale); the fit R^2 is reported.
+    Scales are powers of two from the bounding-box size down to four times
+    the mean nearest-neighbor distance, and not below 2**-14 of the extent.
+    The dimension is the negated slope of log(count) against log(scale); the
+    fit R^2 is reported.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -270,40 +259,31 @@ def box_counting_dimension(points: np.ndarray,
         return BoxCountResult(0.0, 1.0, np.array([1.0]), np.array([1]),
                               degenerate=True)
 
-    if scale_range is None:
-        if len(pts) > 1:
-            tree = cKDTree(pts)
-            # querying in the tree's own point order keeps its walk in
-            # cache; the distances go back to input order before the mean
-            order = tree.indices
-            nn, _ = tree.query(pts[order], k=2)
-            nearest = np.empty(len(pts))
-            nearest[order] = nn[:, 1]
-            floor = 4.0 * float(np.mean(nearest))
-        else:
-            floor = extent / 16.0
-        floor = max(floor, extent / 2 ** 14)
-        # start below the full extent: the coarsest boxes hold so few counts
-        # that they only bias the fit
-        scales = []
-        s = extent / 2.0
-        while s >= floor:
-            scales.append(s)
-            s /= 2.0
-        while len(scales) < 4:
-            scales.append((scales[-1] if scales else extent) / 2.0)
-        scales = np.array(scales)
+    if len(pts) > 1:
+        floor = 4.0 * float(np.mean(_nearest_distances(pts)))
     else:
-        scales = np.sort(np.asarray(scale_range, dtype=float))[::-1]
-        if len(np.unique(scales)) < 2 or np.any(scales <= 0):
-            raise InvalidConfigError("need at least 2 distinct positive scales")
+        floor = extent / 16.0
+    floor = max(floor, extent / 2 ** 14)
+    # start below the full extent: the coarsest boxes hold so few counts
+    # that they only bias the fit
+    scales = []
+    s = extent / 2.0
+    while s >= floor:
+        scales.append(s)
+        s /= 2.0
+    while len(scales) < 4:
+        scales.append((scales[-1] if scales else extent) / 2.0)
+    scales = np.array(scales)
 
     counts = np.empty(len(scales), dtype=np.int64)
     for i, s in enumerate(scales):
         n_boxes = np.maximum(np.ceil((hi - lo) / s - 1e-12), 1.0)
         idx = np.floor((pts - lo) / s)
         idx = np.minimum(idx, n_boxes - 1.0).astype(np.int64)
-        counts[i] = _occupied_boxes(idx, n_boxes)
+        # scales stop at extent / 2**14, so a grid holds at most 2**42 boxes
+        # and every row of box indices ravels into one int64 key
+        keys = np.ravel_multi_index(tuple(idx.T), n_boxes.astype(np.int64))
+        counts[i] = len(np.unique(keys))
 
     log_s = np.log(scales)
     log_n = np.log(counts)
@@ -315,19 +295,32 @@ def box_counting_dimension(points: np.ndarray,
     return BoxCountResult(float(-slope), r2, scales, counts)
 
 
-def _occupied_boxes(idx: np.ndarray, n_boxes: np.ndarray) -> int:
-    """Number of distinct rows of the box indices ``idx`` (N, d), each
-    column below its entry of ``n_boxes``.
+def _nearest_distances(pts: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest other point, 0 for a point
+    that occurs more than once.
 
-    Each row ravels into one int64 key while the grid has fewer than 2**63
-    boxes; a finer grid, which only a caller-supplied scale can ask for,
-    counts the row changes of a lexicographic sort instead.
+    Repeated points would pile up in one k-d tree leaf and make every query
+    scan the pile, so the tree holds the distinct points.  Points whose
+    projections on a fixed direction all differ cannot repeat; only when two
+    projections tie are the distinct rows looked up.
     """
-    if math.prod(int(n) for n in n_boxes) < 2 ** 63:
-        keys = np.ravel_multi_index(tuple(idx.T), n_boxes.astype(np.int64))
-        return len(np.unique(keys))
-    rows = idx[np.lexsort(idx.T)]
-    return 1 + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
+    # elementwise, so that equal rows get equal keys wherever they sit
+    key = np.sort(sum(w * x for w, x in zip((1.0, math.sqrt(2.0),
+                                             math.sqrt(3.0)), pts.T)))
+    repeats = bool(np.any(key[1:] == key[:-1]))
+    if repeats:
+        pts, inverse, count = np.unique(pts, axis=0, return_inverse=True,
+                                        return_counts=True)
+    tree = cKDTree(pts)
+    # querying in the tree's own point order keeps its walk in cache; the
+    # distances go back to input order before the mean
+    order = tree.indices
+    nn, _ = tree.query(pts[order], k=2)
+    nearest = np.empty(len(pts))
+    nearest[order] = nn[:, 1]
+    if repeats:
+        nearest = np.where(count > 1, 0.0, nearest)[inverse]
+    return nearest
 
 
 # ---------------------------------------------------------------------------
@@ -352,36 +345,36 @@ def area_change_rate(area: float, baseline_area: float) -> float:
     return (area - baseline_area) / baseline_area * 100.0
 
 
-def t2_spectrum_stats(spectrum: Sequence[tuple[float, float]],
+def t2_spectrum_stats(spectrum: np.ndarray | Sequence[tuple[float, float]],
                       baseline_area: float | None = None) -> T2Stats:
     """Bin areas of a relaxation-time spectrum as percentages of the total.
 
-    The piecewise-linear spectrum is integrated per bin with segments split
-    exactly at the bin edges, so the three percentages always total 100.
+    The piecewise-linear spectrum (rows of time, amplitude) is integrated per
+    bin with segments split exactly at the bin edges, so the three
+    percentages always total 100.  Each bin sums its segments' areas in
+    segment order.
     """
-    pts = [(float(t), float(a)) for t, a in spectrum]
+    pts = np.asarray(spectrum, dtype=float)
     if len(pts) == 0:
         raise InvalidConfigError("spectrum is empty")
-    t = np.array([p[0] for p in pts])
-    amp = np.array([p[1] for p in pts])
+    t, amp = pts[:, 0], pts[:, 1]
     if np.any(t <= 0):
         raise InvalidConfigError("relaxation times must be > 0")
     if np.any(np.diff(t) <= 0):
         raise InvalidConfigError("relaxation times must be strictly increasing")
 
-    edges = [-np.inf, *T2_BIN_EDGES, np.inf]
-    bins = np.zeros(3)
-    for seg in range(len(t) - 1):
-        t0, t1 = t[seg], t[seg + 1]
-        a0, a1 = amp[seg], amp[seg + 1]
-        for b in range(3):
-            lo = max(t0, edges[b])
-            hi = min(t1, edges[b + 1])
-            if hi <= lo:
-                continue
-            f0 = a0 + (a1 - a0) * (lo - t0) / (t1 - t0)
-            f1 = a0 + (a1 - a0) * (hi - t0) / (t1 - t0)
-            bins[b] += 0.5 * (f0 + f1) * (hi - lo)
+    edges = np.array([-np.inf, *T2_BIN_EDGES, np.inf])
+    # one row per segment, one column per bin
+    t0, t1 = t[:-1, None], t[1:, None]
+    a0, a1 = amp[:-1, None], amp[1:, None]
+    lo = np.maximum(t0, edges[:-1])
+    hi = np.minimum(t1, edges[1:])
+    f0 = a0 + (a1 - a0) * (lo - t0) / (t1 - t0)
+    f1 = a0 + (a1 - a0) * (hi - t0) / (t1 - t0)
+    area = 0.5 * (f0 + f1) * (hi - lo)
+    inside = hi > lo
+    # row-major order: bincount adds each bin's areas segment by segment
+    bins = np.bincount(np.nonzero(inside)[1], weights=area[inside], minlength=3)
     total = float(bins.sum())
     if total <= 0:
         raise UndefinedStatisticError("spectrum has no positive area")

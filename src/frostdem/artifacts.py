@@ -73,8 +73,10 @@ def write_manifest(out_dir: str | Path, names: Sequence[str]) -> Path:
 
 
 def write_particles(path: str | Path, assembly: ParticleAssembly) -> Path:
-    rows = ((i, c[0], c[1], c[2], r, Phase(int(p)).name.lower(), d)
-            for i, c, r, p, d in assembly.particles())
+    rows = ((i, x, y, z, r, Phase(p).name.lower(), d)
+            for i, ((x, y, z), r, p, d) in enumerate(zip(
+                assembly.centers.tolist(), assembly.radii.tolist(),
+                assembly.phases.tolist(), assembly.densities.tolist())))
     return write_table(path, ("id", "x", "y", "z", "radius", "phase", "density"),
                        rows)
 

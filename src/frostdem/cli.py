@@ -193,9 +193,10 @@ def read_wave_record(path: str | Path) -> analysis.WaveRecord:
         specimen_length=header("specimen_length", required=False))
 
 
-def read_spectrum(path: str | Path):
+def read_spectrum(path: str | Path) -> np.ndarray:
+    """Relaxation-time spectrum, an (N, 2) array of time and amplitude."""
     data, _ = _read_rows(Path(path), (2,), "spectrum")
-    return [(row[0], row[1]) for row in data]
+    return data
 
 
 def read_points(path: str | Path) -> np.ndarray:
@@ -410,7 +411,7 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
                 ("time_s", "strain", "stress_mpa", "strain_rate"),
                 np.column_stack((response.time, response.strain,
                                  response.stress, response.strain_rate))).name)
-            if static_strength:
+            if static_strength is not None:
                 dynamic = float(np.max(response.stress))
                 pairs.append(("rdif", analysis.compute_rdif(dynamic, static_strength)))
         files.append(artifacts.write_report(out_dir / "energy_report.txt",

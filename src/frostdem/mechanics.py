@@ -103,7 +103,6 @@ class StressStrainCurve:
 
     strain: np.ndarray
     stress: np.ndarray
-    time: np.ndarray
 
     def __len__(self) -> int:
         return len(self.strain)
@@ -244,10 +243,6 @@ class ParticleSystem:
     @property
     def b_ib(self) -> np.ndarray:
         return self.ib[:self.n_bonds]
-
-    @property
-    def n_intact_bonds(self) -> int:
-        return int(np.count_nonzero(self.b_intact))
 
     # -- platens -------------------------------------------------------------
 
@@ -416,10 +411,10 @@ class ParticleSystem:
         self.time += dt
         self.step_count += 1
 
-    def run(self, n_steps: int, dt: float | None = None) -> None:
-        """``n_steps`` steps of ``dt`` (default: the stable step), each cut to
-        the stable step of the moment, which a bond break can shorten."""
-        dt = self.stable_dt() if dt is None else dt
+    def run(self, n_steps: int) -> None:
+        """``n_steps`` steps of the stable step, each cut to the stable step
+        of the moment, which a bond break can shorten."""
+        dt = self.stable_dt()
         for _ in range(n_steps):
             self.step(min(dt, self.stable_dt()))
 
@@ -601,17 +596,14 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
     if platen_velocity < 0:
         raise InvalidConfigError("platen velocity must be >= 0")
 
-    dt = system.stable_dt()
-    strains, stresses, times = [0.0], [system.platen_stress()], [system.time]
+    strains, stresses = [0.0], [system.platen_stress()]
     if platen_velocity == 0.0:
         for _ in range(5):
-            system.run(20, dt)
+            system.run(20)
             strains.append(system.platen_strain())
             stresses.append(_finite_sample("platen stress", system.platen_stress(),
                                            strains[-1]))
-            times.append(system.time)
-        return StressStrainCurve(np.array(strains), np.array(stresses),
-                                 np.array(times))
+        return StressStrainCurve(np.array(strains), np.array(stresses))
 
     sample_interval = 2e-5      # strain between two curve samples
     next_sample = sample_interval
@@ -619,6 +611,7 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
     stress_acc = 0.0
     acc_count = 0
     refresh_every = 500
+    dt = system.stable_dt()
     for step in range(LOADING_STEP_CAP):
         h = min(dt, system.stable_dt())
         system.walls["z_top"] -= platen_velocity * h
@@ -630,7 +623,6 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
             stress = _finite_sample("platen stress", stress_acc / acc_count, strain)
             strains.append(strain)
             stresses.append(stress)
-            times.append(system.time)
             stress_acc, acc_count = 0.0, 0
             next_sample += sample_interval
             peak = max(peak, stress)
@@ -648,7 +640,7 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
         raise ConvergenceError(
             f"loading reached a strain of {system.platen_strain():g} after "
             f"{LOADING_STEP_CAP} steps; the target is {target_strain:g}")
-    return StressStrainCurve(np.array(strains), np.array(stresses), np.array(times))
+    return StressStrainCurve(np.array(strains), np.array(stresses))
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,7 @@ class CylinderDomain:
 class ParticleAssembly:
     """Particle packing: positions, radii, phases, densities and domain.
 
-    Storage is struct-of-arrays; ``particles`` yields per-particle tuples for
-    inspection and export.
+    Storage is struct-of-arrays.
     """
 
     centers: np.ndarray          # (N, 3) mm
@@ -136,17 +135,6 @@ class ParticleAssembly:
     def masses(self) -> np.ndarray:
         """Per-particle mass in tonnes (mm-N-MPa-tonne unit system)."""
         return self.volumes() * self.densities * 1e-12
-
-    def particles(self):
-        """Iterate (id, center, radius, phase, density) tuples."""
-        for i in range(self.n_particles):
-            yield (i, self.centers[i].copy(), float(self.radii[i]),
-                   Phase(int(self.phases[i])), float(self.densities[i]))
-
-    def copy(self) -> "ParticleAssembly":
-        return ParticleAssembly(self.centers.copy(), self.radii.copy(),
-                                self.phases.copy(), self.densities.copy(),
-                                self.domain, self.rng_seed)
 
     def analytic_porosity(self) -> float:
         """Water share of total particle volume from exact sphere sums."""
@@ -199,8 +187,6 @@ def compute_particle_counts(config: PackingConfig) -> tuple[int, int]:
     single-particle volume of each size range.
     """
     config.validate()
-    if config.target_porosity >= 1.0:
-        raise InvalidConfigError("target_porosity of 1 leaves no solid phase")
     v_solid = config.solid_fraction * config.domain_volume
     v_rock_single = (4.0 / 3.0) * math.pi * config.mean_rock_radius ** 3
     n_rock = int(round((1.0 - config.target_porosity) * v_solid / v_rock_single))
@@ -352,8 +338,11 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
     return centers, residual
 
 
-def generate_packing(config: PackingConfig, *,
-                     polish_sweeps: int = 8000) -> ParticleAssembly:
+#: Relaxation sweeps of each final polish of a packing.
+POLISH_SWEEPS = 8000
+
+
+def generate_packing(config: PackingConfig) -> ParticleAssembly:
     """Generate the two-phase packing for ``config``.
 
     Particles are seeded at half size at random positions, grown to full
@@ -404,7 +393,7 @@ def generate_packing(config: PackingConfig, *,
                                      4e-3 * float(r.min()), 600, rng=rng)
     max_overlap = 1e-3 * float(radii.min())
     centers, residual = _relax_overlaps(centers, radii, domain, max_overlap,
-                                        polish_sweeps, under_relax=0.8, rng=rng)
+                                        POLISH_SWEEPS, under_relax=0.8, rng=rng)
     recoveries = 0
     while residual > max_overlap and recoveries < 3:
         # jammed endgame: back off slightly and regrow through the last step
@@ -414,7 +403,7 @@ def generate_packing(config: PackingConfig, *,
             centers, _ = _relax_overlaps(centers, r, domain,
                                          2e-3 * float(r.min()), 800, rng=rng)
         centers, residual = _relax_overlaps(centers, radii, domain, max_overlap,
-                                            polish_sweeps, under_relax=0.85,
+                                            POLISH_SWEEPS, under_relax=0.85,
                                             rng=rng)
     if residual > max_overlap:
         raise PackingInfeasibleError(

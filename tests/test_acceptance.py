@@ -269,7 +269,7 @@ def test_criterion_09_mechanics_oracles(medium_saturated):
 
     # modulus extraction exact on an analytically linear curve
     strain = np.linspace(0.0, 0.004, 400)
-    curve = StressStrainCurve(strain, 4.0e3 * strain, strain)
+    curve = StressStrainCurve(strain, 4.0e3 * strain)
     assert extract_mechanical_params(curve).elastic_modulus \
         == pytest.approx(4.0, abs=1e-9)
     report(9, f"one-bond failure load matches closed form to 1e-9; oscillator "
@@ -284,7 +284,7 @@ def test_criterion_10_calibration_self_targets(medium_saturated):
     true_mats = dict(SATURATED_MATERIALS)
     true_mats[ContactKind.ROCK_ROCK] = ROCK_MAT.scaled(modulus_factor=0.8,
                                                        strength_factor=0.25)
-    curve = run_uniaxial_test(medium_saturated.copy(), 2.0, 0.015, true_mats)
+    curve = run_uniaxial_test(medium_saturated, 2.0, 0.015, true_mats)
     targets = extract_mechanical_params(curve)
 
     initial = ROCK_MAT.scaled(modulus_factor=1.6, strength_factor=0.6)

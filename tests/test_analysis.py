@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from frostdem.analysis import (EnergyReport,
                                PRESSURE_TO_STRAIN_RATE,
                                RDIF_REFERENCE_SATURATED, WaveRecord,
                                area_change_rate, box_counting_dimension,
                                compute_energies, compute_rdif,
-                               dissipation_efficiency, face_stresses,
-                               fit_rdif_model, reconstruct_three_wave,
-                               t2_spectrum_stats)
+                               dissipation_efficiency, fit_rdif_model,
+                               reconstruct_three_wave, t2_spectrum_stats,
+                               _nearest_distances)
 from frostdem.errors import InvalidConfigError, UndefinedStatisticError
 
 
@@ -207,17 +209,6 @@ def test_missing_specimen_dims_rejected():
         reconstruct_three_wave(make_record(specimen=False))
 
 
-def test_equilibrium_face_stresses_agree():
-    n = 50
-    t = np.linspace(0, 1e-4, n)
-    e_r = -0.0002 * np.sin(np.linspace(0, np.pi, n))
-    e_t = 0.0008 * np.sin(np.linspace(0, np.pi, n))
-    e_i = e_t - e_r  # dynamic equilibrium: e_i + e_r = e_t
-    rec = make_record(n=n, e_i=e_i, e_r=e_r, e_t=e_t)
-    front, back = face_stresses(rec)
-    assert np.allclose(front, back, rtol=1e-12, atol=1e-12)
-
-
 def test_round_trip_recovers_prescribed_modulus():
     # forward-synthesize waves from a linear specimen in equilibrium
     modulus = 8.0e3  # MPa
@@ -294,10 +285,9 @@ def test_box_dimension_invariances():
     base = box_counting_dimension(pts)
     shifted = box_counting_dimension(pts + np.array([123.0, -47.0]))
     assert shifted.dimension == pytest.approx(base.dimension, abs=1e-12)
-    # uniform scaling with identically scaled scale range
-    scaled = box_counting_dimension(pts * 3.5, scale_range=base.scales * 3.5)
-    ref = box_counting_dimension(pts, scale_range=base.scales)
-    assert scaled.dimension == pytest.approx(ref.dimension, abs=1e-12)
+    # uniform scaling scales the default scales with the cloud
+    scaled = box_counting_dimension(pts * 3.5)
+    assert scaled.dimension == pytest.approx(base.dimension, abs=1e-12)
 
 
 def oracle_counts(pts, scales):
@@ -315,34 +305,60 @@ def oracle_counts(pts, scales):
 @settings(max_examples=60, deadline=None)
 @given(dim=st.sampled_from([2, 3]),
        cells=st.lists(st.integers(0, 16), min_size=6, max_size=240),
-       jitter=st.integers(0, 40), seed=st.integers(0, 2 ** 16),
-       dyadic=st.booleans())
-def test_box_counts_match_row_unique_oracle(dim, cells, jitter, seed, dyadic):
-    # grid points sit exactly on box edges at every dyadic scale, and a
-    # short cell list repeats points many times over
+       jitter=st.integers(0, 40), seed=st.integers(0, 2 ** 16))
+def test_box_counts_match_row_unique_oracle(dim, cells, jitter, seed):
+    # the corners fix a cloud 8 wide, so grid points sit exactly on box
+    # edges at every default scale, and a short cell list repeats points
+    # many times over
     rng = np.random.default_rng(seed)
     grid = np.array(cells[:len(cells) // dim * dim], float).reshape(-1, dim)
-    pts = np.vstack([grid / 16.0 * 8.0, rng.random((jitter, dim)) * 8.0])
-    if np.ptp(pts, axis=0).max() == 0.0:
-        return
-    scales = 8.0 / 2.0 ** np.arange(1, 6) if dyadic else None
-    result = box_counting_dimension(pts, scale_range=scales)
+    pts = np.vstack([np.zeros(dim), np.full(dim, 8.0), grid / 16.0 * 8.0,
+                     rng.random((jitter, dim)) * 8.0])
+    result = box_counting_dimension(pts)
     assert list(result.counts) == oracle_counts(pts, result.scales)
 
 
-def test_box_counts_past_the_int64_key_fall_back_to_row_sort():
-    # boxes of 1e-3 over a 1e7 wide cloud make a grid of about 1e30 boxes,
-    # more than one int64 key can number
-    rng = np.random.default_rng(11)
-    pts = rng.random((2000, 3)) * 1e7
-    pts[:500] = pts[500:1000]             # duplicated points
-    pts[1000:1200, 1:] = pts[1200:1400, 1:]  # rows apart in x alone
-    scales = np.array([1e-3, 1e-2, 1e5, 1e6])
-    n_boxes = np.ceil(np.ptp(pts, axis=0) / scales[0])
-    assert np.prod(n_boxes) >= 2.0 ** 63
-    result = box_counting_dimension(pts, scale_range=scales)
+def nearest_oracle(pts):
+    """Distance from each point to its nearest other point, from the full
+    distance matrix."""
+    d = cdist(pts, pts)
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
+def default_scales(pts, nearest):
+    """The default scales for a mean nearest-neighbour distance over
+    ``nearest``, as box_counting_dimension forms them."""
+    extent = float(np.max(np.ptp(pts, axis=0)))
+    floor = max(4.0 * float(np.mean(nearest)), extent / 2 ** 14)
+    return [extent / 2.0 ** k for k in range(1, 15) if extent / 2.0 ** k >= floor]
+
+
+def test_repeated_points_count_zero_towards_the_floor():
+    # 20,000 copies of one point: every copy, the original among them, adds 0
+    # to the mean nearest-neighbour distance, which still divides by all
+    # 22,000 points
+    base = np.random.default_rng(8).random((2000, 3))
+    pts = np.vstack([base, np.repeat(base[:1], 20_000, axis=0)])
+    expected = np.concatenate([nearest_oracle(base), np.zeros(20_000)])
+    expected[0] = 0.0
+    nearest = _nearest_distances(pts)
+    assert nearest == pytest.approx(expected, rel=1e-12, abs=0.0)
+    result = box_counting_dimension(pts)
+    assert list(result.scales) == default_scales(pts, expected)
     assert list(result.counts) == oracle_counts(pts, result.scales)
-    assert result.counts[-1] == 1500      # the finest boxes part every point
+
+
+def test_distinct_points_keep_the_plain_tree_query():
+    # (1e20, 0) and (1e20, 1) share a projection key without being one
+    # point, so the distinct rows are looked up; neither path may change
+    # a distance
+    rng = np.random.default_rng(9)
+    pts = rng.random((500, 2))
+    tied = np.vstack([pts, [[1e20, 0.0], [1e20, 1.0]]])
+    for cloud in (pts, tied):
+        nn, _ = cKDTree(cloud).query(cloud, k=2)
+        assert np.array_equal(_nearest_distances(cloud), nn[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -403,3 +419,39 @@ def test_t2_percentages_total_hundred(points):
         return
     assert stats.peak1_pct + stats.peak2_pct + stats.peak3_pct \
         == pytest.approx(100.0, abs=1e-9)
+
+
+def t2_loop_oracle(spec):
+    """Bin areas of ``spec`` one segment and one bin at a time."""
+    edges = [-np.inf, 10.0, 100.0, np.inf]
+    bins = np.zeros(3)
+    for (t0, a0), (t1, a1) in zip(spec[:-1], spec[1:]):
+        for b in range(3):
+            lo = max(t0, edges[b])
+            hi = min(t1, edges[b + 1])
+            if hi <= lo:
+                continue
+            f0 = a0 + (a1 - a0) * (lo - t0) / (t1 - t0)
+            f1 = a0 + (a1 - a0) * (hi - t0) / (t1 - t0)
+            bins[b] += 0.5 * (f0 + f1) * (hi - lo)
+    return bins
+
+
+@settings(deadline=None, max_examples=200)
+@given(times=st.lists(st.one_of(st.floats(0.01, 1000.0),
+                                st.sampled_from([10.0, 100.0])),
+                      min_size=2, max_size=60, unique=True),
+       amps=st.lists(st.floats(0.0, 1e4), min_size=60, max_size=60))
+def test_t2_bins_match_the_per_segment_loop(times, amps):
+    # times land exactly on the bin edges too; every figure is bit-identical
+    spec = [(t, a) for t, a in zip(sorted(times), amps)]
+    bins = t2_loop_oracle(spec)
+    total = float(bins.sum())
+    if total <= 0:
+        with pytest.raises(UndefinedStatisticError):
+            t2_spectrum_stats(spec)
+        return
+    pct = bins / total * 100.0
+    assert t2_spectrum_stats(np.array(spec), baseline_area=2.0) == (
+        float(pct[0]), float(pct[1]), float(pct[2]), total,
+        area_change_rate(total, 2.0))

@@ -215,6 +215,34 @@ def test_analyze_bad_header_value_cites_its_line(tmp_path, capsys, header,
     assert f"must be a finite number, got {value}" in err
 
 
+SPECIMEN = "# specimen_area = 4.9e-4\n# specimen_length = 0.05\n"
+
+
+@pytest.mark.parametrize("header, static, message", [
+    (WAVE_HEADER.replace("200", "-200"), "", "modulus must be > 0"),
+    (WAVE_HEADER + SPECIMEN.replace("4.9e-4", "0"), "",
+     "specimen area and length must be > 0"),
+    (WAVE_HEADER + SPECIMEN.replace("4.9e-4", "-4.9e-4"), "",
+     "specimen area and length must be > 0"),
+    (WAVE_HEADER + SPECIMEN.replace("0.05", "0"), "",
+     "specimen area and length must be > 0"),
+    (WAVE_HEADER + SPECIMEN, "static_strength = 0\n",
+     "static strength must be > 0"),
+], ids=["negative_bar_modulus", "zero_specimen_area",
+        "negative_specimen_area", "zero_specimen_length",
+        "zero_static_strength"])
+def test_analyze_non_positive_value_exits_2(tmp_path, capsys, header, static,
+                                            message):
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(header + "time\te_i\te_r\te_t\n0\t1e-4\t0\t0\n"
+                    "1e-6\t1e-4\t0\t0\n")
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n{static}")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "energy_report.txt").exists()
+
+
 @pytest.mark.parametrize("body, key", [
     ("t2_areas = 1,2\nt2_baseline_area = inf\n", "t2_baseline_area"),
     ("t2_areas = 1,nan\nt2_baseline_area = 3\n", "t2_areas"),

@@ -57,7 +57,7 @@ def bond_outcome(material, normal_stress, shear_stress=0.0, r=1.0):
     system.pos[1, 2] -= normal_stress * 2 * r / (material.bond_modulus * 1e3)
     system.b_shear[0] = (shear_stress * bond_area(r), 0.0, 0.0)
     system.step(system.stable_dt())
-    if system.n_intact_bonds:
+    if system.b_intact.any():
         return "intact"
     assert len(system.crack_events) == 1
     return system.crack_events[0].mode
@@ -137,11 +137,11 @@ def test_integrated_pair_separation_breaks_at_strength():
     du = u_star / 2000.0
     dt = system.stable_dt()
     moved = 0.0
-    while system.n_intact_bonds and moved < 3 * u_star:
+    while system.b_intact.any() and moved < 3 * u_star:
         system.pos[1, 2] += du
         system.step(dt)
         moved += du
-    assert system.n_intact_bonds == 0
+    assert not system.b_intact.any()
     assert len(system.crack_events) == 1
     assert system.crack_events[0].mode == "tensile"
     assert moved == pytest.approx(u_star, rel=2e-3)  # step quantization
@@ -174,7 +174,7 @@ def test_broken_bond_refreshes_stable_step():
     dt = system.stable_dt()
     system.pos[1, 2] += 0.1
     system.step(dt)
-    assert system.n_intact_bonds == 0
+    assert not system.b_intact.any()
     assert system.stable_dt() < dt
     with pytest.raises(StabilityError):
         system.step(dt)
@@ -193,7 +193,7 @@ def test_stepping_loops_shrink_dt_after_a_stiffening_break(advance):
         assert system.time == pytest.approx(dt + system.stable_dt(), rel=1e-12)
     else:
         system.equilibrate(max_steps=200)
-    assert system.n_intact_bonds == 0
+    assert not system.b_intact.any()
     assert system.stable_dt() < dt
 
 
@@ -514,7 +514,7 @@ def test_unstable_step_rejected():
 def linear_curve(modulus_gpa=4.0, n=200, max_strain=0.004):
     strain = np.linspace(0.0, max_strain, n)
     stress = modulus_gpa * 1e3 * strain
-    return StressStrainCurve(strain, stress, np.linspace(0, 1, n))
+    return StressStrainCurve(strain, stress)
 
 
 def test_modulus_exact_on_linear_curve():
@@ -527,7 +527,7 @@ def test_bilinear_peak_extraction():
                              np.linspace(0.004, 0.006, 60)[1:]])
     stress = np.concatenate([np.linspace(0, 58.7, 120),
                              np.linspace(58.7, 30.0, 60)[1:]])
-    curve = StressStrainCurve(strain, stress, np.linspace(0, 1, len(strain)))
+    curve = StressStrainCurve(strain, stress)
     report = extract_mechanical_params(curve)
     assert report.peak_strength == pytest.approx(58.7)
     assert report.peak_strain == pytest.approx(0.004)
@@ -535,8 +535,7 @@ def test_bilinear_peak_extraction():
 
 
 def test_all_zero_curve_rejected():
-    curve = StressStrainCurve(np.linspace(0, 0.004, 50), np.zeros(50),
-                              np.linspace(0, 1, 50))
+    curve = StressStrainCurve(np.linspace(0, 0.004, 50), np.zeros(50))
     with pytest.raises(UndefinedStatisticError):
         extract_mechanical_params(curve)
 
@@ -556,13 +555,13 @@ def scaled_materials(strength_factor=0.25, modulus_factor=1.0):
 
 
 def test_zero_platen_velocity_gives_zero_stress(medium_saturated):
-    curve = run_uniaxial_test(medium_saturated.copy(), 0.0, 0.01)
+    curve = run_uniaxial_test(medium_saturated, 0.0, 0.01)
     assert np.all(np.abs(curve.stress) < 1e-6)
     assert np.all(curve.strain == 0.0)
 
 
 def test_uniaxial_curve_single_peak_then_softening(medium_saturated):
-    curve = run_uniaxial_test(medium_saturated.copy(), 2.0, 0.03,
+    curve = run_uniaxial_test(medium_saturated, 2.0, 0.03,
                               scaled_materials(0.10))
     peak_idx = int(np.argmax(curve.stress))
     peak = curve.stress[peak_idx]
@@ -578,7 +577,7 @@ def test_uniaxial_curve_single_peak_then_softening(medium_saturated):
 def test_uniaxial_loading_is_quasi_static(medium_saturated):
     # kinetic energy stays far below accumulated strain energy at the
     # default platen velocity (the quasi-static contract of the driver)
-    system = build_system(medium_saturated.copy(), scaled_materials(0.25))
+    system = build_system(medium_saturated, scaled_materials(0.25))
     system.equilibrate()
     system.set_platens()
     curve = run_uniaxial_test(system, 2.0, 0.008)
@@ -605,7 +604,7 @@ def test_uniaxial_determinism(medium_saturated):
 
 
 def test_uniaxial_requires_equilibrium(medium_saturated):
-    system = build_system(medium_saturated.copy())
+    system = build_system(medium_saturated)
     system.set_platens()
     system.vel[:, 2] = 5.0  # blatantly out of equilibrium
     with pytest.raises(PreconditionError):
@@ -668,7 +667,7 @@ def test_uniaxial_loading_raises_on_a_non_finite_state(
 
 def test_negative_platen_velocity_rejected(medium_saturated):
     with pytest.raises(InvalidConfigError):
-        run_uniaxial_test(medium_saturated.copy(), -1.0, 0.01)
+        run_uniaxial_test(medium_saturated, -1.0, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +675,7 @@ def test_negative_platen_velocity_rejected(medium_saturated):
 
 def test_calibration_fixed_point(medium_saturated):
     mats = scaled_materials(0.25)
-    curve = run_uniaxial_test(medium_saturated.copy(), 2.0, 0.015, mats)
+    curve = run_uniaxial_test(medium_saturated, 2.0, 0.015, mats)
     report = extract_mechanical_params(curve)
     result = calibrate(report, mats[ContactKind.ROCK_ROCK], budget=20,
                        assembly=medium_saturated,
@@ -692,7 +691,7 @@ def test_calibration_fixed_point(medium_saturated):
 
 def test_calibration_doubled_strength_converges_quickly(medium_saturated):
     mats = scaled_materials(0.15)
-    curve = run_uniaxial_test(medium_saturated.copy(), 2.0, 0.015, mats)
+    curve = run_uniaxial_test(medium_saturated, 2.0, 0.015, mats)
     base = extract_mechanical_params(curve)
     targets = MechanicalReport(base.peak_strength * 2.0, base.elastic_modulus,
                                base.peak_strain, base.strain_energy)
@@ -732,7 +731,7 @@ def test_one_bond_failure_load_monotone_in_tensile_strength():
 
 
 def test_crack_log_unique_and_time_ordered_under_compression(medium_saturated):
-    system = build_system(medium_saturated.copy(), scaled_materials(0.15))
+    system = build_system(medium_saturated, scaled_materials(0.15))
     system.equilibrate()
     system.set_platens()
     run_uniaxial_test(system, 2.0, 0.015)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frostdem import packing
 from frostdem.errors import (InvalidConfigError, PackingInfeasibleError,
                              UndefinedStatisticError)
 from frostdem.mechanics import SATURATED_MATERIALS, build_system
@@ -156,10 +157,11 @@ def test_generate_porosity_near_target_mid_scale():
     assert abs(asm.analytic_porosity() - 0.12) < 0.01
 
 
-def test_generate_infeasible_fraction_names_parameter():
+def test_generate_infeasible_fraction_names_parameter(monkeypatch):
+    monkeypatch.setattr(packing, "POLISH_SWEEPS", 300)
     cfg = desk_config(solid_fraction=0.62)
     with pytest.raises(PackingInfeasibleError, match="solid_fraction"):
-        generate_packing(cfg, polish_sweeps=300)
+        generate_packing(cfg)
 
 
 # ---------------------------------------------------------------------------
