@@ -260,7 +260,14 @@ def box_counting_dimension(points: np.ndarray) -> BoxCountResult:
                               degenerate=True)
 
     if len(pts) > 1:
-        floor = 4.0 * float(np.mean(_nearest_distances(pts)))
+        tree = cKDTree(pts)
+        # querying in the tree's own point order keeps its walk in cache; the
+        # distances go back to input order before the mean
+        order = tree.indices
+        nn, _ = tree.query(pts[order], k=2)
+        nearest = np.empty(len(pts))
+        nearest[order] = nn[:, 1]
+        floor = 4.0 * float(np.mean(nearest))
     else:
         floor = extent / 16.0
     floor = max(floor, extent / 2 ** 14)
@@ -293,34 +300,6 @@ def box_counting_dimension(points: np.ndarray) -> BoxCountResult:
     ss_tot = float(np.sum((log_n - log_n.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return BoxCountResult(float(-slope), r2, scales, counts)
-
-
-def _nearest_distances(pts: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest other point, 0 for a point
-    that occurs more than once.
-
-    Repeated points would pile up in one k-d tree leaf and make every query
-    scan the pile, so the tree holds the distinct points.  Points whose
-    projections on a fixed direction all differ cannot repeat; only when two
-    projections tie are the distinct rows looked up.
-    """
-    # elementwise, so that equal rows get equal keys wherever they sit
-    key = np.sort(sum(w * x for w, x in zip((1.0, math.sqrt(2.0),
-                                             math.sqrt(3.0)), pts.T)))
-    repeats = bool(np.any(key[1:] == key[:-1]))
-    if repeats:
-        pts, inverse, count = np.unique(pts, axis=0, return_inverse=True,
-                                        return_counts=True)
-    tree = cKDTree(pts)
-    # querying in the tree's own point order keeps its walk in cache; the
-    # distances go back to input order before the mean
-    order = tree.indices
-    nn, _ = tree.query(pts[order], k=2)
-    nearest = np.empty(len(pts))
-    nearest[order] = nn[:, 1]
-    if repeats:
-        nearest = np.where(count > 1, 0.0, nearest)[inverse]
-    return nearest
 
 
 # ---------------------------------------------------------------------------

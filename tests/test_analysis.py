@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from frostdem.analysis import (EnergyReport,
                                PRESSURE_TO_STRAIN_RATE,
@@ -11,8 +9,7 @@ from frostdem.analysis import (EnergyReport,
                                area_change_rate, box_counting_dimension,
                                compute_energies, compute_rdif,
                                dissipation_efficiency, fit_rdif_model,
-                               reconstruct_three_wave, t2_spectrum_stats,
-                               _nearest_distances)
+                               reconstruct_three_wave, t2_spectrum_stats)
 from frostdem.errors import InvalidConfigError, UndefinedStatisticError
 
 
@@ -316,41 +313,6 @@ def test_box_counts_match_row_unique_oracle(dim, cells, jitter, seed):
                      rng.random((jitter, dim)) * 8.0])
     result = box_counting_dimension(pts)
     assert list(result.counts) == oracle_counts(pts, result.scales)
-
-
-def nearest_oracle(pts):
-    """Distance from each point to its nearest other point, from the full
-    distance matrix."""
-    d = cdist(pts, pts)
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
-
-
-def test_repeated_points_count_zero_towards_the_floor():
-    # 20,000 copies of one point: every copy, the original among them, adds 0
-    # to the mean nearest-neighbour distance, which still divides by all
-    # 22,000 points
-    base = np.random.default_rng(8).random((2000, 3))
-    pts = np.vstack([base, np.repeat(base[:1], 20_000, axis=0)])
-    expected = np.concatenate([nearest_oracle(base), np.zeros(20_000)])
-    expected[0] = 0.0
-    nearest = _nearest_distances(pts)
-    assert nearest == pytest.approx(expected, rel=1e-12, abs=0.0)
-    result = box_counting_dimension(pts)
-    assert result.scales[-1] >= 4.0 * float(np.mean(expected))
-    assert list(result.counts) == oracle_counts(pts, result.scales)
-
-
-def test_distinct_points_keep_the_plain_tree_query():
-    # (1e20, 0) and (1e20, 1) share a projection key without being one
-    # point, so the distinct rows are looked up; neither path may change
-    # a distance
-    rng = np.random.default_rng(9)
-    pts = rng.random((500, 2))
-    tied = np.vstack([pts, [[1e20, 0.0], [1e20, 1.0]]])
-    for cloud in (pts, tied):
-        nn, _ = cKDTree(cloud).query(cloud, k=2)
-        assert np.array_equal(_nearest_distances(cloud), nn[:, 1])
 
 
 # ---------------------------------------------------------------------------
