@@ -260,14 +260,7 @@ def box_counting_dimension(points: np.ndarray) -> BoxCountResult:
                               degenerate=True)
 
     if len(pts) > 1:
-        tree = cKDTree(pts)
-        # querying in the tree's own point order keeps its walk in cache; the
-        # distances go back to input order before the mean
-        order = tree.indices
-        nn, _ = tree.query(pts[order], k=2)
-        nearest = np.empty(len(pts))
-        nearest[order] = nn[:, 1]
-        floor = 4.0 * float(np.mean(nearest))
+        floor = 4.0 * _mean_nearest_distance(pts)
     else:
         floor = extent / 16.0
     floor = max(floor, extent / 2 ** 14)
@@ -300,6 +293,23 @@ def box_counting_dimension(points: np.ndarray) -> BoxCountResult:
     ss_tot = float(np.sum((log_n - log_n.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return BoxCountResult(float(-slope), r2, scales, counts)
+
+
+def _mean_nearest_distance(pts: np.ndarray) -> float:
+    """Mean distance from each point to its nearest other point.
+
+    Kept apart from the box counts so that the tree and its query arrays
+    are freed before the counts allocate theirs, which lowers the peak
+    memory of an analysis.
+    """
+    tree = cKDTree(pts)
+    # querying in the tree's own point order keeps its walk in cache; the
+    # distances go back to input order before the mean
+    order = tree.indices
+    nn, _ = tree.query(pts[order], k=2)
+    nearest = np.empty(len(pts))
+    nearest[order] = nn[:, 1]
+    return float(np.mean(nearest))
 
 
 # ---------------------------------------------------------------------------
