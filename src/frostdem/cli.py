@@ -404,7 +404,13 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
                  ("eta_pct", "undefined" if report.efficiency_pct is None
                   else report.efficiency_pct)]
         static_strength = section.get_float("static_strength")
-        if record.specimen_area and record.specimen_length:
+        missing = [f"# {key}" for key in ("specimen_area", "specimen_length")
+                   if getattr(record, key) is None]
+        if static_strength is not None and missing:
+            raise InvalidConfigError(
+                "[analysis] static_strength needs the specimen geometry, but "
+                f"the waveform has no {' or '.join(missing)} header")
+        if not missing:
             response = analysis.reconstruct_three_wave(record)
             files.append(artifacts.write_table(
                 out_dir / "dynamic_curve.tsv",

@@ -94,6 +94,10 @@ SUBSTEP_RELAX_STEPS = 150
 #: Unbalanced-force ratio the set-up and every stage end equilibrate to.
 STAGE_RELAX_TOL = 1e-3
 
+#: Mechanical steps the set-up and every stage end may take to reach
+#: ``STAGE_RELAX_TOL`` before the run fails.
+STAGE_RELAX_STEP_CAP = 30_000
+
 #: Interior-boundary deviation, degC, each substep conducts down to; it sits
 #: inside the uniformity limit, so every stage ends with a uniform field.
 CONDUCTION_TOL = 0.9 * UNIFORMITY_LIMIT
@@ -185,8 +189,10 @@ def run_freeze(assembly: ParticleAssembly,
     offsets update from the per-particle temperature changes and the contact
     network relaxes mechanically.  A stage end conducts no further, since
     the last substep left the field uniform at the target; it refreshes the
-    unbonded contacts and equilibrates.  Contact statistics are captured
-    at the baseline and at each stage end.
+    unbonded contacts and equilibrates, as the set-up does, to
+    ``STAGE_RELAX_TOL`` (``ConvergenceError`` past ``STAGE_RELAX_STEP_CAP``
+    steps).  Contact statistics are captured at the baseline and at each
+    stage end.
     """
     if assembly.n_particles == 0:
         raise InvalidConfigError("cannot freeze an empty assembly")
@@ -198,7 +204,7 @@ def run_freeze(assembly: ParticleAssembly,
             np.where(water, system.radii * config.water_prestress, 0.0))
     skin = 0.25 * float(system.radii.min())
     system.refresh_transient_contacts(skin)
-    system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=30_000)
+    system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
 
     boundary = surface_particle_ids(assembly)
     field = TemperatureField(np.full(assembly.n_particles, config.start_temp,
@@ -239,7 +245,7 @@ def run_freeze(assembly: ParticleAssembly,
             system.refresh_transient_contacts(skin)
             system.run(SUBSTEP_RELAX_STEPS)
         system.refresh_transient_contacts(skin)
-        system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=30_000)
+        system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
         stats = contact_statistics(system, baseline)
         stages.append(FreezeStageRow(_stage_label(stage_from, target), target, stats))
 

@@ -440,7 +440,8 @@ class ParticleSystem:
         The ratio is checked every 100 steps.  Velocities are zeroed every
         1000 steps, which kills the limit cycles of rattlers and flickering
         near-zero contacts.  A ratio that is not finite raises
-        :class:`~frostdem.errors.StabilityError`.
+        :class:`~frostdem.errors.StabilityError`, and one still above ``tol``
+        after ``max_steps`` raises :class:`~frostdem.errors.ConvergenceError`.
         """
         dt = self.stable_dt()
         if not math.isfinite(dt):
@@ -455,6 +456,10 @@ class ParticleSystem:
                 self.vel[:] = 0.0
             ratio = self.unbalanced_ratio()
         _require_finite(ratio)
+        if ratio > tol:
+            raise ConvergenceError(
+                f"equilibration left an unbalanced-force ratio of {ratio:g} "
+                f"after {steps} steps; the tolerance is {tol:g}")
         self.vel[:] = 0.0
         return ratio
 
@@ -566,8 +571,9 @@ def run_uniaxial_test(assembly_or_system, platen_velocity: float,
                       *, stop_fraction: float = 0.6) -> StressStrainCurve:
     """Rigid-platen axial compression to ``target_strain``.
 
-    Accepts either a raw assembly (it is then equilibrated against the
-    platens first) or a prepared :class:`ParticleSystem`, which must already
+    Accepts either a raw assembly (it is then equilibrated unconfined first,
+    which raises :class:`~frostdem.errors.ConvergenceError` if it stops at
+    its step cap) or a prepared :class:`ParticleSystem`, which must already
     satisfy the equilibrium precondition.  Sampling occurs on a fixed strain
     grid; the run stops at the target strain or once post-peak stress falls
     below ``stop_fraction`` of the peak.  A run that reaches neither within

@@ -257,21 +257,28 @@ def _random_points_in_cylinder(rng: np.random.Generator, n: int,
 
 
 class _PairCache:
-    """Candidate pair list with a displacement skin, rebuilt lazily."""
+    """Candidate pair list with a displacement skin, rebuilt lazily.
+
+    With the pairs it keeps their radius sums and the flat ``(particle,
+    axis)`` indices ``3 * i + axis`` of both ends, so a sweep scatters all
+    three axes with one ``np.bincount`` per end.
+    """
 
     def __init__(self, radii: np.ndarray, skin: float):
         self.radii = radii
         self.skin = skin
-        self.a = np.zeros(0, dtype=np.int64)
-        self.b = np.zeros(0, dtype=np.int64)
         self._anchor: np.ndarray | None = None
 
     def pairs(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._anchor is not None:
-            moved = np.max(np.abs(centers - self._anchor))
+            moved = np.abs(centers - self._anchor).max()
             if moved <= 0.5 * self.skin:
                 return self.a, self.b
         self.a, self.b, _ = _near_pairs(centers, self.radii, self.skin)
+        self.radius_sum = self.radii.take(self.a) + self.radii.take(self.b)
+        axes = np.arange(3)
+        self.flat_a = (3 * self.a[:, None] + axes).ravel()
+        self.flat_b = (3 * self.b[:, None] + axes).ravel()
         self._anchor = centers.copy()
         return self.a, self.b
 
@@ -291,7 +298,13 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
     n = len(radii)
     if n < 2:
         return centers, 0.0
+    centers = centers.copy()
     cache = _PairCache(radii, skin=0.3 * float(radii.min()))
+    wall = domain.radius - radii
+    top = domain.height - radii
+    threshold = 0.25 * max_overlap
+    gain = 0.5 * under_relax
+    z = centers[:, 2]
     residual = 0.0
     best = np.inf
     since_best = 0
@@ -299,9 +312,9 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
         a, b = cache.pairs(centers)
         if len(a) == 0:
             return centers, 0.0
-        d = centers[b] - centers[a]
+        d = centers.take(b, axis=0) - centers.take(a, axis=0)
         dist = np.linalg.norm(d, axis=1)
-        overlap = radii[a] + radii[b] - dist
+        overlap = cache.radius_sum - dist
         residual = float(overlap.max())
         if residual <= max_overlap:
             return centers, residual
@@ -310,31 +323,30 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
             since_best = 0
         else:
             since_best += 1
-        hit = overlap > 0.25 * max_overlap
-        dist_h = np.maximum(dist[hit], 1e-12)
-        push = (overlap[hit] / dist_h)[:, None] * d[hit] * (0.5 * under_relax)
-        disp = np.zeros_like(centers)
-        a_h, b_h = a[hit], b[hit]
-        for axis in range(3):
-            disp[:, axis] -= np.bincount(a_h, weights=push[:, axis], minlength=n)
-            disp[:, axis] += np.bincount(b_h, weights=push[:, axis], minlength=n)
-        centers = centers + disp
+        # rows at or below the push threshold get weight 0: adding a zero
+        # leaves every scattered sum as the hit rows alone would give it
+        hit = overlap > threshold
+        d *= np.where(hit, overlap / np.maximum(dist, 1e-12), 0.0)[:, None]
+        d *= gain
+        push = d.ravel()
+        centers += (np.bincount(cache.flat_b, weights=push, minlength=3 * n)
+                    - np.bincount(cache.flat_a, weights=push, minlength=3 * n)
+                    ).reshape(n, 3)
         if rng is not None and since_best >= 120:
             # shake only the jammed neighborhoods, keep the rest in place
             jammed = np.zeros(n, dtype=bool)
-            jammed[a_h] = True
-            jammed[b_h] = True
+            jammed[a[hit]] = True
+            jammed[b[hit]] = True
             kick = rng.normal(scale=0.5 * residual, size=centers.shape)
-            centers = centers + np.where(jammed[:, None], kick, 0.0)
+            centers += np.where(jammed[:, None], kick, 0.0)
             since_best = 0
         rho = np.hypot(centers[:, 0], centers[:, 1])
-        limit = domain.radius - radii
-        out = rho > limit
-        if np.any(out):
-            scale = limit[out] / rho[out]
+        out = rho > wall
+        if out.any():
+            scale = wall[out] / rho[out]
             centers[out, 0] *= scale
             centers[out, 1] *= scale
-        centers[:, 2] = np.clip(centers[:, 2], radii, domain.height - radii)
+        np.minimum(np.maximum(z, radii, out=z), top, out=z)
     return centers, residual
 
 

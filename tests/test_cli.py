@@ -148,6 +148,17 @@ def test_freeze_conduction_cap_exits_4(tmp_path, capsys, monkeypatch):
     assert "tolerance is 0.45 degC" in err
 
 
+def test_freeze_equilibration_cap_exits_4(tmp_path, capsys, monkeypatch):
+    from frostdem import frostheave
+
+    monkeypatch.setattr(frostheave, "STAGE_RELAX_STEP_CAP", 100)
+    cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
+    assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "stability error: equilibration left an unbalanced-force ratio" in err
+    assert "after 100 steps; the tolerance is 0.001" in err
+
+
 def test_compress_loading_cap_exits_4(tmp_path, capsys, monkeypatch):
     from frostdem import mechanics
 
@@ -240,6 +251,27 @@ def test_analyze_non_positive_value_exits_2(tmp_path, capsys, header, static,
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not (out / "energy_report.txt").exists()
+
+
+@pytest.mark.parametrize("header, missing", [
+    (WAVE_HEADER, "# specimen_area or # specimen_length"),
+    (WAVE_HEADER + "# specimen_area = 4.9e-4\n", "# specimen_length"),
+], ids=["no_specimen", "no_specimen_length"])
+def test_analyze_static_strength_without_specimen_exits_2(tmp_path, capsys,
+                                                          header, missing):
+    # a requested rdif needs the dynamic curve, so the run must not end
+    # with exit 0 and no rdif in the report
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(header + "time\te_i\te_r\te_t\n0\t1e-4\t0\t0\n"
+                    "1e-6\t1e-4\t0\t0\n")
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n"
+                                 "static_strength = 100\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [analysis] static_strength needs the specimen" in err
+    assert f"the waveform has no {missing} header" in err
     assert not (out / "energy_report.txt").exists()
 
 

@@ -621,6 +621,16 @@ def test_equilibrate_raises_on_a_nan_ratio():
         system.equilibrate()
 
 
+def test_equilibrate_raises_at_its_step_cap():
+    # the preloaded pair of the NaN test, with finite velocities, still
+    # swings after 100 steps
+    system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT})
+    system.pos[1, 2] -= 1e-4
+    with pytest.raises(ConvergenceError,
+                       match=r"ratio of \S+ after 100 steps; the tolerance is 0\.0001"):
+        system.equilibrate(max_steps=100)
+
+
 def test_uniaxial_test_raises_on_a_nan_ratio():
     # a NaN ratio must not pass the equilibrium precondition
     system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT})
