@@ -22,8 +22,8 @@ from .config import ExperimentConfig
 from .errors import (FrostDemError, InputParseError, InvalidConfigError,
                      StabilityError)
 from .frostheave import FreezeConfig, run_freeze
-from .mechanics import (DEFAULT_MASS_SCALE, MechanicalReport, calibrate,
-                        default_materials, extract_mechanical_params,
+from .mechanics import (DEFAULT_MASS_SCALE, MODULUS_WINDOW, MechanicalReport,
+                        calibrate, default_materials, extract_mechanical_params,
                         run_uniaxial_test)
 from .packing import (ContactKind, CylinderDomain, ParticleAssembly, Phase,
                       generate_packing)
@@ -326,12 +326,34 @@ def _snapshot(system) -> ParticleAssembly:
 
 
 def cmd_compress(config: ExperimentConfig, args) -> int:
-    out_dir = _resolve_out(config, args)
     seed = args.seed if args.seed is not None else config.seed
     mech = config.section("mechanics", required=False)
     platen_velocity = mech.get_float("platen_velocity", 2.0)
     target_strain = mech.get_float("target_strain", 0.015)
+    peak_target = mech.get_float("calibrate_peak")
+    modulus_target = mech.get_float("calibrate_modulus")
+    budget = mech.get_int("calibration_budget", 20)
+    # checked before any output or packing, so a bad value fails at once
+    if platen_velocity <= 0:
+        raise InvalidConfigError(
+            f"[mechanics] platen_velocity must be > 0, got {platen_velocity:g}")
+    if target_strain < MODULUS_WINDOW[1]:
+        raise InvalidConfigError(
+            f"[mechanics] target_strain must be >= {MODULUS_WINDOW[1]:g}, the "
+            f"end of the modulus window, got {target_strain:g}")
+    if budget < 1:
+        raise InvalidConfigError(
+            f"[mechanics] calibration_budget must be >= 1, got {budget}")
+    for key, value in (("calibrate_peak", peak_target),
+                       ("calibrate_modulus", modulus_target)):
+        if value is not None and value <= 0:
+            raise InvalidConfigError(f"[mechanics] {key} must be > 0, got {value:g}")
+    if (peak_target is None) != (modulus_target is None):
+        missing = "calibrate_peak" if peak_target is None else "calibrate_modulus"
+        raise InvalidConfigError(
+            f"[mechanics] {missing} is missing: calibration takes both targets")
 
+    out_dir = _resolve_out(config, args)
     load_path = mech.get_str("load_particles")
     if load_path:
         pack = config.section("packing")
@@ -342,11 +364,8 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
         assembly = generate_packing(config.packing_config(seed))
 
     files = []
-    peak_target = mech.get_float("calibrate_peak")
-    modulus_target = mech.get_float("calibrate_modulus")
     calibrated = None
-    if peak_target is not None and modulus_target is not None:
-        budget = mech.get_int("calibration_budget", 20)
+    if peak_target is not None:
         targets = MechanicalReport(peak_target, modulus_target, 0.0, 0.0)
         calibrated = calibrate(targets,
                                default_materials(assembly)[ContactKind.ROCK_ROCK],

@@ -88,8 +88,9 @@ def contact_statistics(system: ParticleSystem,
 # ---------------------------------------------------------------------------
 # Freeze pipeline
 
-#: Mechanical steps after each coupled substep.
-SUBSTEP_RELAX_STEPS = 150
+#: Mechanical steps after each coupled substep.  The count stands for a span
+#: of time, so it scales with 1 / ``mechanics.DT_SAFETY``.
+SUBSTEP_RELAX_STEPS = 75
 
 #: Unbalanced-force ratio the set-up and every stage end equilibrate to.
 STAGE_RELAX_TOL = 1e-3

@@ -170,6 +170,38 @@ def test_compress_loading_cap_exits_4(tmp_path, capsys, monkeypatch):
     assert "after 1 steps; the target is 0.015" in err
 
 
+@pytest.mark.parametrize("mechanics_block, message", [
+    ("platen_velocity = 0", "platen_velocity must be > 0, got 0"),
+    ("platen_velocity = -1", "platen_velocity must be > 0, got -1"),
+    ("target_strain = 0", "target_strain must be >= 0.0015, the end of the "
+                          "modulus window, got 0"),
+    ("calibrate_peak = 58.7\ncalibrate_modulus = 4\ncalibration_budget = 0",
+     "calibration_budget must be >= 1, got 0"),
+    ("calibrate_peak = 0\ncalibrate_modulus = 4",
+     "calibrate_peak must be > 0, got 0"),
+    ("calibrate_peak = 58.7\ncalibrate_modulus = -4",
+     "calibrate_modulus must be > 0, got -4"),
+    ("calibrate_peak = 58.7",
+     "calibrate_modulus is missing: calibration takes both targets"),
+    ("calibrate_modulus = 4",
+     "calibrate_peak is missing: calibration takes both targets"),
+], ids=["zero_velocity", "negative_velocity", "target_strain",
+        "calibration_budget", "peak_target", "modulus_target", "peak_alone",
+        "modulus_alone"])
+def test_compress_bad_mechanics_value_exits_2_before_packing(
+        tmp_path, capsys, monkeypatch, mechanics_block, message):
+    def explode(*args):
+        raise AssertionError("a bad [mechanics] value must fail before packing")
+
+    monkeypatch.setattr(cli, "generate_packing", explode)
+    monkeypatch.setattr(cli, "read_particles", explode)
+    cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}\n"
+                                 f"[mechanics]\n{mechanics_block}\n")
+    assert main(["compress", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: [mechanics] {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_compress_non_finite_loading_exits_4(tmp_path, capsys, monkeypatch):
     def nan_velocity(system):
         system.vel[0] = np.nan

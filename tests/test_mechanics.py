@@ -675,9 +675,39 @@ def test_uniaxial_loading_raises_on_a_non_finite_state(
         run_uniaxial_test(small_saturated, velocity, target)
 
 
-def test_negative_platen_velocity_rejected(medium_saturated):
-    with pytest.raises(InvalidConfigError):
+def test_negative_platen_velocity_rejected(medium_saturated, monkeypatch):
+    # the velocity is checked before the unconfined settle takes a step
+    def step(self, dt):
+        raise AssertionError("a negative velocity must fail before any step")
+
+    monkeypatch.setattr(ParticleSystem, "step", step)
+    with pytest.raises(InvalidConfigError, match="platen velocity must be >= 0"):
         run_uniaxial_test(medium_saturated, -1.0, 0.01)
+
+
+def test_uniaxial_results_converge_in_the_time_step(small_saturated, monkeypatch):
+    # the error of the explicit scheme is first order in the step: against a
+    # quarter of the shipped safety factor the peak moved 0.06% and the
+    # modulus 2.3% at most in the study that chose DT_SAFETY
+    shipped = extract_mechanical_params(
+        run_uniaxial_test(small_saturated, 2.0, 0.015))
+    monkeypatch.setattr(mechanics, "DT_SAFETY", DT_SAFETY / 4)
+    fine = extract_mechanical_params(
+        run_uniaxial_test(small_saturated, 2.0, 0.015))
+    assert shipped.peak_strength == pytest.approx(fine.peak_strength, rel=5e-3)
+    assert shipped.elastic_modulus == pytest.approx(fine.elastic_modulus, rel=3e-2)
+
+
+@pytest.mark.parametrize("fixture, velocity", [
+    ("medium_saturated", 2.0),
+    # the benchmark's platen velocity: here 0.6 keeps 595 samples
+    ("small_saturated", 4.0),
+])
+def test_uniaxial_curve_keeps_every_sample(request, fixture, velocity):
+    # a loading step that moves the platen further than the 2e-5 strain
+    # sample interval would leave the curve short of its 751 samples
+    curve = run_uniaxial_test(request.getfixturevalue(fixture), velocity, 0.015)
+    assert len(curve) == 751
 
 
 # ---------------------------------------------------------------------------
