@@ -290,7 +290,7 @@ def cmd_freeze(config: ExperimentConfig, args) -> int:
     else:
         freeze_cfg = FreezeConfig(**common)
     assembly = generate_packing(packing_cfg)
-    result = run_freeze(assembly, None, freeze_cfg)
+    result = run_freeze(assembly, freeze_cfg)
 
     files = []
     files.append(artifacts.write_particles(out_dir / "particles.tsv",
@@ -352,6 +352,10 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
         missing = "calibrate_peak" if peak_target is None else "calibrate_modulus"
         raise InvalidConfigError(
             f"[mechanics] {missing} is missing: calibration takes both targets")
+    if peak_target is None and "calibration_budget" in mech.values:
+        raise InvalidConfigError(
+            "[mechanics] calibration_budget is set without calibrate_peak and "
+            "calibrate_modulus: the budget needs both targets")
 
     out_dir = _resolve_out(config, args)
     load_path = mech.get_str("load_particles")

@@ -29,10 +29,6 @@ class CurveWindowError(FrostDemError):
     """A stress-strain curve does not span the required strain window."""
 
 
-class PreconditionError(FrostDemError):
-    """An operation precondition is not met (e.g. non-equilibrated assembly)."""
-
-
 class InputParseError(FrostDemError):
     """A data input file is malformed.
 

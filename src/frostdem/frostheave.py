@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InvalidConfigError, UndefinedStatisticError
-from .mechanics import (BondMaterial, ContactKind, CrackEvent, ParticleSystem,
-                        build_system)
+from .mechanics import CrackEvent, ParticleSystem, build_system
 # contact_arrays is unused here; bench/test_harness.py checks its probe binding
 from .packing import ParticleAssembly, Phase, contact_arrays  # noqa: F401
 from .thermal import (ALPHA_ICE, ALPHA_ROCK, ALPHA_WATER, ConductionNetwork,
@@ -165,21 +164,11 @@ class FreezeResult:
     start_temp: float = 20.0
 
     def rows(self) -> list[FreezeStageRow]:
-        base = FreezeStageRow(_stage_label(None, None), self.start_temp,
-                              self.baseline)
+        base = FreezeStageRow("baseline", self.start_temp, self.baseline)
         return [base] + list(self.stages)
 
 
-def _stage_label(t_from: float | None, t_to: float | None) -> str:
-    if t_from is None:
-        return "baseline"
-    def fmt(t):
-        return f"{t:g}C"
-    return f"{fmt(t_from)}~{fmt(t_to)}"
-
-
 def run_freeze(assembly: ParticleAssembly,
-               materials: dict[ContactKind, BondMaterial] | None = None,
                config: FreezeConfig = FreezeConfig()) -> FreezeResult:
     """Drive the coupled freeze: conduction, particle expansion, relaxation.
 
@@ -197,7 +186,7 @@ def run_freeze(assembly: ParticleAssembly,
     """
     if assembly.n_particles == 0:
         raise InvalidConfigError("cannot freeze an empty assembly")
-    system = build_system(assembly, materials)
+    system = build_system(assembly)
 
     water = system.phases == Phase.WATER
     if config.water_prestress > 0 and np.any(water):
@@ -248,7 +237,8 @@ def run_freeze(assembly: ParticleAssembly,
         system.refresh_transient_contacts(skin)
         system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
         stats = contact_statistics(system, baseline)
-        stages.append(FreezeStageRow(_stage_label(stage_from, target), target, stats))
+        stages.append(FreezeStageRow(f"{stage_from:g}C~{target:g}C", target,
+                                     stats))
 
     return FreezeResult(baseline, stages, list(system.crack_events), field,
                         system, config.start_temp)

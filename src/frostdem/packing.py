@@ -114,7 +114,6 @@ class ParticleAssembly:
     phases: np.ndarray           # (N,) Phase values
     densities: np.ndarray        # (N,) kg/m^3
     domain: CylinderDomain
-    rng_seed: int = 0
 
     @property
     def n_particles(self) -> int:
@@ -386,7 +385,7 @@ def generate_packing(config: PackingConfig) -> ParticleAssembly:
 
     if n == 0:
         return ParticleAssembly(np.zeros((0, 3)), radii, phases,
-                                np.zeros(0), domain, config.rng_seed)
+                                np.zeros(0), domain)
 
     max_r = float(radii.max())
     if 2.0 * max_r > min(config.cylinder_height, 2.0 * config.cylinder_radius):
@@ -424,6 +423,5 @@ def generate_packing(config: PackingConfig) -> ParticleAssembly:
             f"solid_fraction={config.solid_fraction} is the limiting parameter")
 
     densities = np.where(rock_mask, config.rock_density, config.water_density)
-    return ParticleAssembly(centers, radii, phases, densities, domain,
-                            config.rng_seed)
+    return ParticleAssembly(centers, radii, phases, densities, domain)
 

@@ -185,9 +185,12 @@ def test_compress_loading_cap_exits_4(tmp_path, capsys, monkeypatch):
      "calibrate_modulus is missing: calibration takes both targets"),
     ("calibrate_modulus = 4",
      "calibrate_peak is missing: calibration takes both targets"),
+    ("calibration_budget = 5",
+     "calibration_budget is set without calibrate_peak and calibrate_modulus: "
+     "the budget needs both targets"),
 ], ids=["zero_velocity", "negative_velocity", "target_strain",
         "calibration_budget", "peak_target", "modulus_target", "peak_alone",
-        "modulus_alone"])
+        "modulus_alone", "budget_alone"])
 def test_compress_bad_mechanics_value_exits_2_before_packing(
         tmp_path, capsys, monkeypatch, mechanics_block, message):
     def explode(*args):

@@ -5,8 +5,8 @@ import pytest
 
 from frostdem import mechanics
 from frostdem.errors import (ConvergenceError, CurveWindowError,
-                             InvalidConfigError, PreconditionError,
-                             StabilityError, UndefinedStatisticError)
+                             InvalidConfigError, StabilityError,
+                             UndefinedStatisticError)
 from frostdem.mechanics import (DT_SAFETY, BondMaterial, MechanicalReport,
                                 ParticleSystem, SATURATED_MATERIALS,
                                 StressStrainCurve,
@@ -554,10 +554,28 @@ def scaled_materials(strength_factor=0.25, modulus_factor=1.0):
     return mats
 
 
-def test_zero_platen_velocity_gives_zero_stress(medium_saturated):
-    curve = run_uniaxial_test(medium_saturated, 0.0, 0.01)
-    assert np.all(np.abs(curve.stress) < 1e-6)
-    assert np.all(curve.strain == 0.0)
+def spy_on_build_system(monkeypatch):
+    """Record every system ``run_uniaxial_test`` builds."""
+    built, original = [], mechanics.build_system
+
+    def build(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(mechanics, "build_system", build)
+    return built
+
+
+def test_platens_seat_force_free_after_the_unconfined_settle(medium_saturated):
+    # the settle and seating of run_uniaxial_test: held platens that touch
+    # the relaxed extremes measure no stress and no strain
+    system = build_system(medium_saturated)
+    system.equilibrate()
+    system.set_platens()
+    for _ in range(5):
+        system.run(20)
+        assert abs(system.platen_stress()) < 1e-6
+        assert system.platen_strain() == 0.0
 
 
 def test_uniaxial_curve_single_peak_then_softening(medium_saturated):
@@ -574,13 +592,13 @@ def test_uniaxial_curve_single_peak_then_softening(medium_saturated):
     assert report.peak_strain < 0.03
 
 
-def test_uniaxial_loading_is_quasi_static(medium_saturated):
+def test_uniaxial_loading_is_quasi_static(medium_saturated, monkeypatch):
     # kinetic energy stays far below accumulated strain energy at the
     # default platen velocity (the quasi-static contract of the driver)
-    system = build_system(medium_saturated, scaled_materials(0.25))
-    system.equilibrate()
-    system.set_platens()
-    curve = run_uniaxial_test(system, 2.0, 0.008)
+    built = spy_on_build_system(monkeypatch)
+    curve = run_uniaxial_test(medium_saturated, 2.0, 0.008,
+                              scaled_materials(0.25))
+    (system,) = built
     kinetic = system.kinetic_energy() / system.mass_scale  # physical mJ
     volume = medium_saturated.domain.volume
     strain_energy = float(np.trapezoid(curve.stress, curve.strain)) * volume
@@ -603,14 +621,6 @@ def test_uniaxial_determinism(medium_saturated):
         assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
 
 
-def test_uniaxial_requires_equilibrium(medium_saturated):
-    system = build_system(medium_saturated)
-    system.set_platens()
-    system.vel[:, 2] = 5.0  # blatantly out of equilibrium
-    with pytest.raises(PreconditionError):
-        run_uniaxial_test(system, 2.0, 0.01)
-
-
 def test_equilibrate_raises_on_a_nan_ratio():
     # a preloaded pair is out of equilibrium, so equilibrate steps; a NaN
     # velocity turns the positions and then the ratio into NaN
@@ -631,16 +641,6 @@ def test_equilibrate_raises_at_its_step_cap():
         system.equilibrate(max_steps=100)
 
 
-def test_uniaxial_test_raises_on_a_nan_ratio():
-    # a NaN ratio must not pass the equilibrium precondition
-    system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT})
-    system.set_platens()
-    system.vel[0, 2] = np.nan
-    system.step(system.stable_dt())
-    with pytest.raises(StabilityError, match="ratio is nan"):
-        run_uniaxial_test(system, 2.0, 0.01)
-
-
 def test_uniaxial_test_raises_at_the_loading_step_cap(monkeypatch):
     monkeypatch.setattr(mechanics, "LOADING_STEP_CAP", 10)
     with pytest.raises(ConvergenceError,
@@ -656,33 +656,34 @@ def nan_position(system):
     system.pos[0, 0] = np.nan
 
 
-@pytest.mark.parametrize("velocity, target, when, corrupt, what", [
+@pytest.mark.parametrize("target, when, corrupt, what", [
     # early: the next curve sample sees the NaN platen stress
-    (2.0, 0.015, lambda s, n: n == 20, nan_velocity, "platen stress"),
+    (0.015, lambda s, n: n == 20, nan_velocity, "platen stress"),
     # an x position turned NaN just before a contact refresh leaves the
     # platen stress finite for a step; the refresh must not reach the k-d tree
-    (2.0, 0.015, lambda s, n: n == 499, nan_position, "position sum"),
+    (0.015, lambda s, n: n == 499, nan_position, "position sum"),
     # late: no refresh comes before the run ends at its target strain
-    (2.0, 0.004, lambda s, n: s.platen_strain() >= 0.0036, nan_velocity,
+    (0.004, lambda s, n: s.platen_strain() >= 0.0036, nan_velocity,
      "platen stress"),
-    # held platens sample the stress every 20 steps
-    (0.0, 0.01, lambda s, n: n == 1, nan_velocity, "platen stress"),
-], ids=["early", "before_refresh", "late", "held"])
+], ids=["early", "before_refresh", "late"])
 def test_uniaxial_loading_raises_on_a_non_finite_state(
-        small_saturated, monkeypatch, velocity, target, when, corrupt, what):
+        small_saturated, monkeypatch, target, when, corrupt, what):
     corrupt_loading(monkeypatch, when, corrupt)
     with pytest.raises(StabilityError, match=rf"the {what} is nan at a strain of "):
-        run_uniaxial_test(small_saturated, velocity, target)
+        run_uniaxial_test(small_saturated, 2.0, target)
 
 
 def test_negative_platen_velocity_rejected(medium_saturated, monkeypatch):
-    # the velocity is checked before the unconfined settle takes a step
+    # the velocity is checked before the unconfined settle takes a step; a
+    # zero velocity would otherwise step to the loading step cap
     def step(self, dt):
-        raise AssertionError("a negative velocity must fail before any step")
+        raise AssertionError("a velocity <= 0 must fail before any step")
 
     monkeypatch.setattr(ParticleSystem, "step", step)
-    with pytest.raises(InvalidConfigError, match="platen velocity must be >= 0"):
-        run_uniaxial_test(medium_saturated, -1.0, 0.01)
+    for velocity in (-1.0, 0.0):
+        with pytest.raises(InvalidConfigError,
+                           match="platen velocity must be > 0"):
+            run_uniaxial_test(medium_saturated, velocity, 0.01)
 
 
 def test_uniaxial_results_converge_in_the_time_step(small_saturated, monkeypatch):
@@ -721,7 +722,6 @@ def test_calibration_fixed_point(medium_saturated):
                        assembly=medium_saturated,
                        platen_velocity=2.0, target_strain=0.015)
     assert result.converged
-    assert result.adjustment_rounds == 0
     assert result.sim_runs == 1
     assert result.material == mats[ContactKind.ROCK_ROCK]
     # the one run is the reference run again, and the result keeps it
@@ -739,7 +739,7 @@ def test_calibration_doubled_strength_converges_quickly(medium_saturated):
     result = calibrate(targets, seeded, budget=20, assembly=medium_saturated,
                        platen_velocity=2.0, target_strain=0.015)
     assert result.converged
-    assert result.adjustment_rounds <= 3
+    assert result.sim_runs <= 4
 
 
 def test_calibration_input_validation(medium_saturated):
@@ -770,11 +770,11 @@ def test_one_bond_failure_load_monotone_in_tensile_strength():
     assert loads == sorted(loads)
 
 
-def test_crack_log_unique_and_time_ordered_under_compression(medium_saturated):
-    system = build_system(medium_saturated, scaled_materials(0.15))
-    system.equilibrate()
-    system.set_platens()
-    run_uniaxial_test(system, 2.0, 0.015)
+def test_crack_log_unique_and_time_ordered_under_compression(medium_saturated,
+                                                            monkeypatch):
+    built = spy_on_build_system(monkeypatch)
+    run_uniaxial_test(medium_saturated, 2.0, 0.015, scaled_materials(0.15))
+    (system,) = built
     assert len(system.crack_events) > 0
     broken = int(np.count_nonzero(~system.b_intact))
     assert len(system.crack_events) == broken
