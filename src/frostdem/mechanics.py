@@ -43,6 +43,15 @@ DEFAULT_MASS_SCALE = 1.0e6
 #: Mean unbalanced-force ratio accepted as equilibrium.
 EQUILIBRIUM_RATIO = 1e-4
 
+#: Constants of the Fast Inertial Relaxation Engine that
+#: :meth:`ParticleSystem.equilibrate` runs (Bitzek et al., PRL 97 (2006)
+#: 170201): the initial velocity-mixing weight, its shrink factor, and the
+#: steps of positive power before it starts to shrink.  The step itself stays
+#: at the stable step, since ``step`` raises above it.
+FIRE_ALPHA0 = 0.1
+FIRE_F_ALPHA = 0.99
+FIRE_N_MIN = 5
+
 #: Loading steps a uniaxial test may take before it fails.
 LOADING_STEP_CAP = 2_000_000
 
@@ -188,6 +197,7 @@ class ParticleSystem:
         self._install_bonds()
         self.walls: dict | None = None
         self._dt_cache: float | None = None
+        self._fire: _Fire | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -407,14 +417,20 @@ class ParticleSystem:
         return self._dt_cache
 
     def step(self, dt: float) -> None:
-        """One explicit step: forces, local damping, semi-implicit Euler."""
+        """One explicit step: forces, local damping, semi-implicit Euler.
+
+        Inside :meth:`equilibrate` the FIRE velocity update takes the place
+        of local damping.
+        """
         if not (dt > 0.0 and math.isfinite(dt)):
             raise InvalidConfigError(f"dt must be positive and finite, got {dt}")
         if dt > self.stable_dt() * (1.0 + 1e-12):
             raise StabilityError(
                 f"dt={dt:g} s exceeds stability limit {self.stable_dt():g} s")
         force, _ = self._accumulate_forces(dt)
-        if self.damping > 0.0:
+        if self._fire is not None:
+            self._fire.steer(self.vel, force)
+        elif self.damping > 0.0:
             force = force - self.damping * np.abs(force) * np.sign(self.vel)
         self.vel += force * self.inv_mass[:, None] * dt
         self.pos += self.vel * dt
@@ -445,11 +461,14 @@ class ParticleSystem:
 
     def equilibrate(self, tol: float = EQUILIBRIUM_RATIO,
                     max_steps: int = 60_000) -> float:
-        """Damped stepping until the unbalanced ratio drops below ``tol``.
+        """FIRE relaxation until the unbalanced ratio drops below ``tol``.
 
-        The ratio is checked every 100 steps.  Velocities are zeroed every
-        1000 steps, which kills the limit cycles of rattlers and flickering
-        near-zero contacts.  A ratio that is not finite raises
+        Each step is a :meth:`step` at the stable step with the velocity
+        update of the Fast Inertial Relaxation Engine in place of local
+        damping: velocity is mixed toward the force while the power ``F . v``
+        is positive and zeroed when it is not (:data:`FIRE_ALPHA0`,
+        :data:`FIRE_F_ALPHA`, :data:`FIRE_N_MIN`).  The ratio is checked every
+        100 steps.  A ratio that is not finite raises
         :class:`~frostdem.errors.StabilityError`, and one still above ``tol``
         after ``max_steps`` raises :class:`~frostdem.errors.ConvergenceError`.
         """
@@ -458,13 +477,16 @@ class ParticleSystem:
             return 0.0
         ratio = self.unbalanced_ratio()
         steps = 0
-        while ratio > tol and steps < max_steps:
-            for _ in range(100):
-                self.step(min(dt, self.stable_dt()))
-            steps += 100
-            if steps % 1000 == 0:
-                self.vel[:] = 0.0
-            ratio = self.unbalanced_ratio()
+        self._fire = _Fire()
+        try:
+            while ratio > tol and steps < max_steps:
+                block = min(100, max_steps - steps)
+                for _ in range(block):
+                    self.step(min(dt, self.stable_dt()))
+                steps += block
+                ratio = self.unbalanced_ratio()
+        finally:
+            self._fire = None
         _require_finite(ratio)
         if ratio > tol:
             raise ConvergenceError(
@@ -543,6 +565,34 @@ class ParticleSystem:
                 * (dd ** 2 + 2.0 * dd * (ra + rb) - 3.0 * (ra - rb) ** 2)
                 / (12.0 * np.maximum(dd, 1e-12)))
         return float(lens.sum())
+
+
+class _Fire:
+    """The FIRE velocity update of one :meth:`ParticleSystem.equilibrate`."""
+
+    def __init__(self):
+        self.alpha = FIRE_ALPHA0
+        self.positive_steps = 0
+
+    def steer(self, vel: np.ndarray, force: np.ndarray) -> None:
+        """Mix ``vel`` in place toward ``force`` while the power is positive,
+        shrinking the mixing weight after :data:`FIRE_N_MIN` such steps; zero
+        it otherwise.  A power that is not finite mixes, so a non-finite
+        state stays non-finite for the ratio check to catch."""
+        power = float(np.vdot(force, vel))
+        if power <= 0.0:
+            vel[:] = 0.0
+            self.alpha = FIRE_ALPHA0
+            self.positive_steps = 0
+            return
+        # a positive power means a nonzero force, so |F| divides safely
+        v_norm = math.sqrt(float(np.vdot(vel, vel)))
+        f_norm = math.sqrt(float(np.vdot(force, force)))
+        vel *= 1.0 - self.alpha
+        vel += (self.alpha * v_norm / f_norm) * force
+        self.positive_steps += 1
+        if self.positive_steps > FIRE_N_MIN:
+            self.alpha *= FIRE_F_ALPHA
 
 
 def _require_finite(ratio: float) -> None:

@@ -7,14 +7,15 @@ from frostdem import mechanics
 from frostdem.errors import (ConvergenceError, CurveWindowError,
                              InvalidConfigError, StabilityError,
                              UndefinedStatisticError)
-from frostdem.mechanics import (DT_SAFETY, BondMaterial, MechanicalReport,
-                                ParticleSystem, SATURATED_MATERIALS,
-                                StressStrainCurve,
+from frostdem.mechanics import (DT_SAFETY, EQUILIBRIUM_RATIO, BondMaterial,
+                                MechanicalReport, ParticleSystem,
+                                SATURATED_MATERIALS, StressStrainCurve,
                                 build_system, calibrate,
                                 extract_mechanical_params, run_uniaxial_test)
-from frostdem.packing import ContactKind, CylinderDomain, ParticleAssembly
+from frostdem.packing import (ContactKind, CylinderDomain, ParticleAssembly,
+                              generate_packing)
 
-from conftest import corrupt_loading
+from conftest import corrupt_loading, desk_config
 
 
 ROCK_MAT = SATURATED_MATERIALS[ContactKind.ROCK_ROCK]
@@ -631,14 +632,57 @@ def test_equilibrate_raises_on_a_nan_ratio():
         system.equilibrate()
 
 
-def test_equilibrate_raises_at_its_step_cap():
-    # the preloaded pair of the NaN test, with finite velocities, still
-    # swings after 100 steps
-    system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT})
-    system.pos[1, 2] -= 1e-4
+def test_equilibrate_raises_at_its_step_cap(medium_saturated):
+    # a fresh 313-particle system takes 300 steps to settle
+    system = build_system(medium_saturated)
     with pytest.raises(ConvergenceError,
                        match=r"ratio of \S+ after 100 steps; the tolerance is 0\.0001"):
         system.equilibrate(max_steps=100)
+
+
+def test_equilibrate_stops_at_a_cap_between_two_ratio_checks(medium_saturated):
+    # the ratio is checked every 100 steps, but the last block is cut short
+    # so the run takes no step past its cap
+    system = build_system(medium_saturated)
+    with pytest.raises(ConvergenceError, match=r"after 150 steps;"):
+        system.equilibrate(max_steps=150)
+    assert system.step_count == 150
+
+
+# ---------------------------------------------------------------------------
+# equilibrate against the Cundall-damped relaxation it replaced
+
+def _equilibrate_oracle(system, tol=EQUILIBRIUM_RATIO, max_steps=60_000):
+    """The former ``ParticleSystem.equilibrate``: locally damped steps,
+    velocities zeroed every 1000 steps, the ratio checked every 100."""
+    dt = system.stable_dt()
+    ratio = system.unbalanced_ratio()
+    steps = 0
+    while ratio > tol and steps < max_steps:
+        for _ in range(100):
+            system.step(min(dt, system.stable_dt()))
+        steps += 100
+        if steps % 1000 == 0:
+            system.vel[:] = 0.0
+        ratio = system.unbalanced_ratio()
+    assert ratio <= tol
+    system.vel[:] = 0.0
+    return ratio
+
+
+@pytest.mark.parametrize("packing", ["small_saturated", "medium_saturated",
+                                     "medium_seed6"])
+def test_equilibrate_settles_where_the_damped_oracle_does(request, packing):
+    assembly = (generate_packing(desk_config(radius=8.0, height=16.0, seed=6))
+                if packing == "medium_seed6" else request.getfixturevalue(packing))
+    oracle = build_system(assembly)
+    _equilibrate_oracle(oracle)
+    fire = build_system(assembly)
+    assert fire.equilibrate() <= EQUILIBRIUM_RATIO
+    assert np.array_equal(fire.b_intact, oracle.b_intact)
+    # radii are at least 0.8 mm
+    assert np.abs(fire.pos - oracle.pos).max() <= 5e-5
+    assert 0 < fire.step_count <= oracle.step_count / 2
 
 
 def test_uniaxial_test_raises_at_the_loading_step_cap(monkeypatch):
