@@ -1,9 +1,8 @@
 """Impact-test waveform analysis, strength ratios, fractal and pore statistics.
 
 All operations are pure functions over immutable inputs.  Energies integrate
-stress times strain times bar area times wave speed over time, as reported;
-a conventional mode using the squared-strain form is available for
-comparison.
+stress times strain times bar area times wave speed over time, with the
+stress taken from the strain through the bar modulus.
 """
 from __future__ import annotations
 
@@ -22,16 +21,13 @@ PRESSURE_TO_STRAIN_RATE = {0.25: 200.0, 0.30: 400.0, 0.40: 600.0}
 #: Reference strength-ratio outputs for saturated specimens at 0.30 MPa,
 #: carried as regression fixtures (not recomputed from strengths).
 RDIF_REFERENCE_SATURATED = {20.0: 0.85, -10.0: 1.12, -20.0: 1.18}
-RDIF_REFERENCE_DRY = {20.0: 1.05, -10.0: 1.06, -20.0: 1.08}
 
 
 @dataclass(frozen=True)
 class WaveRecord:
     """Incident/reflected/transmitted gauge histories plus bar geometry.
 
-    Strains are dimensionless, stresses MPa; when a stress history is not
-    supplied it derives from the bar modulus.  ``time`` must be uniformly
-    sampled.
+    Strains are dimensionless.  ``time`` must be uniformly sampled.
     """
 
     time: np.ndarray                     # s
@@ -43,16 +39,11 @@ class WaveRecord:
     bar_modulus: float                   # GPa
     specimen_area: float | None = None   # m^2
     specimen_length: float | None = None  # m
-    stress_incident: np.ndarray | None = None   # MPa
-    stress_reflected: np.ndarray | None = None
-    stress_transmitted: np.ndarray | None = None
 
     def __post_init__(self):
-        series = [self.strain_incident, self.strain_reflected,
-                  self.strain_transmitted]
-        series += [s for s in (self.stress_incident, self.stress_reflected,
-                               self.stress_transmitted) if s is not None]
-        if any(len(s) != len(self.time) for s in series):
+        if any(len(s) != len(self.time) for s in (
+                self.strain_incident, self.strain_reflected,
+                self.strain_transmitted)):
             raise InvalidConfigError("all series must share the time base")
         if len(self.time) == 0:
             raise InvalidConfigError("series are empty")
@@ -65,17 +56,6 @@ class WaveRecord:
             dt = np.diff(self.time)
             if not np.allclose(dt, dt[0], rtol=1e-6, atol=1e-15):
                 raise InvalidConfigError("time base must be uniform")
-
-    def stresses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stress histories MPa, derived from strain when not supplied."""
-        e_bar = self.bar_modulus * 1e3  # GPa -> MPa
-        out = []
-        for stress, strain in ((self.stress_incident, self.strain_incident),
-                               (self.stress_reflected, self.strain_reflected),
-                               (self.stress_transmitted, self.strain_transmitted)):
-            out.append(np.asarray(stress, dtype=float) if stress is not None
-                       else e_bar * np.asarray(strain, dtype=float))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -95,36 +75,29 @@ class EnergyReport:
     def from_energies(cls, incident: float, reflected: float,
                       transmitted: float) -> "EnergyReport":
         absorbed = incident - reflected - transmitted
-        eta = None if incident <= 0 else absorbed / incident * 100.0
+        eta = (None if incident <= 0
+               else dissipation_efficiency(absorbed, incident))
         return cls(incident, reflected, transmitted, absorbed, eta)
 
 
-def compute_energies(record: WaveRecord,
-                     mode: str = "stress-strain") -> EnergyReport:
+def compute_energies(record: WaveRecord) -> EnergyReport:
     """Trapezoid wave energies from one record.
 
-    ``mode="stress-strain"`` integrates stress * strain * A0 * C0;
-    ``mode="conventional"`` integrates A0 * C0 * E_bar * strain^2 (the
-    classic squared-strain form).  The two coincide when stress histories
-    derive from the bar modulus.
+    Each wave integrates stress * strain * A0 * C0 over time, the stress
+    being E_bar * strain.  With the stress taken from the strain this is the
+    squared-strain form A0 * C0 * E_bar * strain^2, so there is one formula.
     """
-    s_i, s_r, s_t = record.stresses()
+    e_bar = record.bar_modulus * 1e3  # GPa -> MPa
     a0c0 = record.bar_area * record.bar_wave_speed
     t = record.time
 
-    def integrate(stress_mpa, strain):
-        if mode == "stress-strain":
-            power = stress_mpa * 1e6 * strain * a0c0
-        elif mode == "conventional":
-            power = record.bar_modulus * 1e9 * strain ** 2 * a0c0
-        else:
-            raise InvalidConfigError(f"unknown energy mode {mode!r}")
+    def integrate(strain):
+        power = e_bar * strain * 1e6 * strain * a0c0
         return float(np.trapezoid(power, t)) if len(t) > 1 else 0.0
 
-    e_i = integrate(s_i, record.strain_incident)
-    e_r = integrate(s_r, record.strain_reflected)
-    e_t = integrate(s_t, record.strain_transmitted)
-    return EnergyReport.from_energies(e_i, e_r, e_t)
+    return EnergyReport.from_energies(integrate(record.strain_incident),
+                                      integrate(record.strain_reflected),
+                                      integrate(record.strain_transmitted))
 
 
 def dissipation_efficiency(absorbed: float, incident: float) -> float:

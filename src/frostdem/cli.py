@@ -274,19 +274,17 @@ def cmd_freeze(config: ExperimentConfig, args) -> int:
                         ("mass_scale", fixed_mass)):
         if key in thermal.values:
             raise InvalidConfigError(f"[thermal] {key} is not supported: {reason}")
-    common = dict(
-        start_temp=thermal.get_float("start_temp", 20.0),
-        substep_dt_max=thermal.get_float("substep_dt_max", 2.0),
-        water_prestress=thermal.get_float("water_prestress", 0.008),
-        freeze_volume_jump=thermal.get_float("freeze_volume_jump", 0.0),
-    )
+    # keys the file leaves out take FreezeConfig's defaults
+    common = {key: thermal.get_float(key)
+              for key in ("start_temp", "substep_dt_max", "water_prestress",
+                          "freeze_volume_jump")
+              if key in thermal.values}
     stage_temps = thermal.get_float_list("stage_temps")
     target_temp = thermal.get_float("target_temp")
     if stage_temps:
         freeze_cfg = FreezeConfig(stage_temps=tuple(stage_temps), **common)
     elif target_temp is not None:
-        start = common.pop("start_temp")
-        freeze_cfg = FreezeConfig.to_target(target_temp, start, **common)
+        freeze_cfg = FreezeConfig.to_target(target_temp, **common)
     else:
         freeze_cfg = FreezeConfig(**common)
     assembly = generate_packing(packing_cfg)
@@ -412,16 +410,21 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
 
 
 def cmd_analyze(config: ExperimentConfig, args) -> int:
-    out_dir = _resolve_out(config, args)
     section = config.section("analysis")
+    mode = section.get_str("energy_mode", "stress-strain")
+    if mode != "stress-strain":
+        raise InvalidConfigError(
+            f"[analysis] energy_mode must be stress-strain, got {mode!r}: "
+            "waveform files carry strains only, so the squared-strain form "
+            "equals the stress-strain form")
+    out_dir = _resolve_out(config, args)
     files = []
     did_anything = False
 
     wave_path = section.get_str("waveform")
     if wave_path:
         record = read_wave_record(wave_path)
-        mode = section.get_str("energy_mode", "stress-strain")
-        report = analysis.compute_energies(record, mode)
+        report = analysis.compute_energies(record)
         pairs = [("E_i", report.incident), ("E_r", report.reflected),
                  ("E_t", report.transmitted), ("E_a", report.absorbed),
                  ("eta_pct", "undefined" if report.efficiency_pct is None
@@ -455,6 +458,9 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
         except ValueError:
             raise InvalidConfigError(
                 "[analysis] rdif_points must look like '200:1.05,600:1.32'") from None
+        if not all(math.isfinite(x) for point in points for x in point):
+            raise InvalidConfigError(
+                f"[analysis] rdif_points must be finite numbers, got {rdif_raw!r}")
         model = analysis.fit_rdif_model(points)
         files.append(artifacts.write_report(
             out_dir / "rdif_report.txt",

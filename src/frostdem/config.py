@@ -128,6 +128,10 @@ class ExperimentConfig:
 
     def packing_config(self, seed: int | None = None) -> PackingConfig:
         s = self.section("packing")
+        # keys the file leaves out take PackingConfig's defaults
+        optional = {key: s.get_float(key)
+                    for key in ("rock_density", "water_density", "solid_fraction")
+                    if key in s.values}
         cfg = PackingConfig(
             target_porosity=s.get_float("target_porosity", required=True),
             rock_radius_min=s.get_float("rock_radius_min", required=True),
@@ -136,10 +140,8 @@ class ExperimentConfig:
             water_radius_max=s.get_float("water_radius_max", 0.95),
             cylinder_radius=s.get_float("cylinder_radius", required=True),
             cylinder_height=s.get_float("cylinder_height", required=True),
-            rock_density=s.get_float("rock_density", 2600.0),
-            water_density=s.get_float("water_density", 960.0),
             rng_seed=self.seed if seed is None else seed,
-            solid_fraction=s.get_float("solid_fraction", 0.60),
+            **optional,
         )
         cfg.validate()
         return cfg

@@ -125,6 +125,8 @@ class FreezeConfig:
     def __post_init__(self):
         if self.substep_dt_max <= 0:
             raise InvalidConfigError("substep_dt_max must be > 0")
+        if self.water_prestress < 0:
+            raise InvalidConfigError("water_prestress must be >= 0")
         if self.freeze_volume_jump < 0:
             raise InvalidConfigError("freeze_volume_jump must be >= 0")
         temps = [self.start_temp, *self.stage_temps]
@@ -132,16 +134,17 @@ class FreezeConfig:
             raise InvalidConfigError("stage temperatures must strictly decrease")
 
     @classmethod
-    def to_target(cls, target_temp: float, start_temp: float = 20.0,
-                  **kwargs) -> "FreezeConfig":
+    def to_target(cls, target_temp: float, **kwargs) -> "FreezeConfig":
         """Stage checkpoints down to an arbitrary target temperature.
 
-        The freezing checkpoints (0, -10, -20 degC) above the target are
-        kept so stage statistics stay comparable across targets.
+        The default freezing checkpoints above the target are kept so stage
+        statistics stay comparable across targets; ``kwargs`` are the other
+        fields, ``start_temp`` among them.
         """
+        start_temp = kwargs.pop("start_temp", cls.start_temp)
         if target_temp >= start_temp:
             raise InvalidConfigError("target must lie below the start temperature")
-        stages = [t for t in (0.0, -10.0, -20.0)
+        stages = [t for t in cls.stage_temps
                   if start_temp > t > target_temp]
         stages.append(target_temp)
         return cls(start_temp=start_temp, stage_temps=tuple(stages), **kwargs)
@@ -161,7 +164,7 @@ class FreezeResult:
     cracks: list[CrackEvent]
     field: TemperatureField
     system: ParticleSystem
-    start_temp: float = 20.0
+    start_temp: float
 
     def rows(self) -> list[FreezeStageRow]:
         base = FreezeStageRow("baseline", self.start_temp, self.baseline)

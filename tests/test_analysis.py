@@ -53,22 +53,6 @@ def test_energy_balance_from_reported_components():
     assert report.efficiency_pct == pytest.approx(50.37, abs=0.005)
 
 
-def test_conventional_mode_differs_but_stays_positive():
-    direct = compute_energies(make_record(), "stress-strain")
-    conv = compute_energies(make_record(), "conventional")
-    assert conv.incident > 0
-    assert conv.incident == pytest.approx(direct.incident, rel=1e-9)
-    # with stress derived from strain the two modes coincide; they separate
-    # when an independent stress history is supplied
-    t = np.linspace(0, 100e-6, 11)
-    rec = WaveRecord(time=t, strain_incident=np.full(11, 1e-3),
-                     strain_reflected=np.zeros(11), strain_transmitted=np.zeros(11),
-                     bar_area=1.9635e-3, bar_wave_speed=5000.0, bar_modulus=10.0,
-                     stress_incident=np.full(11, 20.0))
-    assert compute_energies(rec, "stress-strain").incident \
-        == pytest.approx(2 * compute_energies(rec, "conventional").incident)
-
-
 def test_mismatched_series_rejected():
     t = np.linspace(0, 1e-4, 10)
     with pytest.raises(InvalidConfigError):

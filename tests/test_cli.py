@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +120,19 @@ def test_freeze_rejects_unsupported_schedule_key(tmp_path, capsys, key):
     cfg = write_config(tmp_path, body)
     assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"[thermal] {key}" in capsys.readouterr().err
+
+
+def test_freeze_negative_water_prestress_exits_2_before_packing(
+        tmp_path, capsys, monkeypatch):
+    def explode(*args):
+        raise AssertionError("a bad [thermal] value must fail before packing")
+
+    monkeypatch.setattr(cli, "generate_packing", explode)
+    body = (f"[run]\nseed = 5\n{PACKING_BLOCK}\n[thermal]\n"
+            "stage_temps = 0,-10\nwater_prestress = -0.5\n")
+    cfg = write_config(tmp_path, body)
+    assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "water_prestress must be >= 0" in capsys.readouterr().err
 
 
 def test_analyze_with_nothing_to_do_exits_2(tmp_path, capsys):
@@ -318,6 +334,64 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, body, key):
     cfg = write_config(tmp_path, "[analysis]\n" + body)
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"[analysis] {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [
+    "200:nan,600:1.32",         # a nan ratio was dropped without a word
+    "inf:1.05,600:1.32,400:1.2",  # an inf rate broke the fit
+    "200:1.05,600:inf",         # an inf ratio gave k = m = nan
+], ids=["nan_ratio", "inf_rate", "inf_ratio"])
+def test_analyze_non_finite_rdif_point_exits_2(tmp_path, capsys, points):
+    cfg = write_config(tmp_path, f"[analysis]\nrdif_points = {points}\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert ("config error: [analysis] rdif_points must be finite numbers, "
+            f"got {points!r}") in capsys.readouterr().err
+    assert not (out / "rdif_report.txt").exists()
+
+
+def test_analyze_energy_mode_other_than_stress_strain_exits_2(
+        tmp_path, capsys, monkeypatch):
+    def explode(*args):
+        raise AssertionError("energy_mode must be checked before the waveform")
+
+    monkeypatch.setattr(cli, "read_wave_record", explode)
+    cfg = write_config(tmp_path, "[analysis]\nwaveform = wave.tsv\n"
+                                 "energy_mode = conventional\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [analysis] energy_mode must be stress-strain, " \
+           "got 'conventional'" in err
+    assert "waveform files carry strains only" in err
+    assert not out.exists()
+
+
+def test_analyze_energy_mode_stress_strain_changes_nothing(tmp_path):
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(WAVE_HEADER + "time\te_i\te_r\te_t\n0\t1e-4\t0\t0\n"
+                    "1e-6\t1e-4\t0\t0\n")
+    reports = []
+    for name, extra in (("plain", ""), ("named", "energy_mode = stress-strain\n")):
+        cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n{extra}",
+                           name=f"{name}.cfg")
+        out = tmp_path / name
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        reports.append((out / "manifest.txt").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_readme_waveform_example_analyzes(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", readme, flags=re.S | re.M)
+    example = [b for b in blocks if b.startswith("# bar_area =")]
+    assert len(example) == 1
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(example[0])
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "dynamic_curve.tsv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,8 @@ def test_freeze_config_to_target_keeps_checkpoints():
     assert FreezeConfig.to_target(-15.0).stage_temps == (0.0, -10.0, -15.0)
     assert FreezeConfig.to_target(-10.0).stage_temps == (0.0, -10.0)
     assert FreezeConfig.to_target(5.0).stage_temps == (5.0,)
+    lower = FreezeConfig.to_target(-15.0, start_temp=-5.0)
+    assert (lower.start_temp, lower.stage_temps) == (-5.0, (-10.0, -15.0))
     with pytest.raises(InvalidConfigError):
         FreezeConfig.to_target(25.0)
 
