@@ -137,7 +137,9 @@ def fit_rdif_model(points: Sequence[tuple[float, float]]) -> RdifModel:
 
     Points with ratio <= 1 cannot satisfy the model with non-negative
     coefficients; they are excluded and reported.  With no usable points the
-    result is the degenerate k = 0 model.
+    result is the degenerate k = 0 model; with one usable rate, however many
+    points share it, it is the degenerate m = 1 model through their mean
+    ratio.
     """
     pts = [(float(r), float(v)) for r, v in points]
     if any(r <= 0 for r, _ in pts):
@@ -146,9 +148,13 @@ def fit_rdif_model(points: Sequence[tuple[float, float]]) -> RdifModel:
     excluded = tuple((r, v) for r, v in pts if v <= 1.0)
     if len(usable) == 0:
         return RdifModel(0.0, 0.0, 0.0, degenerate=True, excluded=excluded)
-    if len(usable) == 1:
-        rate, value = usable[0]
-        return RdifModel((value - 1.0) / rate, 1.0, 0.0, degenerate=True,
+    if len({r for r, _ in usable}) == 1:
+        # a line through log(ratio - 1) needs two distinct rates
+        rate = usable[0][0]
+        values = np.array([v for _, v in usable])
+        mean = float(values.mean())
+        return RdifModel((mean - 1.0) / rate, 1.0,
+                         float(np.max(np.abs(values - mean))), degenerate=True,
                          excluded=excluded)
     x = np.log([r for r, _ in usable])
     y = np.log([v - 1.0 for _, v in usable])

@@ -351,8 +351,12 @@ class ParticleSystem:
         np.multiply(fn[:, None], normal, out=pair_force[:m])
         pair_force[:nb] += self.b_shear
         np.negative(pair_force[:m], out=pair_force[m:])
-        force = np.bincount(self._scatter_idx, weights=pair_force.ravel(),
-                            minlength=3 * self.n).reshape(self.n, 3)
+        if m:
+            force = np.bincount(self._scatter_idx, weights=pair_force.ravel(),
+                                minlength=3 * self.n).reshape(self.n, 3)
+        else:
+            # np.bincount over no weights counts in integers
+            force = np.zeros((self.n, 3))
 
         if self.walls is not None:
             f_bot, f_top = self._platen_forces()
@@ -404,8 +408,10 @@ class ParticleSystem:
         k_pair = self.k_lin.copy()
         np.copyto(k_pair[:self.n_bonds], self.b_k_normal + self.b_k_shear,
                   where=self.b_intact)
+        # float even over no rows, where np.bincount counts in integers
         k_sum = (np.bincount(self.ia, weights=k_pair, minlength=self.n)
-                 + np.bincount(self.ib, weights=k_pair, minlength=self.n))
+                 + np.bincount(self.ib, weights=k_pair, minlength=self.n)
+                 ).astype(float, copy=False)
         if self.walls is not None:
             k_sum += self.walls["k"]
         active = k_sum > 0

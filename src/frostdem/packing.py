@@ -282,6 +282,11 @@ class _PairCache:
         return self.a, self.b
 
 
+#: Heavy-ball momentum of the overlap relaxation: the share of the last
+#: sweep's displacement that each sweep repeats while the residual falls.
+RELAX_MOMENTUM = 0.8
+
+
 def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
                     domain: CylinderDomain, max_overlap: float,
                     max_sweeps: int, under_relax: float = 0.7,
@@ -289,10 +294,13 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
                     ) -> tuple[np.ndarray, float]:
     """Jacobi pushes apart overlapping spheres, projecting into the domain.
 
-    When progress stalls and an ``rng`` is supplied, a small seeded jitter
-    shakes the packing out of jammed local arrangements.  Returns relaxed
-    centers and the residual maximum overlap after at most ``max_sweeps``
-    sweeps.
+    Each sweep adds heavy-ball momentum, ``RELAX_MOMENTUM`` times the last
+    sweep's displacement, while the residual keeps falling; a sweep after
+    one in which it did not fall runs without it (adaptive restart).  When
+    progress stalls and an ``rng`` is supplied, a small seeded jitter
+    shakes the packing out of jammed local arrangements and clears the
+    momentum.  Returns relaxed centers and the residual maximum overlap
+    after at most ``max_sweeps`` sweeps.
     """
     n = len(radii)
     if n < 2:
@@ -304,7 +312,8 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
     threshold = 0.25 * max_overlap
     gain = 0.5 * under_relax
     z = centers[:, 2]
-    residual = 0.0
+    prev = centers.copy()
+    residual = last = 0.0
     best = np.inf
     since_best = 0
     for _ in range(max_sweeps):
@@ -328,9 +337,14 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
         d *= np.where(hit, overlap / np.maximum(dist, 1e-12), 0.0)[:, None]
         d *= gain
         push = d.ravel()
-        centers += (np.bincount(cache.flat_b, weights=push, minlength=3 * n)
-                    - np.bincount(cache.flat_a, weights=push, minlength=3 * n)
-                    ).reshape(n, 3)
+        step = (np.bincount(cache.flat_b, weights=push, minlength=3 * n)
+                - np.bincount(cache.flat_a, weights=push, minlength=3 * n)
+                ).reshape(n, 3)
+        if residual < last:
+            step += RELAX_MOMENTUM * (centers - prev)
+        last = residual
+        prev[:] = centers
+        centers += step
         if rng is not None and since_best >= 120:
             # shake only the jammed neighborhoods, keep the rest in place
             jammed = np.zeros(n, dtype=bool)
@@ -338,6 +352,7 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
             jammed[b[hit]] = True
             kick = rng.normal(scale=0.5 * residual, size=centers.shape)
             centers += np.where(jammed[:, None], kick, 0.0)
+            prev[:] = centers
             since_best = 0
         rho = np.hypot(centers[:, 0], centers[:, 1])
         out = rho > wall

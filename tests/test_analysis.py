@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from frostdem.analysis import (EnergyReport,
                                PRESSURE_TO_STRAIN_RATE,
-                               RDIF_REFERENCE_SATURATED, WaveRecord,
+                               RDIF_REFERENCE_SATURATED, RdifModel, WaveRecord,
                                area_change_rate, box_counting_dimension,
                                compute_energies, compute_rdif,
                                dissipation_efficiency, fit_rdif_model,
@@ -129,6 +129,20 @@ def test_fit_constant_ratio_is_degenerate():
     model = fit_rdif_model([(200.0, 1.0), (400.0, 1.0), (600.0, 1.0)])
     assert model.degenerate
     assert model.k == 0.0
+
+
+def test_fit_one_repeated_rate_is_degenerate_through_the_mean():
+    # a single rate fixes no slope in log space; np.polyfit would warn and
+    # return an arbitrary line
+    model = fit_rdif_model([(200.0, 1.05), (200.0, 1.2), (200.0, 0.9)])
+    assert model.degenerate
+    assert model.m == 1.0
+    assert model.k == pytest.approx(0.125 / 200.0, rel=1e-12)
+    assert model.residual == pytest.approx(0.075, rel=1e-12)
+    assert model.excluded == ((200.0, 0.9),)
+    # one point is the same model with no misfit
+    assert fit_rdif_model([(200.0, 1.05)]) == RdifModel(
+        (1.05 - 1.0) / 200.0, 1.0, 0.0, degenerate=True)
 
 
 def test_fit_recovers_exact_power_law():

@@ -244,6 +244,20 @@ def test_snapshot_non_finite_value_exits_3(tmp_path, capsys):
     assert "particles.tsv:3: expected finite numbers" in err
 
 
+def test_compress_two_unbonded_particles_exits_with_a_contract_code(tmp_path):
+    # two spheres 2 mm apart: no bond and no contact, so the pair table has
+    # no rows while the platens load the specimen
+    snap = tmp_path / "particles.tsv"
+    snap.write_text("id\tx\ty\tz\tradius\tphase\tdensity\n"
+                    "0\t0\t0\t2\t1\trock\t2600\n"
+                    "1\t0\t0\t6\t1\trock\t2600\n")
+    cfg = write_config(tmp_path, "[packing]\ncylinder_radius = 3\n"
+                                 "cylinder_height = 8\n[mechanics]\n"
+                                 f"load_particles = {snap}\n")
+    assert main(["compress", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) in (0, 2, 3, 4)
+
+
 def test_analyze_points_non_finite_value_exits_3(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("# cloud\nx y z\n0 0 0\n1 1 1\n2 inf 2\n3 3 nan\n")

@@ -432,6 +432,21 @@ def test_zero_state_is_a_fixed_point():
     assert np.all(system.vel == 0.0)
 
 
+def test_platens_step_a_pair_table_with_no_rows():
+    # no bond and no contact: the force and stiffness sums over the empty
+    # pair table must still take the platen terms as floats
+    system = ParticleSystem(pair_assembly(gap=2.0), {ContactKind.ROCK_ROCK: ROCK_MAT},
+                            mass_scale=1.0)
+    assert len(system.ia) == 0
+    system.set_platens()
+    dt = system.stable_dt()
+    assert 0.0 < dt < math.inf
+    pos0 = system.pos.copy()
+    system.step(dt)
+    assert np.array_equal(system.pos, pos0)
+    assert system.walls["f_bot"] == system.walls["f_top"] == 0.0
+
+
 def test_oscillator_frequency_matches_closed_form():
     system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT},
                             damping=0.0, mass_scale=1.0)
