@@ -282,6 +282,70 @@ def test_desk_packings_take_at_most_half_the_plain_sweeps(monkeypatch):
     assert len(sweeps) <= 33_511 // 2
 
 
+def _relax_overlaps_oracle(centers, radii, domain, max_overlap, max_sweeps,
+                           under_relax=0.7, rng=None):
+    """The relaxation sweep with its pair cache inline: boolean gathers of
+    the pushed rows, one ``np.bincount`` per axis and pair end, and the
+    heavy-ball term kept as the previous sweep's starting centers."""
+    n = len(radii)
+    if n < 2:
+        return centers, 0.0
+    skin = 0.3 * float(radii.min())
+    anchor = None
+    prev = centers.copy()
+    residual = last = 0.0
+    best = np.inf
+    since_best = 0
+    for _ in range(max_sweeps):
+        if anchor is None or np.max(np.abs(centers - anchor)) > 0.5 * skin:
+            a, b, _ = packing._near_pairs(centers, radii, skin)
+            anchor = centers.copy()
+        if len(a) == 0:
+            return centers, 0.0
+        d = centers[b] - centers[a]
+        dist = np.linalg.norm(d, axis=1)
+        overlap = radii[a] + radii[b] - dist
+        residual = float(overlap.max())
+        if residual <= max_overlap:
+            return centers, residual
+        if residual < 0.98 * best:
+            best = residual
+            since_best = 0
+        else:
+            since_best += 1
+        hit = overlap > 0.25 * max_overlap
+        dist_h = np.maximum(dist[hit], 1e-12)
+        push = (overlap[hit] / dist_h)[:, None] * d[hit] * (0.5 * under_relax)
+        disp = np.zeros_like(centers)
+        a_h, b_h = a[hit], b[hit]
+        for axis in range(3):
+            disp[:, axis] -= np.bincount(a_h, weights=push[:, axis], minlength=n)
+            disp[:, axis] += np.bincount(b_h, weights=push[:, axis], minlength=n)
+        # momentum only while the residual fell in the sweep before
+        if residual < last:
+            disp = disp + packing.RELAX_MOMENTUM * (centers - prev)
+        last = residual
+        prev = centers
+        centers = centers + disp
+        if rng is not None and since_best >= 120:
+            jammed = np.zeros(n, dtype=bool)
+            jammed[a_h] = True
+            jammed[b_h] = True
+            kick = rng.normal(scale=0.5 * residual, size=centers.shape)
+            centers = centers + np.where(jammed[:, None], kick, 0.0)
+            prev = centers.copy()
+            since_best = 0
+        rho = np.hypot(centers[:, 0], centers[:, 1])
+        limit = domain.radius - radii
+        out = rho > limit
+        if np.any(out):
+            scale = limit[out] / rho[out]
+            centers[out, 0] *= scale
+            centers[out, 1] *= scale
+        centers[:, 2] = np.clip(centers[:, 2], radii, domain.height - radii)
+    return centers, residual
+
+
 def _random_spheres(seed, n, domain, spread):
     """``n`` spheres of radius 0.8-1.2 with centers uniform in a box of
     half-width ``spread * domain.radius`` over the domain's height."""
@@ -294,52 +358,77 @@ def _random_spheres(seed, n, domain, spread):
     return centers, radii
 
 
+def _relax_both(centers, radii, domain, max_overlap, max_sweeps, seed=None,
+                under_relax=0.7):
+    """Run the sweep and its oracle on copies of one input; return both
+    results and the final rng states."""
+    results, states = [], []
+    for relax in (packing._relax_overlaps, _relax_overlaps_oracle):
+        rng = None if seed is None else np.random.default_rng(seed)
+        results.append(relax(centers.copy(), radii, domain, max_overlap,
+                             max_sweeps, under_relax, rng))
+        states.append(None if rng is None else rng.bit_generator.state)
+    return results, states
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_relax_kicks_a_jammed_packing(seed):
+def test_relax_kicks_a_jammed_packing_as_the_oracle_does(seed):
     # 40 spheres in a cylinder that holds about half of their volume stall,
     # so the seeded kick fires and draws from the rng
     domain = CylinderDomain(2.5, 5.0)
     centers, radii = _random_spheres(seed, 40, domain, 0.6)
-    rng = np.random.default_rng(seed + 100)
-    start = rng.bit_generator.state
-    new, residual = packing._relax_overlaps(centers, radii, domain, 1e-3, 600,
-                                            rng=rng)
-    assert residual > 1e-3
-    assert rng.bit_generator.state != start
+    start = np.random.default_rng(seed + 100).bit_generator.state
+    ((new, res_new), (old, res_old)), (state_new, state_old) = _relax_both(
+        centers, radii, domain, 1e-3, 600, seed=seed + 100)
+    assert np.array_equal(new, old)
+    assert res_new == res_old > 1e-3
+    assert state_new == state_old != start
     assert bool(domain.contains(new, radii).all())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_relax_projects_into_the_wall(seed):
-    # centers start up to twice the cylinder radius off the axis; every
-    # sweep ends inside the domain
+def test_relax_projects_into_the_wall_as_the_oracle_does(seed):
+    # centers start up to twice the cylinder radius off the axis
     domain = CylinderDomain(6.0, 12.0)
     centers, radii = _random_spheres(seed, 60, domain, 2.0)
     rho = np.hypot(centers[:, 0], centers[:, 1])
     assert np.any(rho > domain.radius - radii)
-    new, _ = packing._relax_overlaps(centers, radii, domain, 1e-3, 20,
-                                     under_relax=0.8)
+    ((new, res_new), (old, res_old)), _ = _relax_both(
+        centers, radii, domain, 1e-3, 20, under_relax=0.8)
+    assert np.array_equal(new, old)
+    assert res_new == res_old
+    # at least one sweep ran, and each ends inside the domain
+    assert not np.array_equal(new, centers)
     assert bool(domain.contains(new, radii).all())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_relax_returns_early_below_the_bound(seed):
+def test_relax_returns_early_as_the_oracle_does(seed):
     # 20 spheres in a roomy cylinder: the overlaps fall below the bound
     # long before the sweep cap, and no kick draws from the rng
     domain = CylinderDomain(8.0, 16.0)
     centers, radii = _random_spheres(seed, 20, domain, 0.5)
-    rng = np.random.default_rng(seed)
-    start = rng.bit_generator.state
-    new, residual = packing._relax_overlaps(centers, radii, domain, 1e-3, 5000,
-                                            rng=rng)
-    assert residual <= 1e-3
-    assert rng.bit_generator.state == start
+    start = np.random.default_rng(seed).bit_generator.state
+    ((new, res_new), (old, res_old)), (state_new, state_old) = _relax_both(
+        centers, radii, domain, 1e-3, 5000, seed=seed)
+    assert np.array_equal(new, old)
+    assert res_new == res_old <= 1e-3
+    assert state_new == state_old == start
     # relaxed again, the result is already below the bound: it comes back
     # unchanged after one sweep's residual check
-    again, residual_again = packing._relax_overlaps(new, radii, domain, 1e-3,
-                                                    5000, rng=rng)
+    again, residual_again = packing._relax_overlaps(
+        new, radii, domain, 1e-3, 5000, rng=np.random.default_rng(seed))
     assert np.array_equal(again, new)
-    assert residual_again == residual
+    assert residual_again == res_new
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_generate_packing_matches_the_oracle_sweep(seed, monkeypatch):
+    lean = _desk_packing(seed)
+    monkeypatch.setattr(packing, "_relax_overlaps", _relax_overlaps_oracle)
+    oracle = generate_packing(desk_config(seed=seed))
+    assert np.array_equal(lean.centers, oracle.centers)
+    assert np.array_equal(lean.radii, oracle.radii)
 
 
 # ---------------------------------------------------------------------------
