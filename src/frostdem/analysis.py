@@ -15,14 +15,6 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidConfigError, UndefinedStatisticError
 
-#: Impact air pressure (MPa) to nominal strain rate (1/s) lookup.
-PRESSURE_TO_STRAIN_RATE = {0.25: 200.0, 0.30: 400.0, 0.40: 600.0}
-
-#: Reference strength-ratio outputs for saturated specimens at 0.30 MPa,
-#: carried as regression fixtures (not recomputed from strengths).
-RDIF_REFERENCE_SATURATED = {20.0: 0.85, -10.0: 1.12, -20.0: 1.18}
-
-
 @dataclass(frozen=True)
 class WaveRecord:
     """Incident/reflected/transmitted gauge histories plus bar geometry.
@@ -238,11 +230,8 @@ def box_counting_dimension(points: np.ndarray) -> BoxCountResult:
         return BoxCountResult(0.0, 1.0, np.array([1.0]), np.array([1]),
                               degenerate=True)
 
-    if len(pts) > 1:
-        floor = 4.0 * _mean_nearest_distance(pts)
-    else:
-        floor = extent / 16.0
-    floor = max(floor, extent / 2 ** 14)
+    # a nonzero extent means at least two points
+    floor = max(4.0 * _mean_nearest_distance(pts), extent / 2 ** 14)
     # start below the full extent: the coarsest boxes hold so few counts
     # that they only bias the fit
     scales = []

@@ -279,6 +279,10 @@ def cmd_freeze(config: ExperimentConfig, args) -> int:
               for key in ("start_temp", "substep_dt_max", "water_prestress",
                           "freeze_volume_jump")
               if key in thermal.values}
+    if "stage_temps" in thermal.values and "target_temp" in thermal.values:
+        raise InvalidConfigError(
+            "[thermal] stage_temps and target_temp are both set: the schedule "
+            "takes one of them")
     stage_temps = thermal.get_float_list("stage_temps")
     target_temp = thermal.get_float("target_temp")
     if stage_temps:

@@ -21,6 +21,10 @@ class ConvergenceError(StabilityError):
     """An iteration hit its step cap before reaching its tolerance."""
 
 
+class NoLoadPathError(StabilityError):
+    """A loading curve has no positive modulus: nothing carries the load."""
+
+
 class UndefinedStatisticError(FrostDemError):
     """A requested statistic is undefined for the given input (e.g. zero baseline)."""
 

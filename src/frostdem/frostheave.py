@@ -73,9 +73,7 @@ def volume_reduction_pct(baseline_volume: float, current_volume: float) -> float
 def contact_statistics(system: ParticleSystem,
                        baseline: ContactStats | None = None) -> ContactStats:
     """Snapshot the contact network; percentages relative to ``baseline``."""
-    force = system.max_compressive_force()
-    count = system.active_pair_count()
-    volume = system.contact_lens_volume()
+    force, count, volume = system.contact_summary()
     if baseline is None:
         return ContactStats(force, count, 0.0, 0.0, volume)
     return ContactStats(force, count,
@@ -205,7 +203,10 @@ def run_freeze(assembly: ParticleAssembly,
     # heat flows through every bond row, intact or broken: the pairs that
     # were within the installation gap when the system was built
     conduction = ConductionNetwork(assembly, (system.b_ia, system.b_ib))
-    reachable = conduction.boundary_reachable(boundary)
+    # the boundary and the particles with no conductive path to it follow
+    # the schedule directly (the chamber bathes the whole specimen)
+    held = ~conduction.boundary_reachable(boundary)
+    held[boundary] = True
 
     baseline = contact_statistics(system)
     stages: list[FreezeStageRow] = []
@@ -220,9 +221,8 @@ def run_freeze(assembly: ParticleAssembly,
         n_sub = max(1, math.ceil(abs(target - t_boundary) / config.substep_dt_max))
         for i in range(n_sub):
             t_boundary = stage_from + (target - stage_from) * (i + 1) / n_sub
-            field.pin_boundary(t_boundary)
-            _conduct_until(conduction, field, t_boundary, CONDUCTION_TOL,
-                           CONDUCTION_STEP_CAP, reachable)
+            _conduct_until(conduction, field, held, t_boundary,
+                           CONDUCTION_STEP_CAP)
             d_temp = field.temperatures - t_prev_particles
             d_radius = radius_increments(t_prev_particles, field.temperatures,
                                          system.radii, system.phases)
@@ -248,34 +248,28 @@ def run_freeze(assembly: ParticleAssembly,
 
 
 def _conduct_until(network: ConductionNetwork, field: TemperatureField,
-                   boundary_value: float, tol: float, step_cap: int,
-                   reachable: np.ndarray) -> None:
-    """Explicit conduction steps until the interior tracks the boundary.
+                   held: np.ndarray, boundary_value: float,
+                   step_cap: int) -> None:
+    """Explicit conduction steps until the free particles track the boundary.
 
-    Particles without a conductive path to the boundary (``reachable``
-    false) follow the schedule directly (the chamber bathes the whole
-    specimen); only reachable interior particles enter the convergence
-    measure.  Raises :class:`~frostdem.errors.ConvergenceError` when the
-    deviation still exceeds ``tol`` after ``step_cap`` steps.
+    The ``held`` particles sit at ``boundary_value`` before and after every
+    step; only the others enter the convergence measure.  Raises
+    :class:`~frostdem.errors.ConvergenceError` when the deviation still
+    exceeds ``CONDUCTION_TOL`` after ``step_cap`` steps.
     """
-    field.temperatures[~reachable] = boundary_value
-    interior = reachable.copy()
-    interior[field.boundary_ids] = False
-    dt = network.worst_case_stable_dt()
-    if not np.any(interior) or not math.isfinite(dt):
-        field.temperatures[:] = boundary_value
-        field.pin_boundary(boundary_value)
-        return
+    t = field.temperatures
+    t[held] = boundary_value
+    free = ~held
 
     def deviation() -> float:
-        return float(np.max(np.abs(field.temperatures[interior] - boundary_value)))
+        return float(np.max(np.abs(t[free] - boundary_value), initial=0.0))
     for _ in range(step_cap):
-        if deviation() <= tol:
+        if deviation() <= CONDUCTION_TOL:
             return
-        network.step(field, dt, boundary_value)
-        field.temperatures[~reachable] = boundary_value
+        network.step(field)
+        t[held] = boundary_value
     dev = deviation()
-    if dev > tol:
+    if dev > CONDUCTION_TOL:
         raise ConvergenceError(
             f"conduction left a deviation of {dev:g} degC after {step_cap} "
-            f"steps; the tolerance is {tol:g} degC")
+            f"steps; the tolerance is {CONDUCTION_TOL:g} degC")

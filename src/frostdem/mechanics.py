@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ConvergenceError, CurveWindowError, InvalidConfigError,
-                     StabilityError, UndefinedStatisticError)
+                     NoLoadPathError, StabilityError, UndefinedStatisticError)
 from .packing import ContactKind, ParticleAssembly, contact_arrays
 
 #: Default Cundall local damping coefficient for quasi-static runs.
@@ -140,7 +140,12 @@ MODULUS_WINDOW = (0.0005, 0.0015)
 
 
 def extract_mechanical_params(curve: StressStrainCurve) -> MechanicalReport:
-    """Peak strength, windowed modulus and strain energy from one curve."""
+    """Peak strength, windowed modulus and strain energy from one curve.
+
+    A modulus that is not positive raises
+    :class:`~frostdem.errors.NoLoadPathError`: such a curve reports no
+    strength.
+    """
     if len(curve) == 0 or float(np.max(np.abs(curve.stress))) == 0.0:
         raise UndefinedStatisticError("curve carries no stress signal")
     lo, hi = MODULUS_WINDOW
@@ -151,6 +156,10 @@ def extract_mechanical_params(curve: StressStrainCurve) -> MechanicalReport:
     if int(mask.sum()) < 2:
         raise CurveWindowError("fewer than 2 samples in the modulus window")
     slope = np.polyfit(curve.strain[mask], curve.stress[mask], 1)[0]  # MPa
+    if not slope > 0.0:
+        raise NoLoadPathError(
+            f"the windowed modulus is {slope / 1e3:g} GPa: the specimen has "
+            "no load path between the platens")
     peak_idx = int(np.argmax(curve.stress))
     peak_strength = float(curve.stress[peak_idx])
     peak_strain = float(curve.strain[peak_idx])
@@ -551,26 +560,21 @@ class ParticleSystem:
     def momentum(self) -> np.ndarray:
         return (self.mass[:, None] * self.vel).sum(axis=0)
 
-    def max_compressive_force(self) -> float:
-        """Largest compressive normal force over the pair table."""
-        fn = self._normal_forces(self._pair_geometry()[2])
-        return float(np.max(fn, initial=0.0))
-
-    def active_pair_count(self) -> int:
-        """Intact bonds plus the other pairs currently overlapping."""
-        held = np.zeros(len(self.ia), dtype=bool)
-        held[:self.n_bonds] = self.b_intact
-        return int(np.count_nonzero(held | (self._pair_geometry()[2] > 0.0)))
-
-    def contact_lens_volume(self) -> float:
-        """Total overlap-lens volume over all geometrically overlapping pairs."""
+    def contact_summary(self) -> tuple[float, int, float]:
+        """Largest compressive normal force over the pair table; active
+        pairs, the intact bonds plus the other pairs currently overlapping;
+        and the total overlap-lens volume over all overlapping pairs."""
         dist, _, overlap = self._pair_geometry()
-        mask = overlap > 0.0
-        dd, ra, rb = dist[mask], self.radii[self.ia[mask]], self.radii[self.ib[mask]]
+        force = float(np.max(self._normal_forces(overlap), initial=0.0))
+        touching = overlap > 0.0
+        active = touching.copy()
+        active[:self.n_bonds] |= self.b_intact
+        dd, ra, rb = (dist[touching], self.radii[self.ia[touching]],
+                      self.radii[self.ib[touching]])
         lens = (np.pi * (ra + rb - dd) ** 2
                 * (dd ** 2 + 2.0 * dd * (ra + rb) - 3.0 * (ra - rb) ** 2)
                 / (12.0 * np.maximum(dd, 1e-12)))
-        return float(lens.sum())
+        return force, int(np.count_nonzero(active)), float(lens.sum())
 
 
 class _Fire:

@@ -1,8 +1,8 @@
 """Per-particle temperature evolution by inter-particle conduction.
 
 Heat moves between contacting particles proportionally to contact area and
-temperature difference over center distance.  Boundary particles are pinned
-to the current boundary temperature; everything else evolves explicitly.
+temperature difference over center distance, in explicit steps; the caller
+holds the boundary particles at the boundary temperature.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, StabilityError
+from .errors import InvalidConfigError
 from .packing import ParticleAssembly, Phase
 
 
@@ -57,15 +57,10 @@ class TemperatureField:
 
     temperatures: np.ndarray     # (N,) degC
     boundary_ids: np.ndarray     # particle indices pinned to the boundary value
-    time: float = 0.0            # s
 
     def copy(self) -> "TemperatureField":
         return TemperatureField(self.temperatures.copy(),
-                                self.boundary_ids.copy(), self.time)
-
-    def pin_boundary(self, value: float) -> None:
-        if len(self.boundary_ids):
-            self.temperatures[self.boundary_ids] = value
+                                self.boundary_ids.copy())
 
 
 class UniformityReport(NamedTuple):
@@ -85,9 +80,12 @@ class ConductionNetwork:
 
     Contact area is the circle of the smaller radius; the effective
     conductivity between unlike particles is the harmonic mean at the
-    current phase states (water conductivity changes on freezing).  A step
-    takes both its stability limit and its heat flux from conductances it
-    keeps until a water particle crosses 0 degC.
+    current phase states (water conductivity changes on freezing).  Every
+    step is ``dt``, the stable step with all water frozen: frozen water
+    conducts best and the harmonic mean rises with each side's
+    conductivity, so no phase mix has a smaller limit.  A step takes its
+    heat flux from conductances it keeps until a water particle crosses
+    0 degC.
     """
 
     def __init__(self, assembly: ParticleAssembly,
@@ -108,9 +106,10 @@ class ConductionNetwork:
                        WATER_FROZEN_PROPERTIES.heat_capacity)
         self.heat_mass = mass_kg * cap     # J/degC per particle
         self._water = assembly.phases == Phase.WATER
-        # liquid-water mask the cached conductances and their limit belong to
+        # liquid-water mask the cached conductances belong to
         self._liquid: np.ndarray | None = None
-        self._g = self._g_limit = None
+        self._g = None
+        self.dt = self.stable_dt(np.full(self.n, -1.0))   # s
 
     def conductances(self, temperatures: np.ndarray) -> np.ndarray:
         """Per-contact conductance W/degC at current phase states."""
@@ -130,10 +129,7 @@ class ConductionNetwork:
         per-contact bound and guarantees temperatures stay inside the convex
         hull of current values.
         """
-        return self._stable_dt(self.conductances(temperatures))
-
-    def _stable_dt(self, g: np.ndarray) -> float:
-        """:meth:`stable_dt` from the per-contact conductances ``g``."""
+        g = self.conductances(temperatures)
         g_sum = np.bincount(self.ia, weights=g, minlength=self.n) \
             + np.bincount(self.ib, weights=g, minlength=self.n)
         active = g_sum > 0
@@ -141,10 +137,6 @@ class ConductionNetwork:
             return np.inf
         return CONDUCTION_SAFETY * float(
             np.min(self.heat_mass[active] / g_sum[active]))
-
-    def worst_case_stable_dt(self) -> float:
-        """Stable step valid for any phase mix (frozen water conducts best)."""
-        return self.stable_dt(np.full(self.n, -1.0))
 
     def boundary_reachable(self, boundary_ids: np.ndarray) -> np.ndarray:
         """Mask of particles with a conductive path to a boundary particle."""
@@ -160,27 +152,18 @@ class ConductionNetwork:
         touched = np.unique(labels[boundary_ids]) if len(boundary_ids) else []
         return mask | np.isin(labels, touched)
 
-    def step(self, field: TemperatureField, dt: float,
-             boundary_value: float | None = None) -> None:
-        """Advance the field in place by one explicit step."""
+    def step(self, field: TemperatureField) -> None:
+        """Advance the field in place by one explicit step of ``dt``."""
         t = field.temperatures
         if len(self.ia):
             liquid = self._water & (t > 0.0)
             if not np.array_equal(liquid, self._liquid):
                 self._g = self.conductances(t)
-                self._g_limit = self._stable_dt(self._g)
                 self._liquid = liquid
-            g, limit = self._g, self._g_limit
-            if dt > limit * (1.0 + 1e-12):
-                raise StabilityError(f"conduction step dt={dt:g} s exceeds "
-                                     f"stability limit {limit:g} s")
-            flux = g * (t.take(self.ia) - t.take(self.ib))   # W, positive a -> b
-            dq = flux * dt
+            flux = self._g * (t.take(self.ia) - t.take(self.ib))   # W, a -> b
+            dq = flux * self.dt
             t -= np.bincount(self.ia, weights=dq, minlength=self.n) / self.heat_mass
             t += np.bincount(self.ib, weights=dq, minlength=self.n) / self.heat_mass
-        field.time += dt
-        if boundary_value is not None:
-            field.pin_boundary(boundary_value)
 
     def thermal_energy(self, field: TemperatureField) -> float:
         """Total stored heat sum(mass * C_v * T), J (relative to 0 degC)."""

@@ -159,9 +159,8 @@ def test_criterion_07_thermal_conservation(insulated_assembly):
     field = TemperatureField(rng.uniform(-20.0, 20.0, asm.n_particles),
                              np.zeros(0, dtype=np.int64))
     energy0 = net.thermal_energy(field)
-    dt = net.worst_case_stable_dt()
     for _ in range(100_000):
-        net.step(field, dt)
+        net.step(field)
     drift = abs(net.thermal_energy(field) - energy0) / abs(energy0)
     assert drift <= 1e-6
 
@@ -169,9 +168,10 @@ def test_criterion_07_thermal_conservation(insulated_assembly):
     boundary = surface_particle_ids(asm)
     reachable = net.boundary_reachable(boundary)
     field2 = TemperatureField(np.full(asm.n_particles, 20.0), boundary)
-    field2.pin_boundary(-20.0)
+    field2.temperatures[boundary] = -20.0
     for _ in range(200_000):
-        net.step(field2, dt, -20.0)
+        net.step(field2)
+        field2.temperatures[boundary] = -20.0
         if np.max(np.abs(field2.temperatures[reachable] + 20.0)) < 1e-6:
             break
     assert np.max(np.abs(field2.temperatures[reachable] + 20.0)) < 1e-6

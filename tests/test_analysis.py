@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frostdem.analysis import (EnergyReport,
-                               PRESSURE_TO_STRAIN_RATE,
-                               RDIF_REFERENCE_SATURATED, RdifModel, WaveRecord,
+from frostdem.analysis import (EnergyReport, RdifModel, WaveRecord,
                                area_change_rate, box_counting_dimension,
                                compute_energies, compute_rdif,
                                dissipation_efficiency, fit_rdif_model,
@@ -112,14 +110,6 @@ def test_rdif_values():
     assert compute_rdif(68.5, 58.7) == pytest.approx(1.167, abs=5e-4)
     with pytest.raises(InvalidConfigError):
         compute_rdif(10.0, 0.0)
-
-
-def test_reference_fixtures_present():
-    assert PRESSURE_TO_STRAIN_RATE[0.25] == 200.0
-    assert PRESSURE_TO_STRAIN_RATE[0.30] == 400.0
-    assert PRESSURE_TO_STRAIN_RATE[0.40] == 600.0
-    assert RDIF_REFERENCE_SATURATED[20.0] == 0.85
-    assert RDIF_REFERENCE_SATURATED[-20.0] == 1.18
 
 
 # ---------------------------------------------------------------------------

@@ -244,18 +244,25 @@ def test_snapshot_non_finite_value_exits_3(tmp_path, capsys):
     assert "particles.tsv:3: expected finite numbers" in err
 
 
-def test_compress_two_unbonded_particles_exits_with_a_contract_code(tmp_path):
+@pytest.mark.parametrize("calibration", [
+    "", "calibrate_peak = 58.7\ncalibrate_modulus = 4.0\ncalibration_budget = 3\n"],
+    ids=["plain", "calibrated"])
+def test_compress_with_no_load_path_exits_4_before_any_artifact(
+        tmp_path, capsys, calibration):
     # two spheres 2 mm apart: no bond and no contact, so the pair table has
-    # no rows while the platens load the specimen
+    # no rows while the platens load the specimen; the top platen pushes one
+    # free sphere, whose inertia gives a negative windowed modulus
     snap = tmp_path / "particles.tsv"
     snap.write_text("id\tx\ty\tz\tradius\tphase\tdensity\n"
                     "0\t0\t0\t2\t1\trock\t2600\n"
                     "1\t0\t0\t6\t1\trock\t2600\n")
     cfg = write_config(tmp_path, "[packing]\ncylinder_radius = 3\n"
                                  "cylinder_height = 8\n[mechanics]\n"
-                                 f"load_particles = {snap}\n")
-    assert main(["compress", "--config", cfg,
-                 "--out", str(tmp_path / "out")]) in (0, 2, 3, 4)
+                                 f"load_particles = {snap}\n{calibration}")
+    out = tmp_path / "out"
+    assert main(["compress", "--config", cfg, "--out", str(out)]) == 4
+    assert "no load path" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_analyze_points_non_finite_value_exits_3(tmp_path, capsys):
@@ -541,6 +548,20 @@ target_temp = -20
     assert main(["freeze", "--config", cfg, "--out", str(out)]) == 0
     stats = (out / "contact_stats.tsv").read_text().splitlines()
     assert len(stats) == 5  # baseline + 0, -10, -20 checkpoints
+
+
+def test_freeze_stage_temps_and_target_temp_exit_2_before_packing(
+        tmp_path, capsys, monkeypatch):
+    def explode(*args):
+        raise AssertionError("a conflicting schedule must fail before packing")
+
+    monkeypatch.setattr(cli, "generate_packing", explode)
+    body = (f"[run]\nseed = 5\n{PACKING_BLOCK}\n[thermal]\n"
+            "stage_temps = 0,-10,-20\ntarget_temp = -5\n")
+    cfg = write_config(tmp_path, body)
+    assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "stage_temps" in err and "target_temp" in err
 
 
 def test_freeze_dry_config_stays_quiet(tmp_path):

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from frostdem.errors import (ConvergenceError, InvalidConfigError,
                              UndefinedStatisticError)
-from frostdem.frostheave import (CONDUCTION_TOL, FreezeConfig, _conduct_until,
-                                 contact_statistics, force_increase_pct,
-                                 radius_increments, run_freeze,
-                                 volume_reduction_pct)
+from frostdem.frostheave import (FreezeConfig, _conduct_until, contact_statistics,
+                                 force_increase_pct, radius_increments,
+                                 run_freeze, volume_reduction_pct)
 from frostdem.mechanics import (BondMaterial, ParticleSystem,
                                 SATURATED_MATERIALS, build_system)
 from frostdem.packing import ContactKind, CylinderDomain, ParticleAssembly, Phase
@@ -276,31 +275,41 @@ def test_freeze_volume_jump_grows_water_radii(small_saturated):
     assert np.allclose(ratio, (1.09) ** (1 / 3), rtol=1e-3)
 
 
+class _CountingNetwork(ConductionNetwork):
+    """A conduction network that counts its steps."""
+
+    steps = 0
+
+    def step(self, field):
+        self.steps += 1
+        super().step(field)
+
+
 def _first_substep(asm):
-    """Network, 20 degC field with its boundary pinned to 18 degC, reach."""
+    """Counting network, 20 degC field, and the set held at the boundary."""
     system = build_system(asm)
-    network = ConductionNetwork(asm, (system.b_ia, system.b_ib))
+    network = _CountingNetwork(asm, (system.b_ia, system.b_ib))
     boundary = surface_particle_ids(asm)
     field = TemperatureField(np.full(asm.n_particles, 20.0), boundary)
-    field.pin_boundary(18.0)
-    return network, field, network.boundary_reachable(boundary)
+    held = ~network.boundary_reachable(boundary)
+    held[boundary] = True
+    return network, field, held
 
 
 def test_conduction_fails_loudly_at_its_step_cap(small_saturated):
-    network, field, reachable = _first_substep(small_saturated)
+    network, field, held = _first_substep(small_saturated)
     with pytest.raises(ConvergenceError, match=r"after 1 steps.*0\.45 degC"):
-        _conduct_until(network, field, 18.0, CONDUCTION_TOL, 1, reachable)
+        _conduct_until(network, field, held, 18.0, 1)
     # a field that reaches the tolerance on the last allowed step passes
-    network, field, reachable = _first_substep(small_saturated)
-    _conduct_until(network, field, 18.0, CONDUCTION_TOL, 50_000, reachable)
-    needed = round(field.time / network.worst_case_stable_dt())
+    network, field, held = _first_substep(small_saturated)
+    _conduct_until(network, field, held, 18.0, 50_000)
+    needed = network.steps
     assert needed > 1
-    network, field, reachable = _first_substep(small_saturated)
-    _conduct_until(network, field, 18.0, CONDUCTION_TOL, needed, reachable)
-    network, field, reachable = _first_substep(small_saturated)
+    network, field, held = _first_substep(small_saturated)
+    _conduct_until(network, field, held, 18.0, needed)
+    network, field, held = _first_substep(small_saturated)
     with pytest.raises(ConvergenceError):
-        _conduct_until(network, field, 18.0, CONDUCTION_TOL, needed - 1,
-                       reachable)
+        _conduct_until(network, field, held, 18.0, needed - 1)
 
 
 def test_freeze_rejects_empty_assembly():

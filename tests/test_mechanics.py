@@ -236,17 +236,18 @@ def test_pair_table_observables_match_closed_forms():
     k_n, k_lin = bond_k_normal(ROCK_MAT, r), linear_k(ROCK_MAT, r)
     forces = [k_n * overlaps[0], k_lin * overlaps[1], k_lin * overlaps[2]]
     assert system.bond_normal_forces() == pytest.approx(forces[:2], rel=1e-9)
+    force, count, volume = system.contact_summary()
     # the unbonded contact carries the largest force
-    assert system.max_compressive_force() == pytest.approx(forces[2], rel=1e-9)
-    assert system.active_pair_count() == 3
+    assert force == pytest.approx(forces[2], rel=1e-9)
+    assert count == 3
     # lens of two equal spheres at centre distance d: pi (4r + d)(2r - d)^2 / 12
     lens = sum(math.pi * (4 * r + (2 * r - u)) * u ** 2 / 12.0 for u in overlaps)
-    assert system.contact_lens_volume() == pytest.approx(lens, rel=1e-9)
+    assert volume == pytest.approx(lens, rel=1e-9)
     # a broken bond that no longer overlaps is no active pair; an intact
     # bond in tension still is
     system.pos[3, 2] += 0.5
     system.pos[1, 2] += 2e-4
-    assert system.active_pair_count() == 2
+    assert system.contact_summary()[1] == 2
 
 
 def test_pair_table_stable_dt_matches_closed_form():

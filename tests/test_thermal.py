@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from frostdem.errors import InvalidConfigError, StabilityError
+from frostdem.errors import InvalidConfigError
+from frostdem.frostheave import CONDUCTION_TOL, _conduct_until
 from frostdem.packing import (CylinderDomain, ParticleAssembly, Phase,
                               contact_arrays)
 from frostdem.thermal import (ConductionNetwork, TemperatureField,
@@ -76,10 +77,10 @@ def test_heat_flux_unit_substitution():
     field = TemperatureField(np.array([1.0, 0.0]), np.zeros(0, dtype=np.int64))
     area = math.pi * 1e-3 ** 2        # m^2, disc of the smaller radius
     distance = 2e-3                   # m, centre distance
-    dt = net.stable_dt(field.temperatures)
+    dt = net.dt
     flux = 7.7 * area * 1.0 / distance
     heat_mass = asm.masses() * 1e3 * 877.0
-    net.step(field, dt)
+    net.step(field)
     assert field.temperatures[0] == pytest.approx(1.0 - flux * dt / heat_mass[0])
     assert field.temperatures[1] == pytest.approx(flux * dt / heat_mass[1])
 
@@ -90,7 +91,7 @@ def test_uniform_field_unchanged(small_saturated):
                              np.zeros(0, dtype=np.int64))
     net = ConductionNetwork(small_saturated, (ia, ib))
     before = field.temperatures.copy()
-    net.step(field, net.stable_dt(field.temperatures))
+    net.step(field)
     assert np.array_equal(field.temperatures, before)
 
 
@@ -102,13 +103,11 @@ def test_two_body_exponential_convergence():
     conductance = net.conductances(field.temperatures)[0]
     heat_mass = net.heat_mass
     tau = 1.0 / (conductance * (1.0 / heat_mass[0] + 1.0 / heat_mass[1]))
-    # a step far below the stability bound so explicit Euler tracks the ODE
-    dt = tau / 100.0
-    assert dt < net.stable_dt(field.temperatures)
-    n_steps = 100
+    # each explicit step shrinks the difference by the factor 1 - dt / tau
+    n_steps = 10
     for _ in range(n_steps):
-        net.step(field, dt)
-    expected_delta = 20.0 * math.exp(-n_steps * dt / tau)
+        net.step(field)
+    expected_delta = 20.0 * (1.0 - net.dt / tau) ** n_steps
     delta = field.temperatures[1] - field.temperatures[0]
     assert delta == pytest.approx(expected_delta, rel=0.01)
     # temperatures converge toward the heat-capacity-weighted mean
@@ -126,7 +125,7 @@ def test_flux_antisymmetry_conserves_energy_per_step(small_saturated):
                              np.zeros(0, dtype=np.int64))
     energy0 = net.thermal_energy(field)
     for _ in range(200):
-        net.step(field, net.stable_dt(field.temperatures))
+        net.step(field)
     assert abs(net.thermal_energy(field) - energy0) <= 1e-9 * abs(energy0)
 
 
@@ -138,7 +137,7 @@ def test_maximum_principle(small_saturated):
     lo, hi = temps.min(), temps.max()
     field = TemperatureField(temps, np.zeros(0, dtype=np.int64))
     for _ in range(500):
-        net.step(field, net.stable_dt(field.temperatures))
+        net.step(field)
         assert field.temperatures.min() >= lo - 1e-12
         assert field.temperatures.max() <= hi + 1e-12
 
@@ -150,23 +149,13 @@ def test_steady_state_reaches_boundary_value(small_saturated):
     boundary = surface_particle_ids(asm)
     reachable = net.boundary_reachable(boundary)
     field = TemperatureField(np.full(asm.n_particles, 20.0), boundary)
-    field.pin_boundary(-20.0)
-    dt = net.worst_case_stable_dt()
+    field.temperatures[boundary] = -20.0
     for _ in range(60_000):
-        net.step(field, dt, -20.0)
+        net.step(field)
+        field.temperatures[boundary] = -20.0
         if np.max(np.abs(field.temperatures[reachable] + 20.0)) < 1e-6:
             break
     assert np.max(np.abs(field.temperatures[reachable] + 20.0)) < 1e-6
-
-
-def test_unstable_dt_rejected(small_saturated):
-    ia, ib, _ = contact_arrays(small_saturated, 0.05)
-    net = ConductionNetwork(small_saturated, (ia, ib))
-    field = TemperatureField(np.full(small_saturated.n_particles, 20.0),
-                             np.zeros(0, dtype=np.int64))
-    limit = net.stable_dt(field.temperatures)
-    with pytest.raises(StabilityError, match="stability limit"):
-        net.step(field, 10 * limit)
 
 
 def test_kept_conductances_follow_every_phase_change(small_saturated):
@@ -180,12 +169,11 @@ def test_kept_conductances_follow_every_phase_change(small_saturated):
     field = TemperatureField(rng.uniform(-5, 5, asm.n_particles),
                              np.zeros(0, dtype=np.int64))
     fresh = field.copy()
-    dt = kept.worst_case_stable_dt()
     water = asm.phases == Phase.WATER
     liquid_counts = set()
     for _ in range(300):
-        kept.step(field, dt)
-        ConductionNetwork(asm, (ia, ib)).step(fresh, dt)
+        kept.step(field)
+        ConductionNetwork(asm, (ia, ib)).step(fresh)
         assert np.array_equal(field.temperatures, fresh.temperatures)
         liquid_counts.add(int(np.count_nonzero(water & (field.temperatures > 0.0))))
     assert len(liquid_counts) > 3
@@ -195,8 +183,9 @@ def test_boundary_repinned_after_step():
     asm = two_particle_assembly()
     net = ConductionNetwork(asm, (np.array([0]), np.array([1])))
     field = TemperatureField(np.array([0.0, 10.0]), np.array([0]))
-    net.step(field, net.stable_dt(field.temperatures), boundary_value=0.0)
+    _conduct_until(net, field, np.array([True, False]), 0.0, 50)
     assert field.temperatures[0] == 0.0
+    assert abs(field.temperatures[1]) <= CONDUCTION_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +203,7 @@ def test_uniformity_transient_gradient_fails(small_saturated):
     asm = small_saturated
     boundary = surface_particle_ids(asm)
     field = TemperatureField(np.full(asm.n_particles, 20.0), boundary)
-    field.pin_boundary(-20.0)
+    field.temperatures[boundary] = -20.0
     rep = uniformity_report(field, -20.0)
     assert rep.max_deviation > 0.5
     assert not rep.passes
@@ -227,10 +216,10 @@ def test_uniformity_after_conduction_hold(small_saturated):
     boundary = surface_particle_ids(asm)
     reachable = net.boundary_reachable(boundary)
     field = TemperatureField(np.full(asm.n_particles, 20.0), boundary)
-    field.pin_boundary(-20.0)
-    dt = net.worst_case_stable_dt()
+    field.temperatures[boundary] = -20.0
     for _ in range(40_000):
-        net.step(field, dt, -20.0)
+        net.step(field)
+        field.temperatures[boundary] = -20.0
         if np.max(np.abs(field.temperatures[reachable] + 20.0)) < 0.4:
             break
     field.temperatures[~reachable] = -20.0
