@@ -259,7 +259,6 @@ def _resolve_out(config: ExperimentConfig, args) -> Path:
 
 
 def cmd_freeze(config: ExperimentConfig, args) -> int:
-    out_dir = _resolve_out(config, args)
     seed = args.seed if args.seed is not None else config.seed
     packing_cfg = config.packing_config(seed)
     thermal = config.section("thermal", required=False)
@@ -291,6 +290,7 @@ def cmd_freeze(config: ExperimentConfig, args) -> int:
         freeze_cfg = FreezeConfig.to_target(target_temp, **common)
     else:
         freeze_cfg = FreezeConfig(**common)
+    out_dir = _resolve_out(config, args)
     assembly = generate_packing(packing_cfg)
     result = run_freeze(assembly, freeze_cfg)
 
@@ -389,10 +389,10 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
              "sim_modulus_gpa", "peak_rel_err", "modulus_rel_err"),
             audit_rows).name)
         # the last calibration run is the run of the calibrated material
-        curve = calibrated.curve
+        curve, report = calibrated.curve, calibrated.report
     else:
         curve = run_uniaxial_test(assembly, platen_velocity, target_strain)
-    report = extract_mechanical_params(curve)
+        report = extract_mechanical_params(curve)
     files.append(artifacts.write_curve(out_dir / "curve.tsv", curve).name)
     pairs = [("peak_strength_mpa", report.peak_strength),
              ("elastic_modulus_gpa", report.elastic_modulus),
@@ -421,11 +421,35 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
             f"[analysis] energy_mode must be stress-strain, got {mode!r}: "
             "waveform files carry strains only, so the squared-strain form "
             "equals the stress-strain form")
+    # every key is read and checked before the run directory is made
+    wave_path = section.get_str("waveform")
+    static_strength = section.get_float("static_strength")
+    rdif_raw = section.get_str("rdif_points")
+    if rdif_raw:
+        try:
+            points = [(float(r), float(v)) for r, v in
+                      (item.split(":") for item in rdif_raw.split(",") if item)]
+        except ValueError:
+            raise InvalidConfigError(
+                "[analysis] rdif_points must look like '200:1.05,600:1.32'") from None
+        if not all(math.isfinite(x) for point in points for x in point):
+            raise InvalidConfigError(
+                f"[analysis] rdif_points must be finite numbers, got {rdif_raw!r}")
+    spectrum_path = section.get_str("spectrum")
+    spectrum_baseline = section.get_float("spectrum_baseline_area")
+    areas_raw = section.get_float_list("t2_areas")
+    if areas_raw:
+        t2_baseline = section.get_float("t2_baseline_area", required=True)
+        area_rows = [(a, analysis.area_change_rate(a, t2_baseline))
+                     for a in areas_raw]
+    points_path = section.get_str("points")
+    if not (wave_path or rdif_raw or spectrum_path or areas_raw or points_path):
+        raise InvalidConfigError(
+            "[analysis] gives nothing to do: set waveform, spectrum, t2_areas, "
+            "rdif_points or points")
     out_dir = _resolve_out(config, args)
     files = []
-    did_anything = False
 
-    wave_path = section.get_str("waveform")
     if wave_path:
         record = read_wave_record(wave_path)
         report = analysis.compute_energies(record)
@@ -433,7 +457,6 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
                  ("E_t", report.transmitted), ("E_a", report.absorbed),
                  ("eta_pct", "undefined" if report.efficiency_pct is None
                   else report.efficiency_pct)]
-        static_strength = section.get_float("static_strength")
         missing = [f"# {key}" for key in ("specimen_area", "specimen_length")
                    if getattr(record, key) is None]
         if static_strength is not None and missing:
@@ -452,50 +475,30 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
                 pairs.append(("rdif", analysis.compute_rdif(dynamic, static_strength)))
         files.append(artifacts.write_report(out_dir / "energy_report.txt",
                                             pairs).name)
-        did_anything = True
 
-    rdif_raw = section.get_str("rdif_points")
     if rdif_raw:
-        try:
-            points = [(float(r), float(v)) for r, v in
-                      (item.split(":") for item in rdif_raw.split(",") if item)]
-        except ValueError:
-            raise InvalidConfigError(
-                "[analysis] rdif_points must look like '200:1.05,600:1.32'") from None
-        if not all(math.isfinite(x) for point in points for x in point):
-            raise InvalidConfigError(
-                f"[analysis] rdif_points must be finite numbers, got {rdif_raw!r}")
         model = analysis.fit_rdif_model(points)
         files.append(artifacts.write_report(
             out_dir / "rdif_report.txt",
             [("k", model.k), ("m", model.m), ("residual", model.residual),
              ("degenerate", model.degenerate),
              ("excluded_points", len(model.excluded))]).name)
-        did_anything = True
 
-    spectrum_path = section.get_str("spectrum")
     if spectrum_path:
         spectrum = read_spectrum(spectrum_path)
-        baseline = section.get_float("spectrum_baseline_area")
-        stats = analysis.t2_spectrum_stats(spectrum, baseline)
+        stats = analysis.t2_spectrum_stats(spectrum, spectrum_baseline)
         files.append(artifacts.write_report(
             out_dir / "t2_report.txt",
             [("peak1_pct", stats.peak1_pct), ("peak2_pct", stats.peak2_pct),
              ("peak3_pct", stats.peak3_pct), ("area", stats.area),
              ("change_rate_pct", "undefined" if stats.change_rate_pct is None
               else stats.change_rate_pct)]).name)
-        did_anything = True
 
-    areas_raw = section.get_float_list("t2_areas")
     if areas_raw:
-        baseline = section.get_float("t2_baseline_area", required=True)
-        rows = [(a, analysis.area_change_rate(a, baseline)) for a in areas_raw]
         files.append(artifacts.write_table(out_dir / "t2_area_changes.tsv",
                                            ("area", "change_rate_pct"),
-                                           rows).name)
-        did_anything = True
+                                           area_rows).name)
 
-    points_path = section.get_str("points")
     if points_path:
         pts = read_points(points_path)
         result = analysis.box_counting_dimension(pts)
@@ -504,12 +507,7 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
             [("D", result.dimension), ("r_squared", result.r_squared),
              ("n_scales", len(result.scales)),
              ("degenerate", result.degenerate)]).name)
-        did_anything = True
 
-    if not did_anything:
-        raise InvalidConfigError(
-            "[analysis] gives nothing to do: set waveform, spectrum, t2_areas, "
-            "rdif_points or points")
     artifacts.write_manifest(out_dir, files)
     print(f"analysis complete: {len(files)} reports in {out_dir}")
     return EXIT_OK

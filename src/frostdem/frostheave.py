@@ -183,7 +183,9 @@ def run_freeze(assembly: ParticleAssembly,
     unbonded contacts and equilibrates, as the set-up does, to
     ``STAGE_RELAX_TOL`` (``ConvergenceError`` past ``STAGE_RELAX_STEP_CAP``
     steps).  Contact statistics are captured at the baseline and at each
-    stage end.
+    stage end; a baseline with no contact force raises
+    :class:`~frostdem.errors.UndefinedStatisticError` before any conduction,
+    since every stage's force increase is relative to it.
     """
     if assembly.n_particles == 0:
         raise InvalidConfigError("cannot freeze an empty assembly")
@@ -191,8 +193,7 @@ def run_freeze(assembly: ParticleAssembly,
 
     water = system.phases == Phase.WATER
     if config.water_prestress > 0 and np.any(water):
-        system.apply_radius_increments(
-            np.where(water, system.radii * config.water_prestress, 0.0))
+        system.radii += np.where(water, system.radii * config.water_prestress, 0.0)
     skin = 0.25 * float(system.radii.min())
     system.refresh_transient_contacts(skin)
     system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
@@ -209,6 +210,10 @@ def run_freeze(assembly: ParticleAssembly,
     held[boundary] = True
 
     baseline = contact_statistics(system)
+    if baseline.max_contact_force == 0:
+        raise UndefinedStatisticError(
+            "the baseline carries no contact force: force increases over a "
+            "zero baseline are undefined")
     stages: list[FreezeStageRow] = []
     t_prev_particles = field.temperatures.copy()
     t_boundary = config.start_temp
@@ -232,7 +237,7 @@ def run_freeze(assembly: ParticleAssembly,
                                                system.radii * jump_factor, 0.0)
                 has_jumped |= newly_frozen
             alpha_now = expansion_coefficients(system.phases, field.temperatures)
-            system.apply_radius_increments(d_radius)
+            system.radii += d_radius
             system.apply_bond_thermal_offsets(d_temp, alpha_now)
             t_prev_particles = field.temperatures.copy()
             system.refresh_transient_contacts(skin)

@@ -47,7 +47,7 @@ EQUILIBRIUM_RATIO = 1e-4
 #: :meth:`ParticleSystem.equilibrate` runs (Bitzek et al., PRL 97 (2006)
 #: 170201): the initial velocity-mixing weight, its shrink factor, and the
 #: steps of positive power before it starts to shrink.  The step itself stays
-#: at the stable step, since ``step`` raises above it.
+#: at ``ParticleSystem.dt``, since ``step`` raises above it.
 FIRE_ALPHA0 = 0.1
 FIRE_F_ALPHA = 0.99
 FIRE_N_MIN = 5
@@ -182,6 +182,10 @@ class ParticleSystem:
     contacts, rebuilt from geometry by :meth:`refresh_transient_contacts` as
     particles move or grow.  ``k_lin`` is the linear contact spring of every
     row, the one law for pairs without an intact bond.
+
+    ``dt`` is the step the stepping loops take: :meth:`stable_dt`, set when
+    the pair table or the platens change and lowered by a bond break that
+    shortens it.
     """
 
     def __init__(self, assembly: ParticleAssembly,
@@ -203,9 +207,8 @@ class ParticleSystem:
         self.time = 0.0
         self.step_count = 0
         self.crack_events: list[CrackEvent] = []
-        self._install_bonds()
         self.walls: dict | None = None
-        self._dt_cache: float | None = None
+        self._install_bonds()
         self._fire: _Fire | None = None
 
     # -- construction -------------------------------------------------------
@@ -258,6 +261,7 @@ class ParticleSystem:
         self._k_shear_intact = self.b_k_shear * self.b_intact
         self._bond_keys = ia * np.int64(max(self.n, 1)) + ib
         self._index_pairs()
+        self.dt = self.stable_dt()
 
     def _index_pairs(self) -> None:
         """Flat scatter index of the pair table: the x, y, z slots of every
@@ -286,7 +290,7 @@ class ParticleSystem:
             * 1e3 * np.pi * self.radii
         self.walls = {"z_bot": z_bot, "z_top": z_top, "k": k_wall,
                       "gap0": z_top - z_bot, "f_bot": 0.0, "f_top": 0.0}
-        self._dt_cache = None
+        self.dt = self.stable_dt()
 
     def platen_strain(self) -> float:
         w = self.walls
@@ -400,20 +404,23 @@ class ParticleSystem:
         return True
 
     def _break_bonds(self, rows: np.ndarray) -> None:
-        """Turn the bonds ``rows`` into linear contacts: no shear, no shear
-        stiffness, and a fresh stable step, since the contact spring changes
-        the particle stiffness totals behind it."""
+        """Turn the bonds ``rows`` into linear contacts: no shear and no
+        shear stiffness.  The contact spring changes the particle stiffness
+        totals, so ``dt`` drops to a stable step that is now shorter; a
+        longer one waits for the next change of the pair table."""
         self.b_intact[rows] = False
         self.b_shear[rows] = 0.0
         self._k_shear_intact = self.b_k_shear * self.b_intact
-        self._dt_cache = None
+        self.dt = min(self.dt, self.stable_dt())
 
     # -- stepping -------------------------------------------------------------
 
     def stable_dt(self) -> float:
-        """Safety-scaled critical step from per-particle stiffness totals."""
-        if self._dt_cache is not None:
-            return self._dt_cache
+        """Safety-scaled critical step from per-particle stiffness totals.
+
+        Radii enter no stiffness here (``k_lin`` is fixed when a row is
+        made), so only the pair table, a bond break and the platens move it.
+        """
         k_pair = self.k_lin.copy()
         np.copyto(k_pair[:self.n_bonds], self.b_k_normal + self.b_k_shear,
                   where=self.b_intact)
@@ -425,11 +432,8 @@ class ParticleSystem:
             k_sum += self.walls["k"]
         active = k_sum > 0
         if not np.any(active):
-            self._dt_cache = np.inf
-            return self._dt_cache
-        self._dt_cache = DT_SAFETY * float(
-            np.min(np.sqrt(self.mass[active] / k_sum[active])))
-        return self._dt_cache
+            return np.inf
+        return DT_SAFETY * float(np.min(np.sqrt(self.mass[active] / k_sum[active])))
 
     def step(self, dt: float) -> None:
         """One explicit step: forces, local damping, semi-implicit Euler.
@@ -439,9 +443,9 @@ class ParticleSystem:
         """
         if not (dt > 0.0 and math.isfinite(dt)):
             raise InvalidConfigError(f"dt must be positive and finite, got {dt}")
-        if dt > self.stable_dt() * (1.0 + 1e-12):
+        if dt > self.dt * (1.0 + 1e-12):
             raise StabilityError(
-                f"dt={dt:g} s exceeds stability limit {self.stable_dt():g} s")
+                f"dt={dt:g} s exceeds stability limit {self.dt:g} s")
         force, _ = self._accumulate_forces(dt)
         if self._fire is not None:
             self._fire.steer(self.vel, force)
@@ -453,11 +457,9 @@ class ParticleSystem:
         self.step_count += 1
 
     def run(self, n_steps: int) -> None:
-        """``n_steps`` steps of the stable step, each cut to the stable step
-        of the moment, which a bond break can shorten."""
-        dt = self.stable_dt()
+        """``n_steps`` steps of ``dt``, which a bond break can shorten."""
         for _ in range(n_steps):
-            self.step(min(dt, self.stable_dt()))
+            self.step(self.dt)
 
     def unbalanced_ratio(self) -> float:
         """Mean net force over mean contact force magnitude."""
@@ -478,7 +480,7 @@ class ParticleSystem:
                     max_steps: int = 60_000) -> float:
         """FIRE relaxation until the unbalanced ratio drops below ``tol``.
 
-        Each step is a :meth:`step` at the stable step with the velocity
+        Each step is a :meth:`step` of ``dt`` with the velocity
         update of the Fast Inertial Relaxation Engine in place of local
         damping: velocity is mixed toward the force while the power ``F . v``
         is positive and zeroed when it is not (:data:`FIRE_ALPHA0`,
@@ -487,9 +489,6 @@ class ParticleSystem:
         :class:`~frostdem.errors.StabilityError`, and one still above ``tol``
         after ``max_steps`` raises :class:`~frostdem.errors.ConvergenceError`.
         """
-        dt = self.stable_dt()
-        if not math.isfinite(dt):
-            return 0.0
         ratio = self.unbalanced_ratio()
         steps = 0
         self._fire = _Fire()
@@ -497,7 +496,7 @@ class ParticleSystem:
             while ratio > tol and steps < max_steps:
                 block = min(100, max_steps - steps)
                 for _ in range(block):
-                    self.step(min(dt, self.stable_dt()))
+                    self.step(self.dt)
                 steps += block
                 ratio = self.unbalanced_ratio()
         finally:
@@ -528,13 +527,9 @@ class ParticleSystem:
         self.ib = np.concatenate([self.ib[:nb], ib])
         self.k_lin = np.concatenate([self.k_lin[:nb], self._linear_stiffness(ia, ib)])
         self._index_pairs()
-        self._dt_cache = None
+        self.dt = self.stable_dt()
 
     # -- thermal coupling hooks -------------------------------------------------
-
-    def apply_radius_increments(self, d_radius: np.ndarray) -> None:
-        self.radii += d_radius
-        self._dt_cache = None
 
     def apply_bond_thermal_offsets(self, d_temp: np.ndarray,
                                    alpha: np.ndarray) -> None:
@@ -668,9 +663,8 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
     # steps between contact refreshes: it scales with 1 / DT_SAFETY, so the
     # platen travel between two refreshes stays fixed
     refresh_every = 250
-    dt = system.stable_dt()
     for step in range(LOADING_STEP_CAP):
-        h = min(dt, system.stable_dt())
+        h = system.dt
         system.walls["z_top"] -= platen_velocity * h
         system.step(h)
         stress_acc += system.platen_stress()
@@ -692,7 +686,6 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
             # a position that is not finite would reach the k-d tree
             _finite_sample("position sum", float(system.pos.sum()), strain)
             system.refresh_transient_contacts(0.1 * float(system.radii.min()))
-            dt = system.stable_dt()
     else:
         raise ConvergenceError(
             f"loading reached a strain of {system.platen_strain():g} after "
@@ -713,13 +706,14 @@ class CalibrationRound:
 @dataclass
 class CalibrationResult:
     """Outcome of :func:`calibrate`: one audit round per simulation run, and
-    ``curve``, the run of the returned ``material``."""
+    ``curve`` and its ``report``, the run of the returned ``material``."""
 
     material: BondMaterial
     converged: bool
     sim_runs: int
     audit: list[CalibrationRound]
     curve: StressStrainCurve
+    report: MechanicalReport
 
     @property
     def final(self) -> CalibrationRound:
@@ -740,7 +734,8 @@ def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
     adjustment until both relative errors fall under 5% or the simulation
     budget is exhausted (the result is then flagged non-converged).  The
     water bonds of a saturated assembly keep :data:`SATURATED_MATERIALS`.
-    The result keeps the curve of the last run, the run of its material.
+    The result keeps the curve of the last run, the run of its material,
+    and that curve's report.
     """
     if targets.peak_strength <= 0 or targets.elastic_modulus <= 0:
         raise InvalidConfigError("calibration targets must be positive")
@@ -781,7 +776,7 @@ def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
                      and abs(err_mod) < CALIBRATION_TOLERANCE)
         if converged or len(audit) >= budget:
             return CalibrationResult(material, converged, len(audit), audit,
-                                     curve)
+                                     curve, report)
         if abs(err_mod) >= CALIBRATION_TOLERANCE:
             step = secant_step(mod_hist, targets.elastic_modulus,
                                report.elastic_modulus, default_exp=1.3)

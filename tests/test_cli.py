@@ -120,6 +120,7 @@ def test_freeze_rejects_unsupported_schedule_key(tmp_path, capsys, key):
     cfg = write_config(tmp_path, body)
     assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"[thermal] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_freeze_negative_water_prestress_exits_2_before_packing(
@@ -133,6 +134,30 @@ def test_freeze_negative_water_prestress_exits_2_before_packing(
     cfg = write_config(tmp_path, body)
     assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "water_prestress must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_freeze_with_no_baseline_contact_force_exits_2(tmp_path, capsys):
+    # a cylinder that packs one particle: no pair and no platen, so no force
+    body = """
+[run]
+seed = 1
+[packing]
+target_porosity = 0
+rock_radius_min = 1.0
+rock_radius_max = 1.2
+cylinder_radius = 1.3
+cylinder_height = 2.6
+solid_fraction = 0.5
+[thermal]
+stage_temps = 0,-10
+"""
+    cfg = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["freeze", "--config", cfg, "--out", str(out)]) == 2
+    assert ("config error: the baseline carries no contact force"
+            in capsys.readouterr().err)
+    assert not (out / "manifest.txt").exists()
 
 
 def test_analyze_with_nothing_to_do_exits_2(tmp_path, capsys):
@@ -413,6 +438,20 @@ def test_readme_waveform_example_analyzes(tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "dynamic_curve.tsv").exists()
+
+
+def test_analyze_config_error_leaves_no_run_directory(tmp_path, capsys):
+    # a bad key after a good waveform leaves none of its reports behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", readme, flags=re.S | re.M)
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(next(b for b in blocks if b.startswith("# bar_area =")))
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n"
+                                 "rdif_points = abc\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert "[analysis] rdif_points must look like" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,22 @@ def test_stepping_loops_shrink_dt_after_a_stiffening_break(advance):
     assert system.stable_dt() < dt
 
 
+def test_softening_break_keeps_the_step_until_the_table_changes():
+    # the shipped contact spring is softer than the bond springs: a break
+    # lengthens the stable step, and the system keeps stepping at the step
+    # of the last pair-table change until the table changes again
+    system = held_pair(ROCK_MAT)
+    dt0 = system.dt
+    system.pos[1, 2] += 0.1
+    system.run(2)
+    assert not system.b_intact.any()
+    assert system.stable_dt() > dt0
+    assert system.time == 2 * dt0
+    assert system.dt == dt0
+    system.refresh_transient_contacts()
+    assert system.dt == system.stable_dt()
+
+
 # ---------------------------------------------------------------------------
 # pair table: intact bond, broken bond and unbonded contact side by side
 
