@@ -250,12 +250,13 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
 # Pipelines
 
 def _resolve_out(config: ExperimentConfig, args) -> Path:
+    """The run directory.  Each command calls this before its work and
+    writes only once the work is done; the first artifact written makes the
+    directory, so a failed run leaves none behind."""
     out = args.out or config.out_dir
     if not out:
         raise InvalidConfigError("no output directory: set --out or [run] out_dir")
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    return Path(out)
 
 
 def cmd_freeze(config: ExperimentConfig, args) -> int:
@@ -448,23 +449,33 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
             "[analysis] gives nothing to do: set waveform, spectrum, t2_areas, "
             "rdif_points or points")
     out_dir = _resolve_out(config, args)
-    files = []
 
+    # every input is read and every result computed before the first write
     if wave_path:
         record = read_wave_record(wave_path)
-        report = analysis.compute_energies(record)
-        pairs = [("E_i", report.incident), ("E_r", report.reflected),
-                 ("E_t", report.transmitted), ("E_a", report.absorbed),
-                 ("eta_pct", "undefined" if report.efficiency_pct is None
-                  else report.efficiency_pct)]
+        energies = analysis.compute_energies(record)
         missing = [f"# {key}" for key in ("specimen_area", "specimen_length")
                    if getattr(record, key) is None]
         if static_strength is not None and missing:
             raise InvalidConfigError(
                 "[analysis] static_strength needs the specimen geometry, but "
                 f"the waveform has no {' or '.join(missing)} header")
-        if not missing:
-            response = analysis.reconstruct_three_wave(record)
+        response = None if missing else analysis.reconstruct_three_wave(record)
+    if rdif_raw:
+        model = analysis.fit_rdif_model(points)
+    if spectrum_path:
+        stats = analysis.t2_spectrum_stats(read_spectrum(spectrum_path),
+                                           spectrum_baseline)
+    if points_path:
+        fractal = analysis.box_counting_dimension(read_points(points_path))
+
+    files = []
+    if wave_path:
+        pairs = [("E_i", energies.incident), ("E_r", energies.reflected),
+                 ("E_t", energies.transmitted), ("E_a", energies.absorbed),
+                 ("eta_pct", "undefined" if energies.efficiency_pct is None
+                  else energies.efficiency_pct)]
+        if response is not None:
             files.append(artifacts.write_table(
                 out_dir / "dynamic_curve.tsv",
                 ("time_s", "strain", "stress_mpa", "strain_rate"),
@@ -477,7 +488,6 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
                                             pairs).name)
 
     if rdif_raw:
-        model = analysis.fit_rdif_model(points)
         files.append(artifacts.write_report(
             out_dir / "rdif_report.txt",
             [("k", model.k), ("m", model.m), ("residual", model.residual),
@@ -485,8 +495,6 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
              ("excluded_points", len(model.excluded))]).name)
 
     if spectrum_path:
-        spectrum = read_spectrum(spectrum_path)
-        stats = analysis.t2_spectrum_stats(spectrum, spectrum_baseline)
         files.append(artifacts.write_report(
             out_dir / "t2_report.txt",
             [("peak1_pct", stats.peak1_pct), ("peak2_pct", stats.peak2_pct),
@@ -500,13 +508,11 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
                                            area_rows).name)
 
     if points_path:
-        pts = read_points(points_path)
-        result = analysis.box_counting_dimension(pts)
         files.append(artifacts.write_report(
             out_dir / "fractal_report.txt",
-            [("D", result.dimension), ("r_squared", result.r_squared),
-             ("n_scales", len(result.scales)),
-             ("degenerate", result.degenerate)]).name)
+            [("D", fractal.dimension), ("r_squared", fractal.r_squared),
+             ("n_scales", len(fractal.scales)),
+             ("degenerate", fractal.degenerate)]).name)
 
     artifacts.write_manifest(out_dir, files)
     print(f"analysis complete: {len(files)} reports in {out_dir}")

@@ -255,10 +255,10 @@ def run_freeze(assembly: ParticleAssembly,
 def _conduct_until(network: ConductionNetwork, field: TemperatureField,
                    held: np.ndarray, boundary_value: float,
                    step_cap: int) -> None:
-    """Explicit conduction steps until the free particles track the boundary.
+    """Conduction steps until the free particles track the boundary.
 
-    The ``held`` particles sit at ``boundary_value`` before and after every
-    step; only the others enter the convergence measure.  Raises
+    The ``held`` particles are set to ``boundary_value`` and the steps keep
+    them there; only the others enter the convergence measure.  Raises
     :class:`~frostdem.errors.ConvergenceError` when the deviation still
     exceeds ``CONDUCTION_TOL`` after ``step_cap`` steps.
     """
@@ -271,8 +271,7 @@ def _conduct_until(network: ConductionNetwork, field: TemperatureField,
     for _ in range(step_cap):
         if deviation() <= CONDUCTION_TOL:
             return
-        network.step(field)
-        t[held] = boundary_value
+        network.step(field, held)
     dev = deviation()
     if dev > CONDUCTION_TOL:
         raise ConvergenceError(

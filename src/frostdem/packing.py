@@ -220,7 +220,9 @@ def _near_pairs(centers: np.ndarray, radii: np.ndarray, reach: float
     pairs = cKDTree(centers).query_pairs(2.0 * float(radii.max()) + reach,
                                          output_type="ndarray")
     a, b = pairs[:, 0], pairs[:, 1]
-    gap = np.linalg.norm(centers[a] - centers[b], axis=1) - radii[a] - radii[b]
+    d = centers[a] - centers[b]
+    # np.linalg.norm's own expression for real rows, without its wrapper
+    gap = np.sqrt(np.add.reduce(d * d, axis=1)) - radii[a] - radii[b]
     keep = gap <= reach
     a, b, gap = a[keep], b[keep], gap[keep]
     order = np.lexsort((b, a))
@@ -321,7 +323,7 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
         if len(a) == 0:
             return centers, 0.0
         d = centers.take(b, axis=0) - centers.take(a, axis=0)
-        dist = np.linalg.norm(d, axis=1)
+        dist = np.sqrt(np.add.reduce(d * d, axis=1))   # np.linalg.norm
         overlap = cache.radius_sum - dist
         residual = float(overlap.max())
         if residual <= max_overlap:

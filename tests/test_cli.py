@@ -157,7 +157,7 @@ stage_temps = 0,-10
     assert main(["freeze", "--config", cfg, "--out", str(out)]) == 2
     assert ("config error: the baseline carries no contact force"
             in capsys.readouterr().err)
-    assert not (out / "manifest.txt").exists()
+    assert not out.exists()
 
 
 def test_analyze_with_nothing_to_do_exits_2(tmp_path, capsys):
@@ -183,10 +183,12 @@ def test_freeze_conduction_cap_exits_4(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(frostheave, "CONDUCTION_STEP_CAP", 1)
     cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
-    assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    out = tmp_path / "out"
+    assert main(["freeze", "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "stability error: conduction left a deviation" in err
     assert "tolerance is 0.45 degC" in err
+    assert not out.exists()
 
 
 def test_freeze_equilibration_cap_exits_4(tmp_path, capsys, monkeypatch):
@@ -287,7 +289,7 @@ def test_compress_with_no_load_path_exits_4_before_any_artifact(
     out = tmp_path / "out"
     assert main(["compress", "--config", cfg, "--out", str(out)]) == 4
     assert "no load path" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_analyze_points_non_finite_value_exits_3(tmp_path, capsys):
@@ -451,6 +453,23 @@ def test_analyze_config_error_leaves_no_run_directory(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
     assert "[analysis] rdif_points must look like" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_bad_spectrum_row_leaves_no_run_directory(tmp_path, capsys):
+    # a good waveform read before a spectrum with a bad row leaves none of
+    # its reports behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", readme, flags=re.S | re.M)
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(next(b for b in blocks if b.startswith("# bar_area =")))
+    spectrum = tmp_path / "spectrum.tsv"
+    spectrum.write_text("0.1 5\n1 oops\n10 2\n")
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n"
+                                 f"spectrum = {spectrum}\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    assert f"{spectrum}:2: expected numbers" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -280,9 +280,9 @@ class _CountingNetwork(ConductionNetwork):
 
     steps = 0
 
-    def step(self, field):
+    def step(self, field, held=None):
         self.steps += 1
-        super().step(field)
+        super().step(field, held)
 
 
 def _first_substep(asm):

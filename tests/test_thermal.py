@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frostdem.errors import InvalidConfigError
-from frostdem.frostheave import CONDUCTION_TOL, _conduct_until
+from frostdem.frostheave import CONDUCTION_TOL, _conduct_until, run_freeze
 from frostdem.packing import (CylinderDomain, ParticleAssembly, Phase,
                               contact_arrays)
 from frostdem.thermal import (ConductionNetwork, TemperatureField,
@@ -70,19 +70,20 @@ def test_phase_zero_boundary_assigned_to_ice():
 # conduction
 
 def test_heat_flux_unit_substitution():
-    # one contact between unit spheres: the first step moves
-    # k * A * (T_a - T_b) / d * dt joules from the hotter to the colder one
+    # one contact between unit spheres: a backward-Euler step moves
+    # k * A * (T_a - T_b) / d * dt joules from the hotter to the colder one,
+    # at the temperatures the step ends with
     asm = two_particle_assembly()
     net = ConductionNetwork(asm, (np.array([0]), np.array([1])))
     field = TemperatureField(np.array([1.0, 0.0]), np.zeros(0, dtype=np.int64))
     area = math.pi * 1e-3 ** 2        # m^2, disc of the smaller radius
     distance = 2e-3                   # m, centre distance
-    dt = net.dt
-    flux = 7.7 * area * 1.0 / distance
     heat_mass = asm.masses() * 1e3 * 877.0
     net.step(field)
-    assert field.temperatures[0] == pytest.approx(1.0 - flux * dt / heat_mass[0])
-    assert field.temperatures[1] == pytest.approx(flux * dt / heat_mass[1])
+    t_a, t_b = field.temperatures
+    moved = 7.7 * area * (t_a - t_b) / distance * net.dt
+    assert heat_mass[0] * (1.0 - t_a) == pytest.approx(moved)
+    assert heat_mass[1] * t_b == pytest.approx(moved)
 
 
 def test_uniform_field_unchanged(small_saturated):
@@ -103,11 +104,13 @@ def test_two_body_exponential_convergence():
     conductance = net.conductances(field.temperatures)[0]
     heat_mass = net.heat_mass
     tau = 1.0 / (conductance * (1.0 / heat_mass[0] + 1.0 / heat_mass[1]))
-    # each explicit step shrinks the difference by the factor 1 - dt / tau
-    n_steps = 10
+    # each backward-Euler step shrinks the difference by the factor
+    # 1 / (1 + dt / tau); dt is about 50 tau here, so three steps leave a
+    # difference well above rounding
+    n_steps = 3
     for _ in range(n_steps):
         net.step(field)
-    expected_delta = 20.0 * (1.0 - net.dt / tau) ** n_steps
+    expected_delta = 20.0 / (1.0 + net.dt / tau) ** n_steps
     delta = field.temperatures[1] - field.temperatures[0]
     assert delta == pytest.approx(expected_delta, rel=0.01)
     # temperatures converge toward the heat-capacity-weighted mean
@@ -148,11 +151,12 @@ def test_steady_state_reaches_boundary_value(small_saturated):
     net = ConductionNetwork(asm, (ia, ib))
     boundary = surface_particle_ids(asm)
     reachable = net.boundary_reachable(boundary)
+    held = np.zeros(asm.n_particles, dtype=bool)
+    held[boundary] = True
     field = TemperatureField(np.full(asm.n_particles, 20.0), boundary)
     field.temperatures[boundary] = -20.0
     for _ in range(60_000):
-        net.step(field)
-        field.temperatures[boundary] = -20.0
+        net.step(field, held)
         if np.max(np.abs(field.temperatures[reachable] + 20.0)) < 1e-6:
             break
     assert np.max(np.abs(field.temperatures[reachable] + 20.0)) < 1e-6
@@ -177,6 +181,31 @@ def test_kept_conductances_follow_every_phase_change(small_saturated):
         assert np.array_equal(field.temperatures, fresh.temperatures)
         liquid_counts.add(int(np.count_nonzero(water & (field.temperatures > 0.0))))
     assert len(liquid_counts) > 3
+
+
+def test_freeze_factors_once_per_liquid_water_mask(small_saturated,
+                                                  monkeypatch):
+    # the freeze's 20 substeps reuse one factorization while the set of
+    # liquid water particles holds, so it factors once per mask it meets
+    import scipy.sparse.linalg
+    splu = scipy.sparse.linalg.splu
+    factored = []
+
+    def counting_splu(matrix):
+        factored.append(matrix.shape)
+        return splu(matrix)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    water = small_saturated.phases == Phase.WATER
+    masks = set()
+    step = ConductionNetwork.step
+
+    def recording_step(self, field, held=None):
+        masks.add((water & (field.temperatures > 0.0)).tobytes())
+        step(self, field, held)
+    monkeypatch.setattr(ConductionNetwork, "step", recording_step)
+    run_freeze(small_saturated)
+    assert len(factored) == len(masks)
+    assert len(factored) < 20
 
 
 def test_boundary_repinned_after_step():
@@ -215,11 +244,12 @@ def test_uniformity_after_conduction_hold(small_saturated):
     net = ConductionNetwork(asm, (ia, ib))
     boundary = surface_particle_ids(asm)
     reachable = net.boundary_reachable(boundary)
+    held = np.zeros(asm.n_particles, dtype=bool)
+    held[boundary] = True
     field = TemperatureField(np.full(asm.n_particles, 20.0), boundary)
     field.temperatures[boundary] = -20.0
     for _ in range(40_000):
-        net.step(field)
-        field.temperatures[boundary] = -20.0
+        net.step(field, held)
         if np.max(np.abs(field.temperatures[reachable] + 20.0)) < 0.4:
             break
     field.temperatures[~reachable] = -20.0
