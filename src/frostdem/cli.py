@@ -1,8 +1,11 @@
 """Experiment orchestration: freeze, compression and analysis pipelines.
 
-One pipeline per invocation; every artifact is written atomically into the
-run directory together with a digest manifest, so identical config+seed
-reruns are byte-identical.
+One pipeline per invocation.  Each ``cmd_*`` reads and checks its keys,
+reads its inputs and computes, then hands back its artifacts unwritten with
+a one-line summary.  ``main`` alone writes: it resolves the run directory
+before the command runs, and once the command has returned it writes every
+artifact atomically and then the digest manifest.  So a failed run leaves
+no run directory, and identical config+seed reruns are byte-identical.
 
 Exit codes: 0 success, 2 config error, 3 input-parse error, 4 numerical
 stability error.
@@ -22,8 +25,8 @@ from .config import ExperimentConfig
 from .errors import (FrostDemError, InputParseError, InvalidConfigError,
                      StabilityError)
 from .frostheave import FreezeConfig, run_freeze
-from .mechanics import (DEFAULT_MASS_SCALE, MODULUS_WINDOW, MechanicalReport,
-                        calibrate, default_materials, extract_mechanical_params,
+from .mechanics import (MODULUS_WINDOW, MechanicalReport, calibrate,
+                        default_materials, extract_mechanical_params,
                         run_uniaxial_test)
 from .packing import (ContactKind, CylinderDomain, ParticleAssembly, Phase,
                       generate_packing)
@@ -230,6 +233,10 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
         if not all(map(math.isfinite, (x, y, z, radius, density))):
             raise InputParseError(f"expected finite numbers, got {line!r}",
                                   line=lineno, path=str(p))
+        if radius <= 0 or density <= 0:
+            raise InputParseError(
+                f"radius and density must be > 0, got {line!r}",
+                line=lineno, path=str(p))
         if parts[5] not in ("rock", "water"):
             raise InputParseError(
                 f"phase must be 'rock' or 'water', got {parts[5]!r}",
@@ -248,32 +255,23 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
 
 # ---------------------------------------------------------------------------
 # Pipelines
+#
+# A command returns ``(outputs, summary)``: ``outputs`` lists each artifact as
+# ``(file name, writer, *writer arguments)`` in the order ``main`` writes them.
 
 def _resolve_out(config: ExperimentConfig, args) -> Path:
-    """The run directory.  Each command calls this before its work and
-    writes only once the work is done; the first artifact written makes the
-    directory, so a failed run leaves none behind."""
+    """The run directory.  ``main`` resolves it before the command runs and
+    writes into it only once the command has returned; the first artifact
+    written makes the directory, so a failed run leaves none behind."""
     out = args.out or config.out_dir
     if not out:
         raise InvalidConfigError("no output directory: set --out or [run] out_dir")
     return Path(out)
 
 
-def cmd_freeze(config: ExperimentConfig, args) -> int:
-    seed = args.seed if args.seed is not None else config.seed
-    packing_cfg = config.packing_config(seed)
+def cmd_freeze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
+    packing_cfg = config.packing_config(args.seed)
     thermal = config.section("thermal", required=False)
-    # the boundary steps through the stage checkpoints in conducted substeps
-    # and each stage holds until the field is uniform, so a ramp rate or a
-    # hold time would have no effect, and the mass scale is not a setting;
-    # reject them rather than ignore them
-    schedule = ("the boundary follows stage_temps or target_temp in "
-                "conducted substeps")
-    fixed_mass = f"the mass scale is fixed at {DEFAULT_MASS_SCALE:g}"
-    for key, reason in (("ramp_rate", schedule), ("hold", schedule),
-                        ("mass_scale", fixed_mass)):
-        if key in thermal.values:
-            raise InvalidConfigError(f"[thermal] {key} is not supported: {reason}")
     # keys the file leaves out take FreezeConfig's defaults
     common = {key: thermal.get_float(key)
               for key in ("start_temp", "substep_dt_max", "water_prestress",
@@ -291,44 +289,29 @@ def cmd_freeze(config: ExperimentConfig, args) -> int:
         freeze_cfg = FreezeConfig.to_target(target_temp, **common)
     else:
         freeze_cfg = FreezeConfig(**common)
-    out_dir = _resolve_out(config, args)
-    assembly = generate_packing(packing_cfg)
-    result = run_freeze(assembly, freeze_cfg)
+    result = run_freeze(generate_packing(packing_cfg), freeze_cfg)
 
-    files = []
-    files.append(artifacts.write_particles(out_dir / "particles.tsv",
-                                           _snapshot(result.system)).name)
-    files.append(artifacts.write_bonds(out_dir / "bonds.tsv", result.system).name)
-    files.append(artifacts.write_temperatures(
-        out_dir / "temperature.tsv", result.field.temperatures).name)
-    stat_rows = []
-    for row in result.rows():
-        s = row.stats
-        stat_rows.append((row.label, row.temperature, s.max_contact_force,
-                          s.contact_pair_count, s.force_increase_pct,
-                          s.contact_volume_reduction_pct))
-    files.append(artifacts.write_table(
-        out_dir / "contact_stats.tsv",
-        ("stage", "temperature_c", "max_contact_force_n", "contact_pair_count",
-         "force_increase_pct", "contact_volume_reduction_pct"),
-        stat_rows).name)
+    stat_rows = [(row.label, row.temperature, row.stats.max_contact_force,
+                  row.stats.contact_pair_count, row.stats.force_increase_pct,
+                  row.stats.contact_volume_reduction_pct)
+                 for row in result.rows()]
     crack_rows = ((c.time, c.position[0], c.position[1], c.position[2], c.mode)
                   for c in result.cracks)
-    files.append(artifacts.write_table(out_dir / "cracks.tsv",
-                                       ("time_s", "x", "y", "z", "mode"),
-                                       crack_rows).name)
-    artifacts.write_manifest(out_dir, files)
-    print(f"freeze run complete: {len(result.stages)} stages, "
-          f"{len(result.cracks)} crack events, artifacts in {out_dir}")
-    return EXIT_OK
+    outputs = [
+        ("particles.tsv", artifacts.write_particles, result.system.snapshot()),
+        ("bonds.tsv", artifacts.write_bonds, result.system),
+        ("temperature.tsv", artifacts.write_temperatures,
+         result.field.temperatures),
+        ("contact_stats.tsv", artifacts.write_table,
+         ("stage", "temperature_c", "max_contact_force_n", "contact_pair_count",
+          "force_increase_pct", "contact_volume_reduction_pct"), stat_rows),
+        ("cracks.tsv", artifacts.write_table, ("time_s", "x", "y", "z", "mode"),
+         crack_rows)]
+    return outputs, (f"freeze run complete: {len(result.stages)} stages, "
+                     f"{len(result.cracks)} crack events")
 
 
-def _snapshot(system) -> ParticleAssembly:
-    return ParticleAssembly(system.pos, system.radii, system.phases,
-                            system.assembly.densities, system.assembly.domain)
-
-
-def cmd_compress(config: ExperimentConfig, args) -> int:
+def cmd_compress(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
     seed = args.seed if args.seed is not None else config.seed
     mech = config.section("mechanics", required=False)
     platen_velocity = mech.get_float("platen_velocity", 2.0)
@@ -336,7 +319,7 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
     peak_target = mech.get_float("calibrate_peak")
     modulus_target = mech.get_float("calibrate_modulus")
     budget = mech.get_int("calibration_budget", 20)
-    # checked before any output or packing, so a bad value fails at once
+    # checked before any packing, so a bad value fails at once
     if platen_velocity <= 0:
         raise InvalidConfigError(
             f"[mechanics] platen_velocity must be > 0, got {platen_velocity:g}")
@@ -360,7 +343,6 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
             "[mechanics] calibration_budget is set without calibrate_peak and "
             "calibrate_modulus: the budget needs both targets")
 
-    out_dir = _resolve_out(config, args)
     load_path = mech.get_str("load_particles")
     if load_path:
         pack = config.section("packing")
@@ -370,9 +352,11 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
     else:
         assembly = generate_packing(config.packing_config(seed))
 
-    files = []
-    calibrated = None
-    if peak_target is not None:
+    outputs, calibration_pairs, flag = [], [], ""
+    if peak_target is None:
+        curve = run_uniaxial_test(assembly, platen_velocity, target_strain)
+        report = extract_mechanical_params(curve)
+    else:
         targets = MechanicalReport(peak_target, modulus_target, 0.0, 0.0)
         calibrated = calibrate(targets,
                                default_materials(assembly)[ContactKind.ROCK_ROCK],
@@ -383,38 +367,34 @@ def cmd_compress(config: ExperimentConfig, args) -> int:
                        r.material.cohesion, r.sim_peak, r.sim_modulus,
                        r.peak_rel_err, r.modulus_rel_err)
                       for r in calibrated.audit)
-        files.append(artifacts.write_table(
-            out_dir / "calibration_log.tsv",
+        outputs.append((
+            "calibration_log.tsv", artifacts.write_table,
             ("round", "bond_modulus_gpa", "contact_modulus_gpa",
              "tensile_strength_mpa", "cohesion_mpa", "sim_peak_mpa",
              "sim_modulus_gpa", "peak_rel_err", "modulus_rel_err"),
-            audit_rows).name)
+            audit_rows))
         # the last calibration run is the run of the calibrated material
         curve, report = calibrated.curve, calibrated.report
-    else:
-        curve = run_uniaxial_test(assembly, platen_velocity, target_strain)
-        report = extract_mechanical_params(curve)
-    files.append(artifacts.write_curve(out_dir / "curve.tsv", curve).name)
-    pairs = [("peak_strength_mpa", report.peak_strength),
-             ("elastic_modulus_gpa", report.elastic_modulus),
-             ("peak_strain", report.peak_strain),
-             ("strain_energy_kj_m3", report.strain_energy)]
-    if calibrated is not None:
-        pairs += [("calibration_converged", calibrated.converged),
-                  ("calibration_runs", calibrated.sim_runs),
-                  ("calibration_peak_rel_err", calibrated.final.peak_rel_err),
-                  ("calibration_modulus_rel_err", calibrated.final.modulus_rel_err)]
-    files.append(artifacts.write_report(out_dir / "mech_report.txt", pairs).name)
-    artifacts.write_manifest(out_dir, files)
-    flag = ""
-    if calibrated is not None and not calibrated.converged:
-        flag = " (calibration non-converged)"
-    print(f"compression run complete: peak {report.peak_strength:.2f} MPa, "
-          f"modulus {report.elastic_modulus:.3f} GPa{flag}; artifacts in {out_dir}")
-    return EXIT_OK
+        calibration_pairs = [
+            ("calibration_converged", calibrated.converged),
+            ("calibration_runs", calibrated.sim_runs),
+            ("calibration_peak_rel_err", calibrated.final.peak_rel_err),
+            ("calibration_modulus_rel_err", calibrated.final.modulus_rel_err)]
+        if not calibrated.converged:
+            flag = " (calibration non-converged)"
+    outputs += [
+        ("curve.tsv", artifacts.write_curve, curve),
+        ("mech_report.txt", artifacts.write_report,
+         [("peak_strength_mpa", report.peak_strength),
+          ("elastic_modulus_gpa", report.elastic_modulus),
+          ("peak_strain", report.peak_strain),
+          ("strain_energy_kj_m3", report.strain_energy), *calibration_pairs])]
+    return outputs, (f"compression run complete: peak "
+                     f"{report.peak_strength:.2f} MPa, modulus "
+                     f"{report.elastic_modulus:.3f} GPa{flag}")
 
 
-def cmd_analyze(config: ExperimentConfig, args) -> int:
+def cmd_analyze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
     section = config.section("analysis")
     mode = section.get_str("energy_mode", "stress-strain")
     if mode != "stress-strain":
@@ -422,7 +402,7 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
             f"[analysis] energy_mode must be stress-strain, got {mode!r}: "
             "waveform files carry strains only, so the squared-strain form "
             "equals the stress-strain form")
-    # every key is read and checked before the run directory is made
+    # every key is read and checked before the first input is read
     wave_path = section.get_str("waveform")
     static_strength = section.get_float("static_strength")
     rdif_raw = section.get_str("rdif_points")
@@ -448,9 +428,8 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
         raise InvalidConfigError(
             "[analysis] gives nothing to do: set waveform, spectrum, t2_areas, "
             "rdif_points or points")
-    out_dir = _resolve_out(config, args)
 
-    # every input is read and every result computed before the first write
+    outputs = []
     if wave_path:
         record = read_wave_record(wave_path)
         energies = analysis.compute_energies(record)
@@ -460,63 +439,52 @@ def cmd_analyze(config: ExperimentConfig, args) -> int:
             raise InvalidConfigError(
                 "[analysis] static_strength needs the specimen geometry, but "
                 f"the waveform has no {' or '.join(missing)} header")
-        response = None if missing else analysis.reconstruct_three_wave(record)
-    if rdif_raw:
-        model = analysis.fit_rdif_model(points)
-    if spectrum_path:
-        stats = analysis.t2_spectrum_stats(read_spectrum(spectrum_path),
-                                           spectrum_baseline)
-    if points_path:
-        fractal = analysis.box_counting_dimension(read_points(points_path))
-
-    files = []
-    if wave_path:
         pairs = [("E_i", energies.incident), ("E_r", energies.reflected),
                  ("E_t", energies.transmitted), ("E_a", energies.absorbed),
                  ("eta_pct", "undefined" if energies.efficiency_pct is None
                   else energies.efficiency_pct)]
-        if response is not None:
-            files.append(artifacts.write_table(
-                out_dir / "dynamic_curve.tsv",
-                ("time_s", "strain", "stress_mpa", "strain_rate"),
-                np.column_stack((response.time, response.strain,
-                                 response.stress, response.strain_rate))).name)
+        if not missing:
+            response = analysis.reconstruct_three_wave(record)
+            # the columns are stacked only when the table is written
+            outputs.append((
+                "dynamic_curve.tsv",
+                lambda path, r: artifacts.write_table(
+                    path, ("time_s", "strain", "stress_mpa", "strain_rate"),
+                    np.column_stack((r.time, r.strain, r.stress,
+                                     r.strain_rate))),
+                response))
             if static_strength is not None:
                 dynamic = float(np.max(response.stress))
                 pairs.append(("rdif", analysis.compute_rdif(dynamic, static_strength)))
-        files.append(artifacts.write_report(out_dir / "energy_report.txt",
-                                            pairs).name)
-
+        outputs.append(("energy_report.txt", artifacts.write_report, pairs))
     if rdif_raw:
-        files.append(artifacts.write_report(
-            out_dir / "rdif_report.txt",
-            [("k", model.k), ("m", model.m), ("residual", model.residual),
-             ("degenerate", model.degenerate),
-             ("excluded_points", len(model.excluded))]).name)
-
+        model = analysis.fit_rdif_model(points)
+        outputs.append(("rdif_report.txt", artifacts.write_report,
+                        [("k", model.k), ("m", model.m),
+                         ("residual", model.residual),
+                         ("degenerate", model.degenerate),
+                         ("excluded_points", len(model.excluded))]))
     if spectrum_path:
-        files.append(artifacts.write_report(
-            out_dir / "t2_report.txt",
-            [("peak1_pct", stats.peak1_pct), ("peak2_pct", stats.peak2_pct),
-             ("peak3_pct", stats.peak3_pct), ("area", stats.area),
-             ("change_rate_pct", "undefined" if stats.change_rate_pct is None
-              else stats.change_rate_pct)]).name)
-
+        stats = analysis.t2_spectrum_stats(read_spectrum(spectrum_path),
+                                           spectrum_baseline)
+        outputs.append(("t2_report.txt", artifacts.write_report,
+                        [("peak1_pct", stats.peak1_pct),
+                         ("peak2_pct", stats.peak2_pct),
+                         ("peak3_pct", stats.peak3_pct), ("area", stats.area),
+                         ("change_rate_pct", "undefined"
+                          if stats.change_rate_pct is None
+                          else stats.change_rate_pct)]))
     if areas_raw:
-        files.append(artifacts.write_table(out_dir / "t2_area_changes.tsv",
-                                           ("area", "change_rate_pct"),
-                                           area_rows).name)
-
+        outputs.append(("t2_area_changes.tsv", artifacts.write_table,
+                        ("area", "change_rate_pct"), area_rows))
     if points_path:
-        files.append(artifacts.write_report(
-            out_dir / "fractal_report.txt",
-            [("D", fractal.dimension), ("r_squared", fractal.r_squared),
-             ("n_scales", len(fractal.scales)),
-             ("degenerate", fractal.degenerate)]).name)
-
-    artifacts.write_manifest(out_dir, files)
-    print(f"analysis complete: {len(files)} reports in {out_dir}")
-    return EXIT_OK
+        fractal = analysis.box_counting_dimension(read_points(points_path))
+        outputs.append(("fractal_report.txt", artifacts.write_report,
+                        [("D", fractal.dimension),
+                         ("r_squared", fractal.r_squared),
+                         ("n_scales", len(fractal.scales)),
+                         ("degenerate", fractal.degenerate)]))
+    return outputs, f"analysis complete: {len(outputs)} reports"
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +510,13 @@ def main(argv=None) -> int:
                 "analyze": cmd_analyze}
     try:
         config = ExperimentConfig.from_path(args.config)
-        return handlers[args.command](config, args)
+        if args.seed is not None and args.seed < 0:
+            raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
+        out_dir = _resolve_out(config, args)
+        outputs, summary = handlers[args.command](config, args)
+        for name, write, *data in outputs:
+            write(out_dir / name, *data)
+        artifacts.write_manifest(out_dir, [name for name, *_ in outputs])
     except InputParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -552,6 +526,8 @@ def main(argv=None) -> int:
     except (InvalidConfigError, FrostDemError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(f"{summary}; artifacts in {out_dir}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

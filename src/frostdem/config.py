@@ -2,7 +2,8 @@
 
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments, no
 nesting.  Every read goes through a typed accessor that names the offending
-``section.key`` on failure.
+``section.key`` on failure, and a file may hold only the keys of
+:data:`KEYS`.
 """
 from __future__ import annotations
 
@@ -12,6 +13,24 @@ from pathlib import Path
 
 from .errors import InvalidConfigError
 from .packing import PackingConfig
+
+#: Every key some command reads, by section.  A config file with any other
+#: section or key is a config error, so a misspelled key cannot fall back to
+#: its default unseen.
+KEYS = {
+    "run": ("seed", "out_dir"),
+    "packing": ("target_porosity", "rock_radius_min", "rock_radius_max",
+                "water_radius_min", "water_radius_max", "cylinder_radius",
+                "cylinder_height", "rock_density", "water_density",
+                "solid_fraction"),
+    "thermal": ("start_temp", "stage_temps", "target_temp", "water_prestress",
+                "freeze_volume_jump", "substep_dt_max"),
+    "mechanics": ("platen_velocity", "target_strain", "calibrate_peak",
+                  "calibrate_modulus", "calibration_budget", "load_particles"),
+    "analysis": ("waveform", "energy_mode", "static_strength", "spectrum",
+                 "spectrum_baseline_area", "t2_areas", "t2_baseline_area",
+                 "points", "rdif_points"),
+}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, dict[str, str]]:
@@ -108,7 +127,15 @@ class ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise InvalidConfigError(f"config file not found: {path}")
-        return cls(parse_config_text(path.read_text(), str(path)), str(path))
+        sections = parse_config_text(path.read_text(), str(path))
+        for name, values in sections.items():
+            if name not in KEYS:
+                raise InvalidConfigError(f"{path}: no command reads [{name}]")
+            for key in values:
+                if key not in KEYS[name]:
+                    raise InvalidConfigError(
+                        f"{path}: no command reads [{name}] {key}")
+        return cls(sections, str(path))
 
     def section(self, name: str, required: bool = True) -> Section:
         if name not in self.sections:
@@ -120,7 +147,10 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return self.section("run", required=False).get_int("seed", 0)
+        seed = self.section("run", required=False).get_int("seed", 0)
+        if seed < 0:
+            raise InvalidConfigError(f"[run] seed must be >= 0, got {seed}")
+        return seed
 
     @property
     def out_dir(self) -> str | None:

@@ -511,15 +511,18 @@ class ParticleSystem:
 
     # -- transient contacts ----------------------------------------------------
 
+    def snapshot(self) -> ParticleAssembly:
+        """The assembly at the current positions and radii."""
+        return ParticleAssembly(self.pos, self.radii, self.phases,
+                                self.assembly.densities, self.assembly.domain)
+
     def refresh_transient_contacts(self, tolerance: float = 0.0) -> None:
         """Rebuild the unbonded rows of the pair table from current geometry.
 
         Pairs that carry a bond row (intact or broken) are excluded; a broken
         bond already acts as a linear contact through its own row.
         """
-        snapshot = ParticleAssembly(self.pos, self.radii, self.phases,
-                                    self.assembly.densities, self.assembly.domain)
-        ia, ib, _ = contact_arrays(snapshot, tolerance)
+        ia, ib, _ = contact_arrays(self.snapshot(), tolerance)
         new = ~np.isin(ia * np.int64(max(self.n, 1)) + ib, self._bond_keys)
         ia, ib = ia[new], ib[new]
         nb = self.n_bonds

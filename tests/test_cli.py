@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from frostdem import cli
 from frostdem.cli import main, read_particles, read_points
-from frostdem.config import ExperimentConfig, parse_config_text
+from frostdem.config import KEYS, ExperimentConfig, parse_config_text
 from frostdem.errors import InputParseError, InvalidConfigError
 from frostdem.packing import CylinderDomain
 
@@ -123,6 +123,68 @@ def test_freeze_rejects_unsupported_schedule_key(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, body, named", [
+    # packed at the default solid fraction, then failed naming that default
+    ("freeze", f"[run]\nseed = 5\n{PACKING_BLOCK}solid_fracton = 0.3\n",
+     "[packing] solid_fracton"),
+    ("freeze", f"[run]\nseed = 5\n{PACKING_BLOCK}\n[thermal]\n"
+               "stage_temp = 0,-10\n", "[thermal] stage_temp"),
+    ("compress", f"[run]\nseed = 5\n{PACKING_BLOCK}\n[mechanics]\n"
+                 "platen_velocty = 1\n", "[mechanics] platen_velocty"),
+    # exited 0 on the default energy mode
+    ("analyze", "[analysis]\nt2_areas = 17944\nt2_baseline_area = 14683\n"
+                "energy_mod = conventional\n", "[analysis] energy_mod"),
+    ("analyze", "[analysis]\nt2_areas = 17944\nt2_baseline_area = 14683\n"
+                "[analyse]\npoints = pts.txt\n", "[analyse]"),
+], ids=["freeze_packing", "freeze_thermal", "compress", "analyze",
+        "analyze_section"])
+def test_key_no_command_reads_exits_2(tmp_path, capsys, monkeypatch, command,
+                                      body, named):
+    def explode(*args):
+        raise AssertionError("an unread key must fail before any work")
+
+    monkeypatch.setattr(cli, "generate_packing", explode)
+    cfg = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {cfg}: no command reads {named}\n"
+    assert not out.exists()
+
+
+def test_readme_config_schema_lists_every_key_a_command_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", readme, flags=re.S | re.M)
+    schema = [b for b in blocks if b.startswith("[run]")]
+    assert len(schema) == 1
+    documented = {name: set(values)
+                  for name, values in parse_config_text(schema[0]).items()}
+    assert documented == {name: set(keys) for name, keys in KEYS.items()}
+
+
+@pytest.mark.parametrize("command, body, argv, message", [
+    ("freeze", f"[run]\nseed = -1\n{PACKING_BLOCK}", [],
+     "[run] seed must be >= 0, got -1"),
+    ("freeze", f"[run]\nseed = 5\n{PACKING_BLOCK}", ["--seed", "-3"],
+     "--seed must be >= 0, got -3"),
+    ("compress", f"[run]\nseed = -1\n{PACKING_BLOCK}", [],
+     "[run] seed must be >= 0, got -1"),
+    ("compress", f"[run]\nseed = 5\n{PACKING_BLOCK}", ["--seed", "-3"],
+     "--seed must be >= 0, got -3"),
+], ids=["freeze_config", "freeze_option", "compress_config", "compress_option"])
+def test_negative_seed_exits_2_before_packing(tmp_path, capsys, monkeypatch,
+                                              command, body, argv, message):
+    def explode(*args):
+        raise AssertionError("a negative seed must fail before packing")
+
+    monkeypatch.setattr(cli, "generate_packing", explode)
+    cfg = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_freeze_negative_water_prestress_exits_2_before_packing(
         tmp_path, capsys, monkeypatch):
     def explode(*args):
@@ -196,10 +258,12 @@ def test_freeze_equilibration_cap_exits_4(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(frostheave, "STAGE_RELAX_STEP_CAP", 100)
     cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
-    assert main(["freeze", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    out = tmp_path / "out"
+    assert main(["freeze", "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "stability error: equilibration left an unbalanced-force ratio" in err
     assert "after 100 steps; the tolerance is 0.001" in err
+    assert not out.exists()
 
 
 def test_compress_loading_cap_exits_4(tmp_path, capsys, monkeypatch):
@@ -207,10 +271,12 @@ def test_compress_loading_cap_exits_4(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(mechanics, "LOADING_STEP_CAP", 1)
     cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
-    assert main(["compress", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    out = tmp_path / "out"
+    assert main(["compress", "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "stability error: loading reached a strain of" in err
     assert "after 1 steps; the target is 0.015" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mechanics_block, message", [
@@ -254,21 +320,33 @@ def test_compress_non_finite_loading_exits_4(tmp_path, capsys, monkeypatch):
 
     corrupt_loading(monkeypatch, lambda s, n: n == 20, nan_velocity)
     cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
-    assert main(["compress", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    out = tmp_path / "out"
+    assert main(["compress", "--config", cfg, "--out", str(out)]) == 4
     assert "stability error: the platen stress is nan at a strain of" \
         in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_snapshot_non_finite_value_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("row, message", [
+    ("1\t0\tnan\t4\t1\twater\t960", "expected finite numbers"),
+    # a radius or density <= 0 cites its line instead of failing in the
+    # contact search or the time step
+    ("1\t0\t0\t4\t-1\twater\t960", "radius and density must be > 0"),
+    ("1\t0\t0\t4\t1\twater\t0", "radius and density must be > 0"),
+], ids=["nan", "negative_radius", "zero_density"])
+def test_snapshot_non_finite_value_exits_3(tmp_path, capsys, row, message):
     snap = tmp_path / "particles.tsv"
     snap.write_text("id\tx\ty\tz\tradius\tphase\tdensity\n"
                     "0\t0\t0\t2\t1\trock\t2600\n"
-                    "1\t0\tnan\t4\t1\twater\t960\n")
+                    f"{row}\n"
+                    "2\t0\t0\t6\t1\trock\t2600\n")
     cfg = write_config(tmp_path, f"{PACKING_BLOCK}\n[mechanics]\n"
                                  f"load_particles = {snap}\n")
-    assert main(["compress", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    out = tmp_path / "out"
+    assert main(["compress", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "particles.tsv:3: expected finite numbers" in err
+    assert f"particles.tsv:3: {message}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("calibration", [
