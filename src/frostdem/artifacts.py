@@ -40,12 +40,13 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 def write_table(path: str | Path, header: Sequence[str],
                 rows: Iterable[Sequence] | np.ndarray) -> Path:
     """Tab-separated table; every cell as ``fmt`` writes it.  A 2-D float64
-    array is formatted a row at a time with one "%.12g" template, which
-    gives ``fmt``'s text for every float."""
+    array is formatted in one ``%`` operation over its flattened values,
+    with a "%.12g" template per cell, which gives ``fmt``'s text for every
+    float."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64 \
             and rows.ndim == 2:
-        template = "\t".join(["%.12g"] * rows.shape[1])
-        body = [template % tuple(row) for row in rows.tolist()]
+        template = "\n".join(["\t".join(["%.12g"] * rows.shape[1])] * len(rows))
+        body = [template % tuple(rows.ravel().tolist())] if len(rows) else []
     else:
         body = ["\t".join(fmt(v) for v in row) for row in rows]
     return atomic_write_text(path, "\n".join(["\t".join(header), *body]) + "\n")

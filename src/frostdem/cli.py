@@ -500,7 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides [run] out_dir)")
-        p.add_argument("--seed", type=int, help="seed override")
+        # analyze draws no random numbers, so only the packing commands take
+        # a seed; argparse rejects it on analyze with exit 2
+        if name != "analyze":
+            p.add_argument("--seed", type=int, help="seed override")
     return parser
 
 
@@ -510,8 +513,9 @@ def main(argv=None) -> int:
                 "analyze": cmd_analyze}
     try:
         config = ExperimentConfig.from_path(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise InvalidConfigError(f"--seed must be >= 0, got {seed}")
         out_dir = _resolve_out(config, args)
         outputs, summary = handlers[args.command](config, args)
         for name, write, *data in outputs:

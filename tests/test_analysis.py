@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from frostdem import analysis
 from frostdem.analysis import (EnergyReport, RdifModel, WaveRecord,
                                area_change_rate, box_counting_dimension,
                                compute_energies, compute_rdif,
@@ -301,6 +303,84 @@ def test_box_counts_match_row_unique_oracle(dim, cells, jitter, seed):
                      rng.random((jitter, dim)) * 8.0])
     result = box_counting_dimension(pts)
     assert list(result.counts) == oracle_counts(pts, result.scales)
+
+
+def clamped_coarse_cloud(dim):
+    """A cloud 8 wide whose last axis spans 6 + 2**-41: over the scales 2, 1
+    and 0.5 the span sits within 1e-12 above a whole number of boxes, so the
+    clamp puts the top point in the box below, which holds grid points,
+    while on the grid extent / 2**14 the span is a clear 2**-30 boxes past
+    a whole number and no clamp acts."""
+    step = 0.25 if dim == 2 else 0.5
+    axes = [np.arange(0.0, 8.0, step) + 0.1] * (dim - 1) \
+        + [np.arange(0.0, 6.0, step) + 0.1]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+    top = np.full(dim, 8.0)
+    top[-1] = 6.0 + 2.0 ** -41
+    return np.vstack([np.zeros(dim), top, grid])
+
+
+def clamp_acts(span, s):
+    """Whether the top of ``span`` falls past the last of the boxes of size
+    ``s`` that box_counting_dimension lays along it."""
+    return max(np.ceil(span / s - 1e-12), 1.0) <= np.floor(span / s)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_box_counts_where_only_a_coarse_scale_clamps(dim):
+    pts = clamped_coarse_cloud(dim)
+    span = float(np.ptp(pts[:, -1]))
+    result = box_counting_dimension(pts)
+    assert not clamp_acts(span, 8.0 / 2 ** 14)
+    assert any(clamp_acts(span, s) and span / s != np.floor(span / s)
+               for s in result.scales)
+    assert list(result.counts) == oracle_counts(pts, result.scales)
+
+
+def test_box_counts_below_the_normal_range_match_oracle():
+    # extent / 2**14 is subnormal here, so the finest grid is no exact
+    # halving of the scales and every scale is counted on its own
+    pts = np.random.default_rng(4).random((50, 2)) * 1e-310
+    result = box_counting_dimension(pts)
+    assert list(result.counts) == oracle_counts(pts, result.scales)
+    assert len(result.scales) == 14
+
+
+def all_points_floor(pts):
+    """Mean nearest-other-point distance over every row, from one median-split
+    tree over all of them: a repeated row's nearest other point is its copy."""
+    tree = cKDTree(pts)
+    order = tree.indices
+    nn, _ = tree.query(pts[order], k=2)
+    nearest = np.empty(len(pts))
+    nearest[order] = nn[:, 1]
+    return float(np.mean(nearest))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_floor_with_repeated_rows_matches_all_points_formula(dim, monkeypatch):
+    rng = np.random.default_rng(11 + dim)
+    rows = rng.random((60, dim))
+    # repeats of some rows, rows that occur once, a distinct row next to
+    # another, and a -0.0 copy of a 0.0
+    pts = np.vstack([rows[rng.integers(0, 40, 300)], rows[40:],
+                     rows[40] + 1e-9, np.zeros(dim), -np.zeros(dim)])
+    floors = []
+
+    def recording_floor(*args):
+        floors.append(mean_nearest(*args))
+        return floors[-1]
+
+    mean_nearest = analysis._mean_nearest_distance
+    monkeypatch.setattr(analysis, "_mean_nearest_distance", recording_floor)
+    box_counting_dimension(pts)
+    assert floors == [all_points_floor(pts)]
+
+
+def test_points_past_the_double_range_rejected():
+    pts = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidConfigError, match="finite extent"):
+        box_counting_dimension(pts)
 
 
 # ---------------------------------------------------------------------------

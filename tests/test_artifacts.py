@@ -36,3 +36,10 @@ def test_float_array_matches_tuples_on_any_double(tmp_path_factory, values):
     out = tmp_path_factory.mktemp("table")
     assert table_bytes(out / "array.tsv", rows) == \
         table_bytes(out / "tuples.tsv", [tuple(r) for r in rows.tolist()])
+
+
+def test_empty_float_array_writes_the_header_alone(tmp_path):
+    rows = np.zeros((0, 3), dtype=np.float64)
+    as_array = table_bytes(tmp_path / "array.tsv", rows)
+    assert as_array == b"a\tb\tc\n"
+    assert as_array == table_bytes(tmp_path / "tuples.tsv", [])

@@ -227,6 +227,18 @@ def test_analyze_with_nothing_to_do_exits_2(tmp_path, capsys):
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_analyze_seed_exits_2_through_argparse(tmp_path, capsys):
+    # analyze draws no random numbers, so it has no --seed to ignore
+    cfg = write_config(tmp_path, "[analysis]\nt2_areas = 17944\n"
+                                 "t2_baseline_area = 14683\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", cfg, "--out", str(out), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+
+
 def test_stability_error_exits_4(tmp_path, capsys, monkeypatch):
     from frostdem import cli
     from frostdem.errors import StabilityError
