@@ -312,7 +312,6 @@ def cmd_freeze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
 
 
 def cmd_compress(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
-    seed = args.seed if args.seed is not None else config.seed
     mech = config.section("mechanics", required=False)
     platen_velocity = mech.get_float("platen_velocity", 2.0)
     target_strain = mech.get_float("target_strain", 0.015)
@@ -350,7 +349,7 @@ def cmd_compress(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
                                 pack.get_float("cylinder_height", required=True))
         assembly = read_particles(load_path, domain)
     else:
-        assembly = generate_packing(config.packing_config(seed))
+        assembly = generate_packing(config.packing_config(args.seed))
 
     outputs, calibration_pairs, flag = [], [], ""
     if peak_target is None:
@@ -513,9 +512,13 @@ def main(argv=None) -> int:
                 "analyze": cmd_analyze}
     try:
         config = ExperimentConfig.from_path(args.config)
-        seed = getattr(args, "seed", None)
-        if seed is not None and seed < 0:
-            raise InvalidConfigError(f"--seed must be >= 0, got {seed}")
+        # one seed per run, checked on every command before any work: --seed
+        # when given, else [run] seed, which analyze checks too though it
+        # draws no random numbers
+        if getattr(args, "seed", None) is None:
+            args.seed = config.seed
+        elif args.seed < 0:
+            raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
         out_dir = _resolve_out(config, args)
         outputs, summary = handlers[args.command](config, args)
         for name, write, *data in outputs:

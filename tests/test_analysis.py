@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
-from frostdem import analysis
-from frostdem.analysis import (EnergyReport, RdifModel, WaveRecord,
-                               area_change_rate, box_counting_dimension,
+from frostdem.analysis import (MIN_BOX_OCCUPANCY, EnergyReport, RdifModel,
+                               WaveRecord, area_change_rate,
+                               box_counting_dimension,
                                compute_energies, compute_rdif,
                                dissipation_efficiency, fit_rdif_model,
                                reconstruct_three_wave, t2_spectrum_stats)
@@ -257,9 +256,10 @@ def test_non_finite_points_rejected():
 
 
 def test_default_scales_stop_at_fourteen_halvings():
-    # coincident pairs make the mean nearest-neighbour distance zero, so only
-    # the floor extent / 2**14 ends the halving of the default scales
-    pts = np.repeat(np.random.default_rng(3).random((40, 3)), 2, axis=0)
+    # 40 points repeated 20 times: no scale holds more than 40 boxes, under
+    # the 80 that would stop the halving at ten points per box, so only
+    # extent / 2**14 ends the default scales
+    pts = np.repeat(np.random.default_rng(3).random((40, 3)), 20, axis=0)
     extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     result = box_counting_dimension(pts)
     assert len(result.scales) == 14
@@ -339,42 +339,55 @@ def test_box_counts_where_only_a_coarse_scale_clamps(dim):
 
 def test_box_counts_below_the_normal_range_match_oracle():
     # extent / 2**14 is subnormal here, so the finest grid is no exact
-    # halving of the scales and every scale is counted on its own
-    pts = np.random.default_rng(4).random((50, 2)) * 1e-310
+    # halving of the scales and every scale is counted on its own; 50 rows
+    # repeated 20 times keep every count under a tenth of the rows, so all
+    # 14 scales are counted
+    pts = np.repeat(np.random.default_rng(4).random((50, 2)) * 1e-310, 20,
+                    axis=0)
     result = box_counting_dimension(pts)
     assert list(result.counts) == oracle_counts(pts, result.scales)
     assert len(result.scales) == 14
 
 
-def all_points_floor(pts):
-    """Mean nearest-other-point distance over every row, from one median-split
-    tree over all of them: a repeated row's nearest other point is its copy."""
-    tree = cKDTree(pts)
-    order = tree.indices
-    nn, _ = tree.query(pts[order], k=2)
-    nearest = np.empty(len(pts))
-    nearest[order] = nn[:, 1]
-    return float(np.mean(nearest))
+def assert_ladder_stops_at_ten_points_per_box(pts, result):
+    """Past the first four scales every kept count is at most a tenth of the
+    rows; a ladder shorter than 14 scales stops at a halving whose count is
+    above a tenth of them."""
+    n = len(pts)
+    assert all(c * MIN_BOX_OCCUPANCY <= n for c in result.counts[4:])
+    if len(result.scales) < 14:
+        next_count, = oracle_counts(pts, [result.scales[-1] / 2.0])
+        assert next_count * MIN_BOX_OCCUPANCY > n
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_floor_with_repeated_rows_matches_all_points_formula(dim, monkeypatch):
-    rng = np.random.default_rng(11 + dim)
-    rows = rng.random((60, dim))
-    # repeats of some rows, rows that occur once, a distinct row next to
-    # another, and a -0.0 copy of a 0.0
-    pts = np.vstack([rows[rng.integers(0, 40, 300)], rows[40:],
-                     rows[40] + 1e-9, np.zeros(dim), -np.zeros(dim)])
-    floors = []
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]), n=st.integers(2, 400),
+       repeats=st.integers(1, 12), power=st.sampled_from([1, 2, 4, 8]),
+       seed=st.integers(0, 2 ** 16))
+def test_ladder_stops_at_ten_points_per_box(dim, n, repeats, power, seed):
+    # a power above one crowds the rows toward a corner, which lengthens the
+    # ladder; repeats raise the rows per box without adding a box
+    rows = np.random.default_rng(seed).random((n, dim)) ** power
+    pts = np.repeat(rows, repeats, axis=0)
+    result = box_counting_dimension(pts)
+    assert 4 <= len(result.scales) <= 14
+    assert list(result.counts) == oracle_counts(pts, result.scales)
+    assert_ladder_stops_at_ten_points_per_box(pts, result)
 
-    def recording_floor(*args):
-        floors.append(mean_nearest(*args))
-        return floors[-1]
 
-    mean_nearest = analysis._mean_nearest_distance
-    monkeypatch.setattr(analysis, "_mean_nearest_distance", recording_floor)
-    box_counting_dimension(pts)
-    assert floors == [all_points_floor(pts)]
+def test_ladder_with_forty_thousand_repeats_of_one_point():
+    # 4e4 of 7.5e4 rows are one point: the copies share one box at every
+    # scale but count toward the rows per box.  The 35,001 distinct rows
+    # take all 4,096 boxes at extent / 64, under a tenth of all rows and over
+    # a tenth of the distinct ones, so a stop that left the copies out would
+    # drop that scale
+    rng = np.random.default_rng(9)
+    pts = rng.random((75_000, 2))
+    pts[:40_000] = pts[0]
+    pts = pts[rng.permutation(len(pts))]
+    result = box_counting_dimension(pts)
+    assert list(result.counts) == oracle_counts(pts, result.scales)
+    assert_ladder_stops_at_ten_points_per_box(pts, result)
 
 
 def test_points_past_the_double_range_rejected():

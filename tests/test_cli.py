@@ -185,6 +185,25 @@ def test_negative_seed_exits_2_before_packing(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_analyze_negative_config_seed_exits_2_before_reading(
+        tmp_path, capsys, monkeypatch):
+    # analyze draws no random numbers, but a negative [run] seed is still a
+    # bad config, rejected before any input file is read
+    def explode(*args):
+        raise AssertionError("a negative seed must fail before any reading")
+
+    monkeypatch.setattr(cli, "read_points", explode)
+    points = tmp_path / "points.tsv"
+    points.write_text("0 0\n1 1\n")
+    cfg = write_config(tmp_path, f"[run]\nseed = -1\n"
+                                 f"[analysis]\npoints = {points}\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "config error: [run] seed must be >= 0, got -1\n")
+    assert not out.exists()
+
+
 def test_freeze_negative_water_prestress_exits_2_before_packing(
         tmp_path, capsys, monkeypatch):
     def explode(*args):
