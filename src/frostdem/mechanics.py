@@ -43,11 +43,37 @@ DEFAULT_MASS_SCALE = 1.0e6
 #: Mean unbalanced-force ratio accepted as equilibrium.
 EQUILIBRIUM_RATIO = 1e-4
 
+#: Safety factor of the step :meth:`ParticleSystem.equilibrate` takes under
+#: its stiffness-proportional masses ``m_i = k_i * T``: the step is
+#: ``RELAX_DT_SAFETY * sqrt(T)``.  The per-particle bound puts the highest
+#: frequency at most ``sqrt(2 / T)``, so the explicit step is stable below
+#: ``sqrt(2 T)``; 0.8 is 0.57 of that.  A relaxation samples no curve, so
+#: :data:`DT_SAFETY`'s ceiling does not hold here.  Study on the benchmark's
+#: 132-particle input seeds 35-39, totals of ``equilibrate`` steps over the
+#: five seeds at factors 0.4 / 0.6 / 0.7 / 0.8 / 0.9 / 1.0: ``compress``
+#: (2 relaxations a seed) 1,350 / 1,020 / 950 / 810 / 850 / 1,180,
+#: ``freeze`` (4 a seed) 1,120 / 880 / 770 / 720 / 590 / 730.
+RELAX_DT_SAFETY = 0.8
+
+#: Steps :meth:`ParticleSystem.equilibrate` takes between two checks of the
+#: unbalanced ratio.  A check costs about one force pass, and a relaxation
+#: runs past its tolerance by up to one interval.  Study on the benchmark's
+#: 132-particle input seeds 35-39, totals over the five seeds.  At the true
+#: masses and the shipped step, intervals of 100 / 20 / 10 took
+#: ``compress`` 2,400 / 2,180 / 2,130 steps and 34 / 119 / 223 checks, and
+#: ``freeze`` 2,500 / 2,160 / 2,100 steps and 45 / 128 / 230 checks: the
+#: interval alone saves at most 4% of a run's steps.  Under the relaxation's
+#: own masses and :data:`RELAX_DT_SAFETY`, intervals of 100 / 20 / 10 / 5
+#: took ``compress`` 1,000 / 820 / 810 / 780 steps and 20 / 51 / 91 / 166
+#: checks, and ``freeze`` 2,000 / 860 / 720 / 675 steps and 40 / 63 / 92 /
+#: 155 checks.  These relaxations settle in 60-90 steps, so the interval
+#: sets their floor; 10 and 5 cost about the same in steps plus checks.
+EQUILIBRIUM_CHECK_INTERVAL = 10
+
 #: Constants of the Fast Inertial Relaxation Engine that
 #: :meth:`ParticleSystem.equilibrate` runs (Bitzek et al., PRL 97 (2006)
 #: 170201): the initial velocity-mixing weight, its shrink factor, and the
-#: steps of positive power before it starts to shrink.  The step itself stays
-#: at ``ParticleSystem.dt``, since ``step`` raises above it.
+#: steps of positive power before it starts to shrink.
 FIRE_ALPHA0 = 0.1
 FIRE_F_ALPHA = 0.99
 FIRE_N_MIN = 5
@@ -183,9 +209,11 @@ class ParticleSystem:
     particles move or grow.  ``k_lin`` is the linear contact spring of every
     row, the one law for pairs without an intact bond.
 
-    ``dt`` is the step the stepping loops take: :meth:`stable_dt`, set when
-    the pair table or the platens change and lowered by a bond break that
-    shortens it.
+    ``dt`` is the step :meth:`run` and the loading loop take:
+    :meth:`stable_dt`, set when the pair table or the platens change and
+    lowered by a bond break that shortens it.  :meth:`equilibrate` steps at
+    a longer one under masses of its own and leaves ``dt`` no longer than
+    it found it.
     """
 
     def __init__(self, assembly: ParticleAssembly,
@@ -415,8 +443,10 @@ class ParticleSystem:
 
     # -- stepping -------------------------------------------------------------
 
-    def stable_dt(self) -> float:
-        """Safety-scaled critical step from per-particle stiffness totals.
+    def _stiffness_totals(self) -> np.ndarray:
+        """Per-particle sum of the spring stiffnesses acting on it: bond
+        normal plus shear for intact bonds, the linear spring for every other
+        row, and the platen springs.
 
         Radii enter no stiffness here (``k_lin`` is fixed when a row is
         made), so only the pair table, a bond break and the platens move it.
@@ -430,6 +460,11 @@ class ParticleSystem:
                  ).astype(float, copy=False)
         if self.walls is not None:
             k_sum += self.walls["k"]
+        return k_sum
+
+    def stable_dt(self) -> float:
+        """Safety-scaled critical step from per-particle stiffness totals."""
+        k_sum = self._stiffness_totals()
         active = k_sum > 0
         if not np.any(active):
             return np.inf
@@ -480,27 +515,56 @@ class ParticleSystem:
                     max_steps: int = 60_000) -> float:
         """FIRE relaxation until the unbalanced ratio drops below ``tol``.
 
-        Each step is a :meth:`step` of ``dt`` with the velocity
-        update of the Fast Inertial Relaxation Engine in place of local
-        damping: velocity is mixed toward the force while the power ``F . v``
-        is positive and zeroed when it is not (:data:`FIRE_ALPHA0`,
-        :data:`FIRE_F_ALPHA`, :data:`FIRE_N_MIN`).  The ratio is checked every
-        100 steps.  A ratio that is not finite raises
+        A static state does not depend on the masses, so the relaxation runs
+        under masses of its own: each particle with a spring gets its
+        stiffness total ``k_i`` times ``T = max_j(m_j / k_j)``.  No mass falls,
+        every particle has the same per-particle bound ``sqrt(T)``, and the
+        relaxation steps at :data:`RELAX_DT_SAFETY` times it, so a step moves
+        a particle by ``RELAX_DT_SAFETY**2 * F / k_i`` whatever the densities
+        are (density scaling; Potyondy & Cundall, IJRMMS 41 (2004) 1329).
+        Particles with no spring, and held ones (``inv_mass`` 0), keep their
+        masses.  A bond break inside the relaxation lowers its step to
+        :meth:`stable_dt` under these masses, as a break does outside one.
+
+        Each step is a :meth:`step` of that ``dt`` with the velocity update
+        of the Fast Inertial Relaxation Engine in place of local damping:
+        velocity is mixed toward the force while the power ``F . v`` is
+        positive and zeroed when it is not (:data:`FIRE_ALPHA0`,
+        :data:`FIRE_F_ALPHA`, :data:`FIRE_N_MIN`).  ``time`` advances by the
+        relaxation's step, so a crack inside a relaxation is stamped in that
+        time.  The ratio is checked every :data:`EQUILIBRIUM_CHECK_INTERVAL`
+        steps.  A ratio that is not finite raises
         :class:`~frostdem.errors.StabilityError`, and one still above ``tol``
         after ``max_steps`` raises :class:`~frostdem.errors.ConvergenceError`.
+
+        On return or raise, ``mass`` and ``inv_mass`` are the true ones again
+        and ``dt`` is the lesser of its value before the call and
+        :meth:`stable_dt` at the true masses, which a stiffening bond break
+        inside the relaxation lowers.
         """
         ratio = self.unbalanced_ratio()
         steps = 0
+        mass, inv_mass, dt = self.mass, self.inv_mass, self.dt
+        k_sum = self._stiffness_totals()
+        sprung = k_sum > 0
+        if np.any(sprung):
+            t_sq = float(np.max(mass[sprung] / k_sum[sprung]))
+            self.mass = np.where(sprung, k_sum * t_sq, mass)
+            self.inv_mass = np.divide(1.0, self.mass, out=np.zeros(self.n),
+                                      where=inv_mass > 0.0)
+            self.dt = RELAX_DT_SAFETY * math.sqrt(t_sq)
         self._fire = _Fire()
         try:
             while ratio > tol and steps < max_steps:
-                block = min(100, max_steps - steps)
+                block = min(EQUILIBRIUM_CHECK_INTERVAL, max_steps - steps)
                 for _ in range(block):
                     self.step(self.dt)
                 steps += block
                 ratio = self.unbalanced_ratio()
         finally:
             self._fire = None
+            self.mass, self.inv_mass = mass, inv_mass
+            self.dt = min(dt, self.stable_dt())
         _require_finite(ratio)
         if ratio > tol:
             raise ConvergenceError(

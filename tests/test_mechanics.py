@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from frostdem import mechanics
 from frostdem.errors import (ConvergenceError, CurveWindowError,
                              InvalidConfigError, StabilityError,
                              UndefinedStatisticError)
-from frostdem.mechanics import (DT_SAFETY, EQUILIBRIUM_RATIO, BondMaterial,
+from frostdem.mechanics import (DT_SAFETY, EQUILIBRIUM_CHECK_INTERVAL,
+                                EQUILIBRIUM_RATIO, BondMaterial,
                                 MechanicalReport, ParticleSystem,
                                 SATURATED_MATERIALS, StressStrainCurve,
                                 build_system, calibrate,
                                 extract_mechanical_params, run_uniaxial_test)
 from frostdem.packing import (ContactKind, CylinderDomain, ParticleAssembly,
-                              generate_packing)
+                              Phase, generate_packing)
 
 from conftest import corrupt_loading, desk_config
 
@@ -654,31 +656,89 @@ def test_uniaxial_determinism(medium_saturated):
         assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
 
 
-def test_equilibrate_raises_on_a_nan_ratio():
-    # a preloaded pair is out of equilibrium, so equilibrate steps; a NaN
-    # velocity turns the positions and then the ratio into NaN
-    system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT})
+def nan_pair():
+    """A preloaded pair, out of equilibrium so equilibrate steps, whose NaN
+    velocity turns the positions and then the ratio into NaN.  The densities
+    differ, so the relaxation raises the lighter sphere's mass."""
+    pair = replace(pair_assembly(), densities=np.array([2600.0, 960.0]))
+    system = ParticleSystem(pair, {ContactKind.ROCK_ROCK: ROCK_MAT})
     system.pos[1, 2] -= 1e-4
     system.vel[1, 0] = np.nan
+    return system
+
+
+def test_equilibrate_raises_on_a_nan_ratio():
     with pytest.raises(StabilityError, match="ratio is nan"):
-        system.equilibrate()
+        nan_pair().equilibrate()
 
 
 def test_equilibrate_raises_at_its_step_cap(medium_saturated):
-    # a fresh 313-particle system takes 300 steps to settle
+    # a fresh 313-particle system takes 100 steps to settle
     system = build_system(medium_saturated)
     with pytest.raises(ConvergenceError,
-                       match=r"ratio of \S+ after 100 steps; the tolerance is 0\.0001"):
-        system.equilibrate(max_steps=100)
+                       match=r"ratio of \S+ after 50 steps; the tolerance is 0\.0001"):
+        system.equilibrate(max_steps=50)
 
 
 def test_equilibrate_stops_at_a_cap_between_two_ratio_checks(medium_saturated):
-    # the ratio is checked every 100 steps, but the last block is cut short
-    # so the run takes no step past its cap
+    # the ratio is checked every EQUILIBRIUM_CHECK_INTERVAL steps, but the
+    # last block is cut short so the run takes no step past its cap
+    assert 95 % EQUILIBRIUM_CHECK_INTERVAL
     system = build_system(medium_saturated)
-    with pytest.raises(ConvergenceError, match=r"after 150 steps;"):
-        system.equilibrate(max_steps=150)
-    assert system.step_count == 150
+    with pytest.raises(ConvergenceError, match=r"after 95 steps;"):
+        system.equilibrate(max_steps=95)
+    assert system.step_count == 95
+
+
+def test_equilibrate_settles_the_same_whatever_the_densities(small_saturated):
+    # the relaxation steps under stiffness-proportional masses, so a step
+    # moves each particle by RELAX_DT_SAFETY**2 * F / k whatever its density
+    asm = small_saturated
+    heavy_water = replace(asm, densities=asm.densities
+                          * np.where(asm.phases == Phase.WATER, 2.0, 0.7))
+    shipped, scaled = build_system(asm), build_system(heavy_water)
+    # the phases scale apart, so no one factor relates the two systems
+    assert not np.allclose(scaled.mass / shipped.mass, scaled.mass[0] / shipped.mass[0])
+    shipped.equilibrate()
+    scaled.equilibrate()
+    assert scaled.step_count == shipped.step_count > 0
+    assert np.abs(scaled.pos - shipped.pos).max() <= 1e-12
+
+
+def _mass_state(system):
+    return system.mass.tobytes(), system.inv_mass.tobytes(), system.dt
+
+
+@pytest.mark.parametrize("make, max_steps, error", [
+    (lambda asm: build_system(asm), 60_000, None),
+    (lambda asm: build_system(asm), 5, ConvergenceError),
+    (lambda asm: nan_pair(), 60_000, StabilityError),
+], ids=["return", "cap", "nan"])
+def test_equilibrate_restores_masses_and_step(small_saturated, make,
+                                              max_steps, error):
+    system = make(small_saturated)
+    before = (system.mass.tobytes(), system.inv_mass.tobytes(), system.dt)
+    if error is None:
+        system.equilibrate(max_steps=max_steps)
+        assert system.step_count > 0
+    else:
+        with pytest.raises(error):
+            system.equilibrate(max_steps=max_steps)
+    assert (system.mass.tobytes(), system.inv_mass.tobytes(), system.dt) == before
+
+
+@pytest.mark.parametrize("contact_modulus", [900.0, ROCK_MAT.contact_modulus])
+def test_equilibrate_leaves_the_lesser_step_after_a_break(contact_modulus):
+    # a break inside the relaxation shortens the stable step at the true
+    # masses (a stiff contact spring) or lengthens it (the shipped one); the
+    # step left is the lesser of the one before the call and the new bound
+    system = held_pair(replace(ROCK_MAT, contact_modulus=contact_modulus))
+    prior = system.dt
+    system.pos[1, 2] += 0.1
+    system.equilibrate(max_steps=200)
+    assert not system.b_intact.any()
+    assert system.stable_dt() != prior
+    assert system.dt == min(prior, system.stable_dt())
 
 
 # ---------------------------------------------------------------------------
