@@ -192,10 +192,9 @@ def run_freeze(assembly: ParticleAssembly,
     system = build_system(assembly)
 
     water = system.phases == Phase.WATER
-    if config.water_prestress > 0 and np.any(water):
-        system.radii += np.where(water, system.radii * config.water_prestress, 0.0)
-    skin = 0.25 * float(system.radii.min())
-    system.refresh_transient_contacts(skin)
+    prestress = np.where(water, system.radii * config.water_prestress, 0.0)
+    skin = 0.25 * float((system.radii + prestress).min())
+    system.grow_radii(prestress, skin)
     system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
 
     boundary = surface_particle_ids(assembly)
@@ -237,10 +236,9 @@ def run_freeze(assembly: ParticleAssembly,
                                                system.radii * jump_factor, 0.0)
                 has_jumped |= newly_frozen
             alpha_now = expansion_coefficients(system.phases, field.temperatures)
-            system.radii += d_radius
             system.apply_bond_thermal_offsets(d_temp, alpha_now)
             t_prev_particles = field.temperatures.copy()
-            system.refresh_transient_contacts(skin)
+            system.grow_radii(d_radius, skin)
             system.run(SUBSTEP_RELAX_STEPS)
         system.refresh_transient_contacts(skin)
         system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)

@@ -70,6 +70,18 @@ RELAX_DT_SAFETY = 0.8
 #: sets their floor; 10 and 5 cost about the same in steps plus checks.
 EQUILIBRIUM_CHECK_INTERVAL = 10
 
+#: Share of its starting mean contact force below which
+#: :meth:`ParticleSystem.equilibrate` no longer lets the mean contact force
+#: shrink the unbalanced ratio.  For a lone loaded pair the net force and the
+#: contact force decay together, so the plain ratio stays put (0.4477 for
+#: the 13-particle, 2-bond freeze set-up at solid fraction 0.05, which spent
+#: its 30,000-step cap while its force fell from 197 N to 3e-9 N; with the
+#: floor it settles in 410 steps).  A relaxed packing keeps its contact
+#: forces: on the benchmark's 132-particle input seeds 35-39 every
+#: ``compress`` and ``freeze`` artifact is the same with the floor as
+#: without it.
+CONTACT_FORCE_FLOOR = 1e-6
+
 #: Constants of the Fast Inertial Relaxation Engine that
 #: :meth:`ParticleSystem.equilibrate` runs (Bitzek et al., PRL 97 (2006)
 #: 170201): the initial velocity-mixing weight, its shrink factor, and the
@@ -214,6 +226,27 @@ class ParticleSystem:
     lowered by a bond break that shortens it.  :meth:`equilibrate` steps at
     a longer one under masses of its own and leaves ``dt`` no longer than
     it found it.
+
+    One force pass serves :meth:`step`, :meth:`unbalanced_ratio` and
+    :meth:`contact_summary`.  It reads caches that hold only what the state
+    fixes, so it does the arithmetic of a pass that caches nothing, bit for
+    bit:
+
+    - per pair-table row, rebuilt by ``_index_pairs`` whenever the table
+      changes (construction and :meth:`refresh_transient_contacts`): the
+      gather index of both ends' positions, the gather index of both bond
+      ends' velocities, the flat scatter index of the pair forces and the
+      radius sums ``r_a + r_b``;
+    - per bond, set at construction: the negated tensile strengths;
+    - the bond shear stiffness times the step, ``(k_s * intact) * dt``,
+      rebuilt when a step of another ``dt`` comes and cleared by a bond
+      break;
+    - the platen push buffer, made by :meth:`set_platens`, and the bottom
+      platen's reach ``z_bot + r``, rebuilt when ``walls["z_bot"]`` or the
+      radii change.
+
+    Radii enter the radius sums, so they change only through
+    :meth:`grow_radii`, which rebuilds the pair table.
     """
 
     def __init__(self, assembly: ParticleAssembly,
@@ -276,6 +309,7 @@ class ParticleSystem:
         self.b_k_shear = self.b_k_normal / self._material_for(
             self.b_kind, "bond_stiffness_ratio")
         self.b_tensile = self._material_for(self.b_kind, "tensile_strength")
+        self._neg_tensile = -self.b_tensile
         self.b_cohesion = self._material_for(self.b_kind, "cohesion")
         self.b_tanphi = np.tan(np.radians(self._material_for(self.b_kind,
                                                              "friction_angle")))
@@ -286,16 +320,22 @@ class ParticleSystem:
         self.b_length0 = np.linalg.norm(self.pos[ib] - self.pos[ia], axis=1) if m else np.zeros(0)
         self.b_intact = np.ones(m, dtype=bool)
         self.b_shear = np.zeros((m, 3))
-        self._k_shear_intact = self.b_k_shear * self.b_intact
+        self._shear_dt = None
         self._bond_keys = ia * np.int64(max(self.n, 1)) + ib
         self._index_pairs()
         self.dt = self.stable_dt()
 
     def _index_pairs(self) -> None:
-        """Flat scatter index of the pair table: the x, y, z slots of every
-        row's particle b, then of every row's particle a."""
-        self._scatter_idx = ((np.concatenate((self.ib, self.ia)) * 3)[:, None]
-                             + np.arange(3)).ravel()
+        """Rebuild the per-row caches of the pair table: every row's particle
+        b, then every row's particle a, as a gather index of positions and a
+        flat scatter index of their x, y, z slots; the bond rows' ends in the
+        same order as a gather index of velocities; and the radius sums."""
+        nb = self.n_bonds
+        ends = np.concatenate((self.ib, self.ia))
+        self._pos_idx = ends
+        self._vel_idx = np.concatenate((self.ib[:nb], self.ia[:nb]))
+        self._scatter_idx = ((ends * 3)[:, None] + np.arange(3)).ravel()
+        self._radius_sum = self.radii.take(self.ia) + self.radii.take(self.ib)
 
     @property
     def b_ia(self) -> np.ndarray:
@@ -318,6 +358,10 @@ class ParticleSystem:
             * 1e3 * np.pi * self.radii
         self.walls = {"z_bot": z_bot, "z_top": z_top, "k": k_wall,
                       "gap0": z_top - z_bot, "f_bot": 0.0, "f_top": 0.0}
+        # the bottom and top platens' push on every particle, rewritten by
+        # each force pass
+        self._platen_push = np.empty((2, self.n))
+        self._bot_reach_z = None
         self.dt = self.stable_dt()
 
     def platen_strain(self) -> float:
@@ -332,15 +376,6 @@ class ParticleSystem:
 
     # -- geometry and forces --------------------------------------------------
 
-    def _pair_geometry(self):
-        """Distances, unit normals (a towards b) and overlaps of every pair."""
-        ia, ib = self.ia, self.ib
-        d = self.pos.take(ib, axis=0) - self.pos.take(ia, axis=0)
-        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-        normal = d / np.maximum(dist, 1e-12)[:, None]
-        overlap = self.radii.take(ia) + self.radii.take(ib) - dist
-        return dist, normal, overlap
-
     def _normal_forces(self, overlap: np.ndarray) -> np.ndarray:
         """Normal force of every pair, compression positive: the bond spring
         on the effective overlap for intact bonds, the compression-only
@@ -354,40 +389,61 @@ class ParticleSystem:
     def bond_normal_forces(self) -> np.ndarray:
         """Per-bond normal force, compression positive; broken bonds act as
         compression-only linear contacts on geometric overlap."""
-        return self._normal_forces(self._pair_geometry()[2])[:self.n_bonds]
+        return self._force_pass(0.0, mutate=False)[1][:self.n_bonds]
 
-    def _platen_forces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upward push of the bottom platen and downward push of the top
-        platen on every particle."""
-        w, z = self.walls, self.pos[:, 2]
-        f_bot = w["k"] * np.maximum(w["z_bot"] + self.radii - z, 0.0)
-        f_top = w["k"] * np.maximum(z + self.radii - w["z_top"], 0.0)
-        return f_bot, f_top
+    def _force_pass(self, dt: float, mutate: bool = True):
+        """Net force on every particle, and the normal force, centre
+        distance and overlap of every pair.
 
-    def _accumulate_forces(self, dt: float, mutate: bool = True):
-        """Net force on every particle and the normal force of every pair.
-
-        With ``mutate`` the bond shear advances by ``dt`` and the failure
-        envelope is checked.  A broken bond's shear is zero and its shear
-        stiffness in ``_k_shear_intact`` is zero, so it stays zero.
+        With ``mutate`` the bond shear advances by ``dt``, is rotated into
+        the tangent plane, and the parallel-bond strength envelope is
+        checked: a bond fails in tension when its normal tension exceeds the
+        tensile strength, and in shear when its shear stress exceeds
+        cohesion plus the compression-scaled friction term.  A failed bond
+        logs a crack at its midpoint and acts as a linear contact in this
+        same pass.  With platens, their push enters the axial force and the
+        sums are stored as ``walls["f_bot"]`` and ``walls["f_top"]``.
         """
-        nb = self.n_bonds
-        _, normal, overlap = self._pair_geometry()
+        nb, m = self.n_bonds, len(self.ia)
+        ends = self.pos.take(self._pos_idx, axis=0)
+        normal = ends[:m]
+        normal -= ends[m:]                      # a towards b
+        dist = np.sqrt(np.einsum("ij,ij->i", normal, normal))
+        normal /= np.maximum(dist, 1e-12)[:, None]
+        overlap = self._radius_sum - dist
         fn = self._normal_forces(overlap)
         if mutate and nb:
-            # incremental shear on intact bonds, rotated into the tangent
-            # plane; projecting after the increment drops its normal part
+            shear = self.b_shear
+            if dt != self._shear_dt:
+                # a broken bond has no shear stiffness, so its shear stays 0
+                self._k_shear_dt = (self.b_k_shear * self.b_intact * dt)[:, None]
+                self._shear_dt = dt
+            v = self.vel.take(self._vel_idx, axis=0)
+            slip = v[:nb]
+            slip -= v[nb:]
+            slip *= self._k_shear_dt
+            shear -= slip
+            # projecting after the increment drops its normal part
             n_b = normal[:nb]
-            v_rel = self.vel.take(self.ib[:nb], axis=0) \
-                - self.vel.take(self.ia[:nb], axis=0)
-            self.b_shear -= (self._k_shear_intact * dt)[:, None] * v_rel
-            s_n = np.einsum("ij,ij->i", self.b_shear, n_b)
-            self.b_shear -= s_n[:, None] * n_b
-            if self._check_failures(fn[:nb]):
-                # a bond broken in this step acts as a linear contact at once
+            shear -= np.einsum("ij,ij->i", shear, n_b)[:, None] * n_b
+            sigma_n = fn[:nb] / self.b_area
+            # rotational DOF are not carried, so there is no bending moment
+            # and the extreme-fiber tension is the normal tension alone
+            tensile = sigma_n < self._neg_tensile
+            tau = np.sqrt(np.einsum("ij,ij->i", shear, shear)) / self.b_area
+            failing = tensile | (tau > self.b_cohesion + sigma_n * self.b_tanphi)
+            # a broken bond cannot fail (its force is >= 0 and its shear 0),
+            # so the intact mask waits until something fails
+            if np.count_nonzero(failing):
+                failed = np.flatnonzero(failing & self.b_intact)
+                mid = 0.5 * (self.pos[self.b_ia[failed]] + self.pos[self.b_ib[failed]])
+                for row, idx in enumerate(failed):
+                    self.crack_events.append(CrackEvent(
+                        self.time, tuple(float(x) for x in mid[row]),
+                        "tensile" if tensile[idx] else "shear"))
+                self._break_bonds(failed)
                 fn = self._normal_forces(overlap)
 
-        m = len(fn)
         pair_force = np.empty((2 * m, 3))         # force on b, then on a
         np.multiply(fn[:, None], normal, out=pair_force[:m])
         pair_force[:nb] += self.b_shear
@@ -400,36 +456,19 @@ class ParticleSystem:
             force = np.zeros((self.n, 3))
 
         if self.walls is not None:
-            f_bot, f_top = self._platen_forces()
-            force[:, 2] += f_bot - f_top
-            self.walls["f_bot"] = float(f_bot.sum())
-            self.walls["f_top"] = float(f_top.sum())
-        return force, fn
-
-    def _check_failures(self, fn: np.ndarray) -> bool:
-        """Break intact bonds outside the parallel-bond strength envelope.
-
-        Tensile failure when normal tension exceeds the tensile strength;
-        shear failure when shear stress exceeds cohesion plus the
-        compression-scaled friction term.  Returns whether any bond broke.
-        """
-        sigma_n = fn / self.b_area
-        # rotational DOF are not carried, so there is no bending moment and
-        # the extreme-fiber tension is the normal tension alone
-        tensile = -sigma_n > self.b_tensile
-        tau = np.sqrt(np.einsum("ij,ij->i", self.b_shear, self.b_shear)) / self.b_area
-        failing = self.b_intact & (tensile
-                                   | (tau > self.b_cohesion + sigma_n * self.b_tanphi))
-        if not failing.any():
-            return False
-        failed = np.flatnonzero(failing)
-        mid = 0.5 * (self.pos[self.b_ia[failed]] + self.pos[self.b_ib[failed]])
-        for row, idx in enumerate(failed):
-            mode = "tensile" if tensile[idx] else "shear"
-            self.crack_events.append(CrackEvent(
-                self.time, tuple(float(x) for x in mid[row]), mode))
-        self._break_bonds(failed)
-        return True
+            # upward push of the bottom platen, downward push of the top one
+            w, z, push = self.walls, self.pos[:, 2], self._platen_push
+            if w["z_bot"] != self._bot_reach_z:
+                self._bot_reach_z = w["z_bot"]
+                self._bot_reach = w["z_bot"] + self.radii
+            np.subtract(self._bot_reach, z, out=push[0])
+            np.add(z, self.radii, out=push[1])
+            push[1] -= w["z_top"]
+            np.maximum(push, 0.0, out=push)
+            push *= w["k"]
+            force[:, 2] += push[0] - push[1]
+            w["f_bot"], w["f_top"] = np.add.reduce(push, axis=1).tolist()
+        return force, fn, dist, overlap
 
     def _break_bonds(self, rows: np.ndarray) -> None:
         """Turn the bonds ``rows`` into linear contacts: no shear and no
@@ -438,7 +477,7 @@ class ParticleSystem:
         longer one waits for the next change of the pair table."""
         self.b_intact[rows] = False
         self.b_shear[rows] = 0.0
-        self._k_shear_intact = self.b_k_shear * self.b_intact
+        self._shear_dt = None
         self.dt = min(self.dt, self.stable_dt())
 
     # -- stepping -------------------------------------------------------------
@@ -481,13 +520,18 @@ class ParticleSystem:
         if dt > self.dt * (1.0 + 1e-12):
             raise StabilityError(
                 f"dt={dt:g} s exceeds stability limit {self.dt:g} s")
-        force, _ = self._accumulate_forces(dt)
+        force = self._force_pass(dt)[0]
         if self._fire is not None:
             self._fire.steer(self.vel, force)
         elif self.damping > 0.0:
-            force = force - self.damping * np.abs(force) * np.sign(self.vel)
-        self.vel += force * self.inv_mass[:, None] * dt
-        self.pos += self.vel * dt
+            drag = np.abs(force)
+            drag *= self.damping
+            drag *= np.sign(self.vel)
+            force -= drag
+        force *= self.inv_mass[:, None]
+        force *= dt
+        self.vel += force
+        self.pos += np.multiply(self.vel, dt, out=force)
         self.time += dt
         self.step_count += 1
 
@@ -496,20 +540,26 @@ class ParticleSystem:
         for _ in range(n_steps):
             self.step(self.dt)
 
-    def unbalanced_ratio(self) -> float:
-        """Mean net force over mean contact force magnitude."""
-        force, fn = self._accumulate_forces(0.0, mutate=False)
+    def unbalanced_ratio(self, floor: float = 0.0) -> float:
+        """Mean net force over mean contact force magnitude, the latter
+        raised to ``floor`` where it falls below it (0 when no contact
+        carries more than 1e-12 N)."""
+        net, contact = self._mean_forces()
+        if contact <= 1e-12:
+            return 0.0
+        return net / max(contact, floor)
+
+    def _mean_forces(self) -> tuple[float, float]:
+        """Mean net force over the particles, and mean force magnitude over
+        the pairs and the platen contacts."""
+        force, fn, _, _ = self._force_pass(0.0, mutate=False)
         mag_sum = float(np.abs(fn).sum() + np.sqrt(
             np.einsum("ij,ij->i", self.b_shear, self.b_shear)).sum())
         count = len(self.ia)
         if self.walls is not None:
-            f_bot, f_top = self._platen_forces()
             mag_sum += self.walls["f_bot"] + self.walls["f_top"]
-            count += int(np.count_nonzero(f_bot) + np.count_nonzero(f_top))
-        mean_contact = mag_sum / max(count, 1)
-        if mean_contact <= 1e-12:
-            return 0.0
-        return (float(np.abs(force).sum()) / max(self.n, 1)) / mean_contact
+            count += int(np.count_nonzero(self._platen_push))
+        return float(np.abs(force).sum()) / max(self.n, 1), mag_sum / max(count, 1)
 
     def equilibrate(self, tol: float = EQUILIBRIUM_RATIO,
                     max_steps: int = 60_000) -> float:
@@ -533,16 +583,20 @@ class ParticleSystem:
         :data:`FIRE_F_ALPHA`, :data:`FIRE_N_MIN`).  ``time`` advances by the
         relaxation's step, so a crack inside a relaxation is stamped in that
         time.  The ratio is checked every :data:`EQUILIBRIUM_CHECK_INTERVAL`
-        steps.  A ratio that is not finite raises
-        :class:`~frostdem.errors.StabilityError`, and one still above ``tol``
-        after ``max_steps`` raises :class:`~frostdem.errors.ConvergenceError`.
+        steps, against a mean contact force no lower than
+        :data:`CONTACT_FORCE_FLOOR` times its value at the start, so a lone
+        loaded pair whose forces all decay together still settles.  A ratio
+        that is not finite raises :class:`~frostdem.errors.StabilityError`,
+        and one still above ``tol`` after ``max_steps`` raises
+        :class:`~frostdem.errors.ConvergenceError`.
 
         On return or raise, ``mass`` and ``inv_mass`` are the true ones again
         and ``dt`` is the lesser of its value before the call and
         :meth:`stable_dt` at the true masses, which a stiffening bond break
         inside the relaxation lowers.
         """
-        ratio = self.unbalanced_ratio()
+        floor = CONTACT_FORCE_FLOOR * self._mean_forces()[1]
+        ratio = self.unbalanced_ratio(floor)
         steps = 0
         mass, inv_mass, dt = self.mass, self.inv_mass, self.dt
         k_sum = self._stiffness_totals()
@@ -560,7 +614,7 @@ class ParticleSystem:
                 for _ in range(block):
                     self.step(self.dt)
                 steps += block
-                ratio = self.unbalanced_ratio()
+                ratio = self.unbalanced_ratio(floor)
         finally:
             self._fire = None
             self.mass, self.inv_mass = mass, inv_mass
@@ -596,6 +650,14 @@ class ParticleSystem:
         self._index_pairs()
         self.dt = self.stable_dt()
 
+    def grow_radii(self, d_radius: np.ndarray, tolerance: float = 0.0) -> None:
+        """Add ``d_radius`` to the radii, then rebuild the unbonded rows of
+        the pair table at ``tolerance`` as :meth:`refresh_transient_contacts`
+        does, which rebuilds the radius sums the force pass reads."""
+        self.radii += d_radius
+        self._bot_reach_z = None
+        self.refresh_transient_contacts(tolerance)
+
     # -- thermal coupling hooks -------------------------------------------------
 
     def apply_bond_thermal_offsets(self, d_temp: np.ndarray,
@@ -626,8 +688,8 @@ class ParticleSystem:
         """Largest compressive normal force over the pair table; active
         pairs, the intact bonds plus the other pairs currently overlapping;
         and the total overlap-lens volume over all overlapping pairs."""
-        dist, _, overlap = self._pair_geometry()
-        force = float(np.max(self._normal_forces(overlap), initial=0.0))
+        _, fn, dist, overlap = self._force_pass(0.0, mutate=False)
+        force = float(np.max(fn, initial=0.0))
         touching = overlap > 0.0
         active = touching.copy()
         active[:self.n_bonds] |= self.b_intact
@@ -722,6 +784,10 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
     system.set_platens()
 
     strains, stresses = [0.0], [system.platen_stress()]
+    # the loop computes platen_stress and platen_strain from locals
+    walls = system.walls
+    area = math.pi * assembly.domain.radius ** 2
+    z_bot, gap0 = walls["z_bot"], walls["gap0"]
     sample_interval = 2e-5      # strain between two curve samples
     next_sample = sample_interval
     peak = 0.0
@@ -732,11 +798,11 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
     refresh_every = 250
     for step in range(LOADING_STEP_CAP):
         h = system.dt
-        system.walls["z_top"] -= platen_velocity * h
+        walls["z_top"] = z_top = walls["z_top"] - platen_velocity * h
         system.step(h)
-        stress_acc += system.platen_stress()
+        stress_acc += 0.5 * (abs(walls["f_bot"]) + abs(walls["f_top"])) / area
         acc_count += 1
-        strain = system.platen_strain()
+        strain = (gap0 - (z_top - z_bot)) / gap0
         if strain >= next_sample:
             stress = _finite_sample("platen stress", stress_acc / acc_count, strain)
             strains.append(strain)

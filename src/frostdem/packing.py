@@ -271,9 +271,14 @@ class _PairCache:
         self._anchor: np.ndarray | None = None
 
     def pairs(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs within ``skin`` of touching at the last rebuild, kept
+        while no particle has moved further than ``skin / 2`` from where it
+        was then: two particles that each move that far close at most one
+        skin, so no pair outside the list can overlap yet."""
         if self._anchor is not None:
-            moved = np.abs(centers - self._anchor).max()
-            if moved <= 0.5 * self.skin:
+            step = centers - self._anchor
+            moved_sq = np.einsum("ij,ij->i", step, step).max()
+            if moved_sq <= (0.5 * self.skin) ** 2:
                 return self.a, self.b
         self.a, self.b, _ = _near_pairs(centers, self.radii, self.skin)
         self.radius_sum = self.radii.take(self.a) + self.radii.take(self.b)

@@ -241,6 +241,40 @@ stage_temps = 0,-10
     assert not out.exists()
 
 
+def test_freeze_of_an_isolated_loaded_bond_settles_then_exits_2(
+        tmp_path, capsys, monkeypatch):
+    # 13 particles and 2 bonds: the set-up relaxes a lone loaded pair, whose
+    # net force and contact force decay together.  Against a floor on the
+    # mean contact force it settles far inside its step cap (it spent the
+    # whole cap without one), and the freeze then stops at its zero baseline
+    from frostdem import frostheave
+    from frostdem.mechanics import ParticleSystem
+
+    relaxed = []
+    equilibrate = ParticleSystem.equilibrate
+
+    def counted(self, *args, **kwargs):
+        start = self.step_count
+        ratio = equilibrate(self, *args, **kwargs)
+        relaxed.append((self.n, self.n_bonds, self.step_count - start))
+        return ratio
+
+    monkeypatch.setattr(ParticleSystem, "equilibrate", counted)
+    packing = (PACKING_BLOCK.replace("cylinder_radius = 5", "cylinder_radius = 6")
+               .replace("cylinder_height = 10", "cylinder_height = 12")
+               .replace("solid_fraction = 0.48", "solid_fraction = 0.05"))
+    cfg = write_config(tmp_path, f"[run]\nseed = 1\n{packing}\n[thermal]\n"
+                                 "stage_temps = 0,-10\n")
+    out = tmp_path / "out"
+    assert main(["freeze", "--config", cfg, "--out", str(out)]) == 2
+    assert ("config error: the baseline carries no contact force"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    ((n, bonds, steps),) = relaxed
+    assert (n, bonds) == (13, 2)
+    assert 0 < steps <= frostheave.STAGE_RELAX_STEP_CAP // 20
+
+
 def test_analyze_with_nothing_to_do_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "[analysis]\n")
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

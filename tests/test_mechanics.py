@@ -14,6 +14,7 @@ from frostdem.mechanics import (DT_SAFETY, EQUILIBRIUM_CHECK_INTERVAL,
                                 SATURATED_MATERIALS, StressStrainCurve,
                                 build_system, calibrate,
                                 extract_mechanical_params, run_uniaxial_test)
+from frostdem.frostheave import FreezeConfig, run_freeze
 from frostdem.packing import (ContactKind, CylinderDomain, ParticleAssembly,
                               Phase, generate_packing)
 
@@ -406,7 +407,7 @@ def test_force_pass_matches_per_pair_oracle():
     system = mixed_table_system()
     expected, ratio, touching = oracle_forces(system)
     assert touching["bot"] == 3 and touching["top"] >= 1
-    force, _ = system._accumulate_forces(0.0, mutate=False)
+    force = system._force_pass(0.0, mutate=False)[0]
     assert_forces_match(system, force, expected)
     assert system.unbalanced_ratio() == pytest.approx(ratio, rel=1e-12)
 
@@ -435,6 +436,168 @@ def test_step_advances_shear_and_forces_like_the_oracle():
     assert np.any(system.b_shear[0] != 0.0)
     _, ratio, _ = oracle_forces(system)
     assert system.unbalanced_ratio() == pytest.approx(ratio, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the force pass against the vectorised pass it replaced, bit for bit
+
+def _force_pass_oracle(s, dt, mutate=True):
+    """The force pass with nothing cached: the geometry from two position
+    gathers and the radii, every mask applied up front, both platens' pushes
+    and sums apart, and fresh arrays throughout.  Returns the net force, the
+    normal forces, the distances, the overlaps and the platen pushes."""
+    nb, ia, ib = s.n_bonds, s.ia, s.ib
+    d = s.pos.take(ib, axis=0) - s.pos.take(ia, axis=0)
+    dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+    normal = d / np.maximum(dist, 1e-12)[:, None]
+    overlap = s.radii.take(ia) + s.radii.take(ib) - dist
+
+    def normal_forces():
+        fn = s.k_lin * np.maximum(overlap, 0.0)
+        f_bond = s.b_k_normal * (overlap[:nb] + s.b_offset - s.b_form_ref)
+        np.copyto(fn[:nb], f_bond, where=s.b_intact)
+        return fn
+
+    fn = normal_forces()
+    if mutate and nb:
+        n_b = normal[:nb]
+        v_rel = s.vel.take(ib[:nb], axis=0) - s.vel.take(ia[:nb], axis=0)
+        s.b_shear -= (s.b_k_shear * s.b_intact * dt)[:, None] * v_rel
+        s_n = np.einsum("ij,ij->i", s.b_shear, n_b)
+        s.b_shear -= s_n[:, None] * n_b
+        sigma_n = fn[:nb] / s.b_area
+        tensile = -sigma_n > s.b_tensile
+        tau = np.sqrt(np.einsum("ij,ij->i", s.b_shear, s.b_shear)) / s.b_area
+        failing = s.b_intact & (tensile
+                                | (tau > s.b_cohesion + sigma_n * s.b_tanphi))
+        if failing.any():
+            failed = np.flatnonzero(failing)
+            mid = 0.5 * (s.pos[s.b_ia[failed]] + s.pos[s.b_ib[failed]])
+            for row, idx in enumerate(failed):
+                s.crack_events.append(mechanics.CrackEvent(
+                    s.time, tuple(float(x) for x in mid[row]),
+                    "tensile" if tensile[idx] else "shear"))
+            s._break_bonds(failed)
+            fn = normal_forces()
+
+    m = len(fn)
+    pair_force = np.empty((2 * m, 3))
+    np.multiply(fn[:, None], normal, out=pair_force[:m])
+    pair_force[:nb] += s.b_shear
+    np.negative(pair_force[:m], out=pair_force[m:])
+    scatter = ((np.concatenate((ib, ia)) * 3)[:, None] + np.arange(3)).ravel()
+    force = (np.bincount(scatter, weights=pair_force.ravel(),
+                         minlength=3 * s.n).reshape(s.n, 3)
+             if m else np.zeros((s.n, 3)))
+    pushes = ()
+    if s.walls is not None:
+        w, z = s.walls, s.pos[:, 2]
+        pushes = (w["k"] * np.maximum(w["z_bot"] + s.radii - z, 0.0),
+                  w["k"] * np.maximum(z + s.radii - w["z_top"], 0.0))
+        force[:, 2] += pushes[0] - pushes[1]
+        w["f_bot"], w["f_top"] = (float(f.sum()) for f in pushes)
+    return force, fn, dist, overlap, pushes
+
+
+def _step_oracle(s, dt):
+    """``ParticleSystem.step`` on the oracle pass, integrating on fresh
+    arrays."""
+    assert dt <= s.dt * (1.0 + 1e-12)
+    force = _force_pass_oracle(s, dt)[0]
+    if s._fire is not None:
+        s._fire.steer(s.vel, force)
+    elif s.damping > 0.0:
+        force = force - s.damping * np.abs(force) * np.sign(s.vel)
+    s.vel += force * s.inv_mass[:, None] * dt
+    s.pos += s.vel * dt
+    s.time += dt
+    s.step_count += 1
+
+
+def _mean_forces_oracle(s):
+    force, fn, _, _, pushes = _force_pass_oracle(s, 0.0, mutate=False)
+    mag_sum = float(np.abs(fn).sum() + np.sqrt(
+        np.einsum("ij,ij->i", s.b_shear, s.b_shear)).sum())
+    count = len(s.ia)
+    if pushes:
+        mag_sum += s.walls["f_bot"] + s.walls["f_top"]
+        count += int(np.count_nonzero(pushes[0]) + np.count_nonzero(pushes[1]))
+    return float(np.abs(force).sum()) / max(s.n, 1), mag_sum / max(count, 1)
+
+
+def _contact_summary_oracle(s):
+    _, fn, dist, overlap, _ = _force_pass_oracle(s, 0.0, mutate=False)
+    touching = overlap > 0.0
+    active = touching.copy()
+    active[:s.n_bonds] |= s.b_intact
+    dd, ra, rb = dist[touching], s.radii[s.ia[touching]], s.radii[s.ib[touching]]
+    lens = (np.pi * (ra + rb - dd) ** 2
+            * (dd ** 2 + 2.0 * dd * (ra + rb) - 3.0 * (ra - rb) ** 2)
+            / (12.0 * np.maximum(dd, 1e-12)))
+    return (float(np.max(fn, initial=0.0)), int(np.count_nonzero(active)),
+            float(lens.sum()))
+
+
+def _with_oracle_pass(monkeypatch, run):
+    """``run()`` with every force pass of ``ParticleSystem`` the oracle's."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ParticleSystem, "step", _step_oracle)
+        patch.setattr(ParticleSystem, "_mean_forces", _mean_forces_oracle)
+        patch.setattr(ParticleSystem, "contact_summary", _contact_summary_oracle)
+        return run()
+
+
+def _state(system):
+    walls = system.walls or {}
+    return (system.pos.tobytes(), system.vel.tobytes(), system.b_shear.tobytes(),
+            system.b_offset.tobytes(), system.b_intact.tobytes(),
+            list(system.crack_events), system.time, system.step_count,
+            walls.get("f_bot"), walls.get("f_top"))
+
+
+def test_loading_run_matches_the_oracle_pass_bit_for_bit(small_saturated,
+                                                         monkeypatch):
+    # weak bonds: the run breaks bonds in tension and in shear, refreshes
+    # its unbonded contacts and stops past the peak
+    built = spy_on_build_system(monkeypatch)
+
+    def run():
+        return run_uniaxial_test(small_saturated, 4.0, 0.015,
+                                 scaled_materials(0.10))
+
+    curves = [run(), _with_oracle_pass(monkeypatch, run)]
+    engine, oracle = built
+    assert engine.crack_events
+    assert len(engine.ia) > engine.n_bonds
+    assert engine.walls["f_bot"] > 0.0 and engine.walls["f_top"] > 0.0
+    assert _state(engine) == _state(oracle)
+    assert [c.strain.tobytes() + c.stress.tobytes() for c in curves] \
+        == [curves[1].strain.tobytes() + curves[1].stress.tobytes()] * 2
+
+
+def test_freeze_matches_the_oracle_pass_bit_for_bit(small_saturated, monkeypatch):
+    # the volume jump breaks bonds inside the substep runs; every substep
+    # grows the radii and offsets the bonds, and each stage end relaxes
+    config = FreezeConfig(stage_temps=(0.0, -10.0), freeze_volume_jump=0.09)
+    engine = run_freeze(small_saturated, config)
+    oracle = _with_oracle_pass(monkeypatch,
+                               lambda: run_freeze(small_saturated, config))
+    assert engine.cracks and np.any(engine.system.b_offset != 0.0)
+    assert _state(engine.system) == _state(oracle.system)
+    assert (engine.baseline, engine.stages) == (oracle.baseline, oracle.stages)
+
+
+def test_equilibrate_matches_the_oracle_pass_bit_for_bit(monkeypatch):
+    # the set-up breaks a bond in tension with one step; FIRE then relaxes an
+    # intact bond with shear and an offset, the broken bond, an unbonded
+    # contact and both platens pressing
+    engine = mixed_table_system()
+    oracle = _with_oracle_pass(monkeypatch, mixed_table_system)
+    assert _state(engine) == _state(oracle)
+    ratio = engine.equilibrate()
+    assert _with_oracle_pass(monkeypatch, oracle.equilibrate) == ratio
+    assert engine.step_count > 0 and np.any(engine.b_shear[0] != 0.0)
+    assert _state(engine) == _state(oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,21 @@ def test_desk_packings_take_at_most_half_the_plain_sweeps(monkeypatch):
     assert len(sweeps) <= 33_511 // 2
 
 
+def test_pair_cache_rebuilds_once_a_particle_moves_half_a_skin():
+    # two spheres 1.2 skins apart, not yet a pair, each move 0.45 skin along
+    # every axis toward the other: no coordinate moves half a skin, but each
+    # sphere moves 0.78 skin and together they close 1.56 skins and overlap
+    skin, axis = 0.3, np.full(3, 1.0) / math.sqrt(3.0)
+    radii = np.ones(2)
+    centers = np.array([np.zeros(3), (2.0 + 1.2 * skin) * axis])
+    cache = packing._PairCache(radii, skin)
+    assert [a.tolist() for a in cache.pairs(centers)] == [[], []]
+    moved = centers + np.array([[1.0], [-1.0]]) * 0.45 * skin
+    assert np.abs(moved - centers).max() <= 0.5 * skin
+    assert np.linalg.norm(moved[1] - moved[0]) < 2.0
+    assert [a.tolist() for a in cache.pairs(moved)] == [[0], [1]]
+
+
 def _relax_overlaps_oracle(centers, radii, domain, max_overlap, max_sweeps,
                            under_relax=0.7, rng=None):
     """The relaxation sweep with its pair cache inline: boolean gathers of
@@ -297,7 +312,8 @@ def _relax_overlaps_oracle(centers, radii, domain, max_overlap, max_sweeps,
     best = np.inf
     since_best = 0
     for _ in range(max_sweeps):
-        if anchor is None or np.max(np.abs(centers - anchor)) > 0.5 * skin:
+        if anchor is None or np.max(np.sum((centers - anchor) ** 2, axis=1)) \
+                > (0.5 * skin) ** 2:
             a, b, _ = packing._near_pairs(centers, radii, skin)
             anchor = centers.copy()
         if len(a) == 0:
