@@ -227,6 +227,20 @@ class ParticleSystem:
     a longer one under masses of its own and leaves ``dt`` no longer than
     it found it.
 
+    Positions and velocities are stored component-major, ``(3, n)``, and
+    the force pass works on ``(3, m)`` rows of pair normals and pair forces,
+    so a row norm or a dot product is three contiguous row operations.
+    ``pos`` and ``vel`` are writable ``(n, 3)`` views of that storage, with
+    setters, so ``system.pos += u`` and ``system.vel[:] = v`` write through.
+    The bond shear ``b_shear`` stays ``(nb, 3)`` row-major and the pass reads
+    its ``(3, nb)`` transpose: ``np.einsum("ij,ij->i")`` sums a contiguous
+    3-wide row as ``(p0 + p2) + p1`` but a transposed one as
+    ``(p0 + p1) + p2``, so row-major storage keeps einsum on ``b_shear``
+    rounding as the pass does.  Every row sum is written out in the order
+    einsum takes on contiguous rows, and every sum over particles (FIRE's
+    power and norms, :meth:`_mean_forces`, :meth:`kinetic_energy`) runs in
+    particle-major order, so the pass rounds as a row-major one does.
+
     One force pass serves :meth:`step`, :meth:`unbalanced_ratio` and
     :meth:`contact_summary`.  It reads caches that hold only what the state
     fixes, so it does the arithmetic of a pass that caches nothing, bit for
@@ -234,9 +248,10 @@ class ParticleSystem:
 
     - per pair-table row, rebuilt by ``_index_pairs`` whenever the table
       changes (construction and :meth:`refresh_transient_contacts`): the
-      gather index of both ends' positions, the gather index of both bond
-      ends' velocities, the flat scatter index of the pair forces and the
-      radius sums ``r_a + r_b``;
+      flat index ``axis * n + i`` of both ends, which gathers their
+      positions and scatters the pair forces, the same index of both bond
+      ends, which gathers their velocities, and the radius sums
+      ``r_a + r_b``;
     - per bond, set at construction: the negated tensile strengths;
     - the bond shear stiffness times the step, ``(k_s * intact) * dt``,
       rebuilt when a step of another ``dt`` comes and cleared by a bond
@@ -259,8 +274,8 @@ class ParticleSystem:
         self.mass_scale = mass_scale
 
         self.n = assembly.n_particles
-        self.pos = assembly.centers.copy()
-        self.vel = np.zeros_like(self.pos)
+        self._pos = assembly.centers.T.copy()
+        self._vel = np.zeros_like(self._pos)
         self.radii = assembly.radii.copy()
         self.phases = assembly.phases.copy()
         self.mass = assembly.masses() * mass_scale
@@ -271,6 +286,28 @@ class ParticleSystem:
         self.walls: dict | None = None
         self._install_bonds()
         self._fire: _Fire | None = None
+
+    # -- state views ----------------------------------------------------------
+
+    @property
+    def pos(self) -> np.ndarray:
+        """Particle centres, ``(n, 3)``: a writable view of the ``(3, n)``
+        storage."""
+        return self._pos.T
+
+    @pos.setter
+    def pos(self, value) -> None:
+        np.copyto(self._pos.T, value)
+
+    @property
+    def vel(self) -> np.ndarray:
+        """Particle velocities, ``(n, 3)``: a writable view of the
+        ``(3, n)`` storage."""
+        return self._vel.T
+
+    @vel.setter
+    def vel(self, value) -> None:
+        np.copyto(self._vel.T, value)
 
     # -- construction -------------------------------------------------------
 
@@ -326,15 +363,16 @@ class ParticleSystem:
         self.dt = self.stable_dt()
 
     def _index_pairs(self) -> None:
-        """Rebuild the per-row caches of the pair table: every row's particle
-        b, then every row's particle a, as a gather index of positions and a
-        flat scatter index of their x, y, z slots; the bond rows' ends in the
-        same order as a gather index of velocities; and the radius sums."""
+        """Rebuild the per-row caches of the pair table: the flat index
+        ``axis * n + i`` of every row's particle b, then of every row's
+        particle a, shaped ``(2, 3, m)``, which gathers their positions and
+        scatters their pair forces; the same index of the bond rows' ends,
+        which gathers their velocities; and the radius sums."""
         nb = self.n_bonds
-        ends = np.concatenate((self.ib, self.ia))
-        self._pos_idx = ends
-        self._vel_idx = np.concatenate((self.ib[:nb], self.ia[:nb]))
-        self._scatter_idx = ((ends * 3)[:, None] + np.arange(3)).ravel()
+        axes = self.n * np.arange(3)[:, None]
+        self._end_idx = np.stack((self.ib, self.ia))[:, None, :] + axes
+        self._vel_idx = self._end_idx[:, :, :nb].copy()
+        self._scatter_idx = self._end_idx.ravel()
         self._radius_sum = self.radii.take(self.ia) + self.radii.take(self.ib)
 
     @property
@@ -351,8 +389,8 @@ class ParticleSystem:
         """Install rigid frictionless platens touching the axial extremes."""
         if self.n == 0:
             raise InvalidConfigError("cannot set platens on an empty system")
-        z_bot = float(np.min(self.pos[:, 2] - self.radii))
-        z_top = float(np.max(self.pos[:, 2] + self.radii))
+        z_bot = float(np.min(self._pos[2] - self.radii))
+        z_top = float(np.max(self._pos[2] + self.radii))
         k_wall = self._material_for(
             (self.phases.astype(np.int64) * 2).astype(np.int8), "contact_modulus") \
             * 1e3 * np.pi * self.radii
@@ -392,8 +430,9 @@ class ParticleSystem:
         return self._force_pass(0.0, mutate=False)[1][:self.n_bonds]
 
     def _force_pass(self, dt: float, mutate: bool = True):
-        """Net force on every particle, and the normal force, centre
-        distance and overlap of every pair.
+        """Net force on every particle, an ``(n, 3)`` view of a ``(3, n)``
+        array like :attr:`pos`, and the normal force, centre distance and
+        overlap of every pair.
 
         With ``mutate`` the bond shear advances by ``dt``, is rotated into
         the tangent plane, and the parallel-bond strength envelope is
@@ -404,33 +443,39 @@ class ParticleSystem:
         same pass.  With platens, their push enters the axial force and the
         sums are stored as ``walls["f_bot"]`` and ``walls["f_top"]``.
         """
-        nb, m = self.n_bonds, len(self.ia)
-        ends = self.pos.take(self._pos_idx, axis=0)
-        normal = ends[:m]
-        normal -= ends[m:]                      # a towards b
-        dist = np.sqrt(np.einsum("ij,ij->i", normal, normal))
-        normal /= np.maximum(dist, 1e-12)[:, None]
+        nb, m, n = self.n_bonds, len(self.ia), self.n
+        # (2, 3, m): the b ends' centres, then the a ends'
+        ends = self._pos.ravel().take(self._end_idx)
+        normal = ends[0]
+        normal -= ends[1]                       # a towards b
+        dist = _row_dot(normal, normal)
+        np.sqrt(dist, out=dist)
+        normal /= np.maximum(dist, 1e-12)
         overlap = self._radius_sum - dist
         fn = self._normal_forces(overlap)
+        shear = self.b_shear.T                  # (3, nb) view of the store
         if mutate and nb:
-            shear = self.b_shear
             if dt != self._shear_dt:
                 # a broken bond has no shear stiffness, so its shear stays 0
-                self._k_shear_dt = (self.b_k_shear * self.b_intact * dt)[:, None]
+                self._k_shear_dt = self.b_k_shear * self.b_intact * dt
                 self._shear_dt = dt
-            v = self.vel.take(self._vel_idx, axis=0)
-            slip = v[:nb]
-            slip -= v[nb:]
+            v = self._vel.ravel().take(self._vel_idx)
+            slip = v[0]
+            slip -= v[1]
             slip *= self._k_shear_dt
-            shear -= slip
+            # the shear advances in a contiguous (3, nb) array, written
+            # back to the row-major store once; the pass reads it from here
+            advanced = np.subtract(shear, slip, out=slip)
             # projecting after the increment drops its normal part
-            n_b = normal[:nb]
-            shear -= np.einsum("ij,ij->i", shear, n_b)[:, None] * n_b
+            n_b = normal[:, :nb]
+            advanced -= _row_dot(advanced, n_b) * n_b
+            shear[...] = advanced
+            shear = advanced
             sigma_n = fn[:nb] / self.b_area
             # rotational DOF are not carried, so there is no bending moment
             # and the extreme-fiber tension is the normal tension alone
             tensile = sigma_n < self._neg_tensile
-            tau = np.sqrt(np.einsum("ij,ij->i", shear, shear)) / self.b_area
+            tau = np.sqrt(_row_dot(shear, shear)) / self.b_area
             failing = tensile | (tau > self.b_cohesion + sigma_n * self.b_tanphi)
             # a broken bond cannot fail (its force is >= 0 and its shear 0),
             # so the intact mask waits until something fails
@@ -442,22 +487,24 @@ class ParticleSystem:
                         self.time, tuple(float(x) for x in mid[row]),
                         "tensile" if tensile[idx] else "shear"))
                 self._break_bonds(failed)
+                shear[:, failed] = 0.0          # as the store now holds
                 fn = self._normal_forces(overlap)
 
-        pair_force = np.empty((2 * m, 3))         # force on b, then on a
-        np.multiply(fn[:, None], normal, out=pair_force[:m])
-        pair_force[:nb] += self.b_shear
-        np.negative(pair_force[:m], out=pair_force[m:])
+        pair_force = np.empty((2, 3, m))          # force on b, then on a
+        np.multiply(fn, normal, out=pair_force[0])
+        pair_force[0, :, :nb] += shear
+        np.negative(pair_force[0], out=pair_force[1])
         if m:
+            # each bin sums its pairs in row order, as particle-major bins do
             force = np.bincount(self._scatter_idx, weights=pair_force.ravel(),
-                                minlength=3 * self.n).reshape(self.n, 3)
+                                minlength=3 * n).reshape(3, n)
         else:
             # np.bincount over no weights counts in integers
-            force = np.zeros((self.n, 3))
+            force = np.zeros((3, n))
 
         if self.walls is not None:
             # upward push of the bottom platen, downward push of the top one
-            w, z, push = self.walls, self.pos[:, 2], self._platen_push
+            w, z, push = self.walls, self._pos[2], self._platen_push
             if w["z_bot"] != self._bot_reach_z:
                 self._bot_reach_z = w["z_bot"]
                 self._bot_reach = w["z_bot"] + self.radii
@@ -466,9 +513,9 @@ class ParticleSystem:
             push[1] -= w["z_top"]
             np.maximum(push, 0.0, out=push)
             push *= w["k"]
-            force[:, 2] += push[0] - push[1]
+            force[2] += push[0] - push[1]
             w["f_bot"], w["f_top"] = np.add.reduce(push, axis=1).tolist()
-        return force, fn, dist, overlap
+        return force.T, fn, dist, overlap
 
     def _break_bonds(self, rows: np.ndarray) -> None:
         """Turn the bonds ``rows`` into linear contacts: no shear and no
@@ -520,18 +567,19 @@ class ParticleSystem:
         if dt > self.dt * (1.0 + 1e-12):
             raise StabilityError(
                 f"dt={dt:g} s exceeds stability limit {self.dt:g} s")
-        force = self._force_pass(dt)[0]
+        force = self._force_pass(dt)[0].T
+        vel = self._vel
         if self._fire is not None:
-            self._fire.steer(self.vel, force)
+            self._fire.steer(vel.T, force.T)
         elif self.damping > 0.0:
             drag = np.abs(force)
             drag *= self.damping
-            drag *= np.sign(self.vel)
+            drag *= np.sign(vel)
             force -= drag
-        force *= self.inv_mass[:, None]
+        force *= self.inv_mass
         force *= dt
-        self.vel += force
-        self.pos += np.multiply(self.vel, dt, out=force)
+        vel += force
+        self._pos += np.multiply(vel, dt, out=force)
         self.time += dt
         self.step_count += 1
 
@@ -544,22 +592,21 @@ class ParticleSystem:
         """Mean net force over mean contact force magnitude, the latter
         raised to ``floor`` where it falls below it (0 when no contact
         carries more than 1e-12 N)."""
-        net, contact = self._mean_forces()
-        if contact <= 1e-12:
-            return 0.0
-        return net / max(contact, floor)
+        return _force_ratio(*self._mean_forces(), floor)
 
     def _mean_forces(self) -> tuple[float, float]:
         """Mean net force over the particles, and mean force magnitude over
         the pairs and the platen contacts."""
         force, fn, _, _ = self._force_pass(0.0, mutate=False)
-        mag_sum = float(np.abs(fn).sum() + np.sqrt(
-            np.einsum("ij,ij->i", self.b_shear, self.b_shear)).sum())
+        shear = self.b_shear.T
+        mag_sum = float(np.abs(fn).sum() + np.sqrt(_row_dot(shear, shear)).sum())
         count = len(self.ia)
         if self.walls is not None:
             mag_sum += self.walls["f_bot"] + self.walls["f_top"]
             count += int(np.count_nonzero(self._platen_push))
-        return float(np.abs(force).sum()) / max(self.n, 1), mag_sum / max(count, 1)
+        # summed particle-major, the order of the row-major force array
+        net = float(np.abs(force.ravel()).sum())
+        return net / max(self.n, 1), mag_sum / max(count, 1)
 
     def equilibrate(self, tol: float = EQUILIBRIUM_RATIO,
                     max_steps: int = 60_000) -> float:
@@ -595,8 +642,9 @@ class ParticleSystem:
         :meth:`stable_dt` at the true masses, which a stiffening bond break
         inside the relaxation lowers.
         """
-        floor = CONTACT_FORCE_FLOOR * self._mean_forces()[1]
-        ratio = self.unbalanced_ratio(floor)
+        net, contact = self._mean_forces()
+        floor = CONTACT_FORCE_FLOOR * contact
+        ratio = _force_ratio(net, contact, floor)
         steps = 0
         mass, inv_mass, dt = self.mass, self.inv_mass, self.dt
         k_sum = self._stiffness_totals()
@@ -624,7 +672,7 @@ class ParticleSystem:
             raise ConvergenceError(
                 f"equilibration left an unbalanced-force ratio of {ratio:g} "
                 f"after {steps} steps; the tolerance is {tol:g}")
-        self.vel[:] = 0.0
+        self._vel[:] = 0.0
         return ratio
 
     # -- transient contacts ----------------------------------------------------
@@ -641,7 +689,7 @@ class ParticleSystem:
         bond already acts as a linear contact through its own row.
         """
         ia, ib, _ = contact_arrays(self.snapshot(), tolerance)
-        new = ~np.isin(ia * np.int64(max(self.n, 1)) + ib, self._bond_keys)
+        new = ~_sorted_member(ia * np.int64(max(self.n, 1)) + ib, self._bond_keys)
         ia, ib = ia[new], ib[new]
         nb = self.n_bonds
         self.ia = np.concatenate([self.ia[:nb], ia])
@@ -682,7 +730,8 @@ class ParticleSystem:
         return 0.5 * float(np.sum(self.mass * np.sum(self.vel ** 2, axis=1)))
 
     def momentum(self) -> np.ndarray:
-        return (self.mass[:, None] * self.vel).sum(axis=0)
+        # summed over row-major velocities, particle by particle
+        return (self.mass[:, None] * np.ascontiguousarray(self.vel)).sum(axis=0)
 
     def contact_summary(self) -> tuple[float, int, float]:
         """Largest compressive normal force over the pair table; active
@@ -712,21 +761,52 @@ class _Fire:
         """Mix ``vel`` in place toward ``force`` while the power is positive,
         shrinking the mixing weight after :data:`FIRE_N_MIN` such steps; zero
         it otherwise.  A power that is not finite mixes, so a non-finite
-        state stays non-finite for the ratio check to catch."""
-        power = float(np.vdot(force, vel))
+        state stays non-finite for the ratio check to catch.
+
+        Both arrays are ``(n, 3)``, views of the component-major storage
+        included: the power and the norms run over their particle-major
+        flattening, as ``np.vdot`` flattens them."""
+        f, v = force.ravel(), vel.ravel()
+        power = float(np.vdot(f, v))
         if power <= 0.0:
             vel[:] = 0.0
             self.alpha = FIRE_ALPHA0
             self.positive_steps = 0
             return
         # a positive power means a nonzero force, so |F| divides safely
-        v_norm = math.sqrt(float(np.vdot(vel, vel)))
-        f_norm = math.sqrt(float(np.vdot(force, force)))
+        v_norm = math.sqrt(float(np.vdot(v, v)))
+        f_norm = math.sqrt(float(np.vdot(f, f)))
         vel *= 1.0 - self.alpha
         vel += (self.alpha * v_norm / f_norm) * force
         self.positive_steps += 1
         if self.positive_steps > FIRE_N_MIN:
             self.alpha *= FIRE_F_ALPHA
+
+
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-column dot product of two ``(3, m)`` arrays, summed as
+    ``np.einsum("ij,ij->i")`` sums a contiguous 3-wide row:
+    ``(p0 + p2) + p1``."""
+    p = u * v
+    out = p[0] + p[2]
+    out += p[1]
+    return out
+
+
+def _force_ratio(net: float, contact: float, floor: float) -> float:
+    """Mean net force over mean contact force raised to ``floor``; 0 when no
+    contact carries more than 1e-12 N."""
+    if contact <= 1e-12:
+        return 0.0
+    return net / max(contact, floor)
+
+
+def _sorted_member(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``np.isin(keys, table)`` for a strictly increasing ``table``."""
+    if not len(table):
+        return np.zeros(len(keys), dtype=bool)
+    at = np.searchsorted(table, keys)
+    return table.take(at, mode="clip") == keys
 
 
 def _require_finite(ratio: float) -> None:

@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidConfigError, PackingInfeasibleError, UndefinedStatisticError
+from .errors import (InvalidConfigError, PackingInfeasibleError, StabilityError,
+                     UndefinedStatisticError)
 
 
 class Phase(IntEnum):
@@ -260,9 +261,12 @@ def _random_points_in_cylinder(rng: np.random.Generator, n: int,
 class _PairCache:
     """Candidate pair list with a displacement skin, rebuilt lazily.
 
-    With the pairs it keeps their radius sums and the flat ``(particle,
-    axis)`` indices ``3 * i + axis`` of both ends, so a sweep scatters all
-    three axes with one ``np.bincount`` per end.
+    Centers come component-major, ``(3, n)``.  With the pairs the cache
+    keeps their radius sums and the flat index ``axis * n + i`` of both
+    ends, shaped ``(2, 3, m)`` (every pair's b, then every pair's a), so a
+    sweep gathers both ends with one ``take`` and scatters all three axes
+    with one ``np.bincount`` per end, each bin summing its pairs in pair
+    order.
     """
 
     def __init__(self, radii: np.ndarray, skin: float):
@@ -277,14 +281,17 @@ class _PairCache:
         skin, so no pair outside the list can overlap yet."""
         if self._anchor is not None:
             step = centers - self._anchor
-            moved_sq = np.einsum("ij,ij->i", step, step).max()
-            if moved_sq <= (0.5 * self.skin) ** 2:
+            step *= step
+            # the squared move in np.einsum's order for a 3-wide row
+            moved_sq = step[0] + step[2]
+            moved_sq += step[1]
+            if moved_sq.max() <= (0.5 * self.skin) ** 2:
                 return self.a, self.b
-        self.a, self.b, _ = _near_pairs(centers, self.radii, self.skin)
+        self.a, self.b, _ = _near_pairs(centers.T, self.radii, self.skin)
         self.radius_sum = self.radii.take(self.a) + self.radii.take(self.b)
-        axes = np.arange(3)
-        self.flat_a = (3 * self.a[:, None] + axes).ravel()
-        self.flat_b = (3 * self.b[:, None] + axes).ravel()
+        axes = len(self.radii) * np.arange(3)[:, None]
+        self.ends = np.stack((self.b, self.a))[:, None, :] + axes
+        self.flat_b, self.flat_a = self.ends.reshape(2, -1)
         self._anchor = centers.copy()
         return self.a, self.b
 
@@ -312,63 +319,80 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
     n = len(radii)
     if n < 2:
         return centers, 0.0
-    centers = centers.copy()
+    # component-major: each axis is one contiguous row
+    c = centers.T.copy()
     cache = _PairCache(radii, skin=0.3 * float(radii.min()))
     wall = domain.radius - radii
     top = domain.height - radii
     threshold = 0.25 * max_overlap
     gain = 0.5 * under_relax
-    z = centers[:, 2]
-    prev = centers.copy()
+    x, y, z = c
+    flat = c.ravel()
+    prev = c.copy()
+    scale = np.empty(n)
     residual = last = 0.0
     best = np.inf
     since_best = 0
     for _ in range(max_sweeps):
-        a, b = cache.pairs(centers)
+        a, b = cache.pairs(c)
         if len(a) == 0:
-            return centers, 0.0
-        d = centers.take(b, axis=0) - centers.take(a, axis=0)
-        dist = np.sqrt(np.add.reduce(d * d, axis=1))   # np.linalg.norm
+            return c.T.copy(), 0.0
+        ends = flat.take(cache.ends)
+        d = ends[0]
+        d -= ends[1]
+        # np.linalg.norm's order for a 3-wide row, (p0 + p1) + p2
+        dist = np.add.reduce(d * d, axis=0)
+        np.sqrt(dist, out=dist)
         overlap = cache.radius_sum - dist
         residual = float(overlap.max())
         if residual <= max_overlap:
-            return centers, residual
+            return c.T.copy(), residual
         if residual < 0.98 * best:
             best = residual
             since_best = 0
         else:
             since_best += 1
-        # rows at or below the push threshold get weight 0: adding a zero
-        # leaves every scattered sum as the hit rows alone would give it
+        # pairs at or below the push threshold get weight 0: adding a zero
+        # leaves every scattered sum as the hit pairs alone would give it
         hit = overlap > threshold
-        d *= np.where(hit, overlap / np.maximum(dist, 1e-12), 0.0)[:, None]
+        d *= np.where(hit, overlap / np.maximum(dist, 1e-12), 0.0)
         d *= gain
         push = d.ravel()
         step = (np.bincount(cache.flat_b, weights=push, minlength=3 * n)
                 - np.bincount(cache.flat_a, weights=push, minlength=3 * n)
-                ).reshape(n, 3)
+                ).reshape(3, n)
         if residual < last:
-            step += RELAX_MOMENTUM * (centers - prev)
+            step += RELAX_MOMENTUM * (c - prev)
         last = residual
-        prev[:] = centers
-        centers += step
+        prev[:] = c
+        c += step
         if rng is not None and since_best >= 120:
-            # shake only the jammed neighborhoods, keep the rest in place
+            # shake only the jammed neighborhoods, keep the rest in place;
+            # the kick is drawn particle-major, as the centers were stored
             jammed = np.zeros(n, dtype=bool)
             jammed[a[hit]] = True
             jammed[b[hit]] = True
-            kick = rng.normal(scale=0.5 * residual, size=centers.shape)
-            centers += np.where(jammed[:, None], kick, 0.0)
-            prev[:] = centers
+            kick = rng.normal(scale=0.5 * residual, size=(n, 3)).T
+            c += np.where(jammed, kick, 0.0)
+            prev[:] = c
             since_best = 0
-        rho = np.hypot(centers[:, 0], centers[:, 1])
-        out = rho > wall
-        if out.any():
-            scale = wall[out] / rho[out]
-            centers[out, 0] *= scale
-            centers[out, 1] *= scale
+        # project into the wall: a factor of 1.0 leaves a particle in place
+        rho = np.hypot(x, y)
+        scale.fill(1.0)
+        np.divide(wall, rho, out=scale, where=rho > wall)
+        c[:2] *= scale
         np.minimum(np.maximum(z, radii, out=z), top, out=z)
-    return centers, residual
+    return c.T.copy(), residual
+
+
+def _require_finite_packing(centers: np.ndarray, residual: float) -> None:
+    """Raise :class:`~frostdem.errors.StabilityError` if a polish left a
+    residual or a centre that is not finite: a NaN passes no overlap bound."""
+    bad = int(np.count_nonzero(~np.isfinite(centers).all(axis=1)))
+    if bad or not math.isfinite(residual):
+        raise StabilityError(
+            f"the packing relaxation left a non-finite state: residual "
+            f"{residual}, {bad} non-finite centres")
 
 
 #: Relaxation sweeps of each final polish of a packing.
@@ -382,7 +406,9 @@ def generate_packing(config: PackingConfig) -> ParticleAssembly:
     size with relaxation sweeps between growth steps, then polished until
     the residual pairwise overlap is at most 1e-3 of the smallest radius.
     Water particles are mixed uniformly at random among rock particles.
-    Deterministic for a fixed ``config.rng_seed``.
+    Deterministic for a fixed ``config.rng_seed``.  A polish that leaves a
+    residual or a centre that is not finite raises
+    :class:`~frostdem.errors.StabilityError`.
     """
     config.validate()
     n_water, n_rock = compute_particle_counts(config)
@@ -427,8 +453,9 @@ def generate_packing(config: PackingConfig) -> ParticleAssembly:
     max_overlap = 1e-3 * float(radii.min())
     centers, residual = _relax_overlaps(centers, radii, domain, max_overlap,
                                         POLISH_SWEEPS, under_relax=0.8, rng=rng)
+    _require_finite_packing(centers, residual)
     recoveries = 0
-    while residual > max_overlap and recoveries < 3:
+    while not residual <= max_overlap and recoveries < 3:
         # jammed endgame: back off slightly and regrow through the last step
         recoveries += 1
         for backoff in (0.985, 0.99, 0.995, 1.0):
@@ -438,7 +465,8 @@ def generate_packing(config: PackingConfig) -> ParticleAssembly:
         centers, residual = _relax_overlaps(centers, radii, domain, max_overlap,
                                             POLISH_SWEEPS, under_relax=0.85,
                                             rng=rng)
-    if residual > max_overlap:
+        _require_finite_packing(centers, residual)
+    if not residual <= max_overlap:
         raise PackingInfeasibleError(
             "could not relax overlaps below 1e-03 of the minimum radius "
             f"(residual {residual / float(radii.min()):.2%}); "

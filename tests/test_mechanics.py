@@ -601,6 +601,86 @@ def test_equilibrate_matches_the_oracle_pass_bit_for_bit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the component-major layout behind the (n, 3) views
+
+def test_einsum_sums_a_contiguous_three_wide_row_as_p0_plus_p2_then_p1():
+    # the force pass writes each row sum out in this order; einsum on a
+    # transposed (n, 3) view sums in order instead, so b_shear, which the
+    # oracle pass reads with einsum, keeps its row-major storage
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=(1000, 3)) * np.exp(rng.normal(scale=4.0, size=(1000, 3)))
+    v = rng.normal(size=(1000, 3)) * np.exp(rng.normal(scale=4.0, size=(1000, 3)))
+    p = u * v
+    einsum_order = (p[:, 0] + p[:, 2]) + p[:, 1]
+    in_order = (p[:, 0] + p[:, 1]) + p[:, 2]
+    assert not np.array_equal(einsum_order, in_order)
+    assert np.array_equal(np.einsum("ij,ij->i", u, v), einsum_order)
+    assert np.array_equal(mechanics._row_dot(u.T.copy(), v.T.copy()), einsum_order)
+    u_t, v_t = u.T.copy().T, v.T.copy().T
+    assert np.array_equal(np.einsum("ij,ij->i", u_t, v_t), in_order)
+
+
+def test_writes_through_the_state_views_reach_the_next_force_pass():
+    system = mixed_table_system()
+
+    def forces():
+        force = system._force_pass(0.0, mutate=False)[0].copy()
+        assert_forces_match(system, force, oracle_forces(system)[0])
+        return force
+
+    seen = [forces()]
+    system.pos[3, 2] += 1e-4                   # the broken bond closes
+    seen.append(forces())
+    system.b_shear[0] = (1.0, -2.0, 0.5)
+    seen.append(forces())
+    system.pos += (0.0, 0.0, 1e-4)             # eases the bottom platen
+    assert system.walls["z_bot"] + 1.0 > system.pos[:, 2].min()
+    seen.append(forces())
+    assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+    # the next step advances the shear from the velocities written here
+    system.vel[:] = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 3))
+    dt = system.stable_dt()
+    shear = oracle_shear_step(system, dt)
+    system.step(dt)
+    np.testing.assert_allclose(system.b_shear, shear, rtol=1e-12,
+                               atol=1e-12 * np.abs(shear).max())
+    assert system.pos.shape == system.vel.shape == (6, 3)
+    assert system.b_shear.shape == (system.n_bonds, 3)
+
+
+def test_snapshot_centers_are_the_positions(small_saturated):
+    system = build_system(small_saturated)
+    system.run(20)
+    snap = system.snapshot()
+    assert not np.array_equal(snap.centers, small_saturated.centers)
+    assert np.array_equal(snap.centers, system.pos)
+    assert snap.centers.shape == small_saturated.centers.shape
+
+
+def test_bond_rows_filter_by_searchsorted_as_isin_does(small_saturated,
+                                                      monkeypatch):
+    # weak bonds break under load; the contacts of the broken state, found
+    # at the loading loop's refresh tolerance, are matched against the bond
+    # keys both ways
+    built = spy_on_build_system(monkeypatch)
+    run_uniaxial_test(small_saturated, 4.0, 0.015, scaled_materials(0.10))
+    (system,) = built
+    assert not system.b_intact.all()
+    keys = system._bond_keys
+    assert np.all(np.diff(keys) > 0)
+    ia, ib, _ = mechanics.contact_arrays(system.snapshot(),
+                                         0.1 * float(system.radii.min()))
+    probe = ia * np.int64(system.n) + ib
+    found = mechanics._sorted_member(probe, keys)
+    assert np.array_equal(found, np.isin(probe, keys))
+    assert 0 < np.count_nonzero(found) < len(probe)
+    # keys past both ends of the table, and an empty table
+    edges = np.array([-1, keys[0], keys[-1], keys[-1] + 1])
+    assert mechanics._sorted_member(edges, keys).tolist() == [False, True, True, False]
+    assert not mechanics._sorted_member(probe, keys[:0]).any()
+
+
+# ---------------------------------------------------------------------------
 # integration
 
 def test_zero_state_is_a_fixed_point():

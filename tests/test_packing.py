@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from frostdem import packing
 from frostdem.errors import (InvalidConfigError, PackingInfeasibleError,
-                             UndefinedStatisticError)
+                             StabilityError, UndefinedStatisticError)
 from frostdem.mechanics import SATURATED_MATERIALS, build_system
 from frostdem.packing import (ContactKind, CylinderDomain, PackingConfig,
                               ParticleAssembly, Phase, compute_particle_counts,
@@ -167,6 +167,25 @@ def test_generate_infeasible_fraction_names_parameter(monkeypatch):
         generate_packing(cfg)
 
 
+def test_generate_raises_on_a_polish_that_leaves_a_nan(monkeypatch):
+    # a NaN residual passes no `residual > bound` check: the polish must not
+    # hand back a packing with a NaN centre
+    relax = packing._relax_overlaps
+
+    def nan_polish(centers, radii, domain, max_overlap, max_sweeps, *args, **kw):
+        centers, residual = relax(centers, radii, domain, max_overlap,
+                                  max_sweeps, *args, **kw)
+        if max_sweeps == packing.POLISH_SWEEPS:
+            centers = centers.copy()
+            centers[3, 1] = np.nan
+            residual = float("nan")
+        return centers, residual
+
+    monkeypatch.setattr(packing, "_relax_overlaps", nan_polish)
+    with pytest.raises(StabilityError, match="non-finite state.*1 non-finite centres"):
+        generate_packing(desk_config(seed=1))
+
+
 # ---------------------------------------------------------------------------
 # contact_arrays
 
@@ -289,12 +308,13 @@ def test_pair_cache_rebuilds_once_a_particle_moves_half_a_skin():
     skin, axis = 0.3, np.full(3, 1.0) / math.sqrt(3.0)
     radii = np.ones(2)
     centers = np.array([np.zeros(3), (2.0 + 1.2 * skin) * axis])
+    # the cache takes component-major (3, n) centers
     cache = packing._PairCache(radii, skin)
-    assert [a.tolist() for a in cache.pairs(centers)] == [[], []]
+    assert [a.tolist() for a in cache.pairs(centers.T)] == [[], []]
     moved = centers + np.array([[1.0], [-1.0]]) * 0.45 * skin
     assert np.abs(moved - centers).max() <= 0.5 * skin
     assert np.linalg.norm(moved[1] - moved[0]) < 2.0
-    assert [a.tolist() for a in cache.pairs(moved)] == [[0], [1]]
+    assert [a.tolist() for a in cache.pairs(moved.T)] == [[0], [1]]
 
 
 def _relax_overlaps_oracle(centers, radii, domain, max_overlap, max_sweeps,
@@ -445,6 +465,29 @@ def test_generate_packing_matches_the_oracle_sweep(seed, monkeypatch):
     oracle = generate_packing(desk_config(seed=seed))
     assert np.array_equal(lean.centers, oracle.centers)
     assert np.array_equal(lean.radii, oracle.radii)
+
+
+def test_generate_packing_matches_the_oracle_sweep_at_313_particles(
+        medium_saturated, monkeypatch):
+    # the 8 mm x 16 mm cylinder: more pairs per particle off the wall
+    monkeypatch.setattr(packing, "_relax_overlaps", _relax_overlaps_oracle)
+    oracle = generate_packing(desk_config(radius=8.0, height=16.0))
+    assert medium_saturated.n_particles == 313
+    assert np.array_equal(medium_saturated.centers, oracle.centers)
+    assert np.array_equal(medium_saturated.radii, oracle.radii)
+
+
+def test_add_reduce_sums_a_three_wide_row_in_order_on_either_layout():
+    # the sweep's distance reduces the (3, m) rows over axis 0 and must
+    # round as np.linalg.norm on (m, 3) rows: (p0 + p1) + p2
+    rng = np.random.default_rng(7)
+    d = rng.normal(size=(1000, 3)) * np.exp(rng.normal(scale=4.0, size=(1000, 3)))
+    p = d * d
+    in_order = (p[:, 0] + p[:, 1]) + p[:, 2]
+    assert not np.array_equal(in_order, (p[:, 0] + p[:, 2]) + p[:, 1])
+    assert np.array_equal(np.add.reduce(p, axis=1), in_order)
+    assert np.array_equal(np.add.reduce(p.T.copy(), axis=0), in_order)
+    assert np.array_equal(np.linalg.norm(d, axis=1), np.sqrt(in_order))
 
 
 # ---------------------------------------------------------------------------
