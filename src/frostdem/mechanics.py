@@ -372,7 +372,6 @@ class ParticleSystem:
         axes = self.n * np.arange(3)[:, None]
         self._end_idx = np.stack((self.ib, self.ia))[:, None, :] + axes
         self._vel_idx = self._end_idx[:, :, :nb].copy()
-        self._scatter_idx = self._end_idx.ravel()
         self._radius_sum = self.radii.take(self.ia) + self.radii.take(self.ib)
 
     @property
@@ -496,7 +495,7 @@ class ParticleSystem:
         np.negative(pair_force[0], out=pair_force[1])
         if m:
             # each bin sums its pairs in row order, as particle-major bins do
-            force = np.bincount(self._scatter_idx, weights=pair_force.ravel(),
+            force = np.bincount(self._end_idx.ravel(), weights=pair_force.ravel(),
                                 minlength=3 * n).reshape(3, n)
         else:
             # np.bincount over no weights counts in integers
