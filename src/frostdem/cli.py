@@ -530,7 +530,7 @@ def main(argv=None) -> int:
     except StabilityError as exc:
         print(f"stability error: {exc}", file=sys.stderr)
         return EXIT_STABILITY
-    except (InvalidConfigError, FrostDemError) as exc:
+    except FrostDemError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"{summary}; artifacts in {out_dir}")

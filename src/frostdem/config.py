@@ -64,21 +64,16 @@ class Section:
         self.name = name
         self.values = values
 
-    def _raw(self, key: str, default=None, required=False) -> str | None:
-        if key in self.values:
-            return self.values[key]
-        if required:
-            raise InvalidConfigError(f"[{self.name}] missing required key {key!r}")
-        return default
-
-    def get_str(self, key: str, default: str | None = None,
-                required: bool = False) -> str | None:
-        return self._raw(key, default, required)
+    def get_str(self, key: str, default: str | None = None) -> str | None:
+        return self.values.get(key, default)
 
     def get_float(self, key: str, default: float | None = None,
                   required: bool = False) -> float | None:
-        raw = self._raw(key, None, required)
+        raw = self.values.get(key)
         if raw is None:
+            if required:
+                raise InvalidConfigError(
+                    f"[{self.name}] missing required key {key!r}")
             return default
         try:
             value = float(raw)
@@ -89,9 +84,8 @@ class Section:
                 f"[{self.name}] {key} must be a finite number, got {raw!r}")
         return value
 
-    def get_int(self, key: str, default: int | None = None,
-                required: bool = False) -> int | None:
-        raw = self._raw(key, None, required)
+    def get_int(self, key: str, default: int | None = None) -> int | None:
+        raw = self.values.get(key)
         if raw is None:
             return default
         try:
@@ -100,10 +94,10 @@ class Section:
             raise InvalidConfigError(
                 f"[{self.name}] {key} must be an integer, got {raw!r}") from None
 
-    def get_float_list(self, key: str, default=None, required=False):
-        raw = self._raw(key, None, required)
+    def get_float_list(self, key: str) -> list[float] | None:
+        raw = self.values.get(key)
         if raw is None:
-            return default
+            return None
         try:
             values = [float(v) for v in raw.split(",") if v.strip()]
         except ValueError:
@@ -162,7 +156,7 @@ class ExperimentConfig:
         optional = {key: s.get_float(key)
                     for key in ("rock_density", "water_density", "solid_fraction")
                     if key in s.values}
-        cfg = PackingConfig(
+        return PackingConfig(
             target_porosity=s.get_float("target_porosity", required=True),
             rock_radius_min=s.get_float("rock_radius_min", required=True),
             rock_radius_max=s.get_float("rock_radius_max", required=True),
@@ -173,5 +167,3 @@ class ExperimentConfig:
             rng_seed=self.seed if seed is None else seed,
             **optional,
         )
-        cfg.validate()
-        return cfg

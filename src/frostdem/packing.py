@@ -53,7 +53,7 @@ class PackingConfig:
     rng_seed: int = 0
     solid_fraction: float = 0.60
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0.0 <= self.target_porosity <= 0.5):
             raise InvalidConfigError(
                 f"target_porosity must be in [0, 0.5], got {self.target_porosity}")
@@ -78,10 +78,6 @@ class PackingConfig:
     @property
     def mean_water_radius(self) -> float:
         return 0.5 * (self.water_radius_min + self.water_radius_max)
-
-    @property
-    def domain_volume(self) -> float:
-        return math.pi * self.cylinder_radius ** 2 * self.cylinder_height
 
 
 @dataclass(frozen=True)
@@ -186,8 +182,8 @@ def compute_particle_counts(config: PackingConfig) -> tuple[int, int]:
     rest.  Counts are the rounded ratios of phase volume to the mean
     single-particle volume of each size range.
     """
-    config.validate()
-    v_solid = config.solid_fraction * config.domain_volume
+    domain = CylinderDomain(config.cylinder_radius, config.cylinder_height)
+    v_solid = config.solid_fraction * domain.volume
     v_rock_single = (4.0 / 3.0) * math.pi * config.mean_rock_radius ** 3
     n_rock = int(round((1.0 - config.target_porosity) * v_solid / v_rock_single))
     if config.target_porosity == 0.0:
@@ -216,8 +212,12 @@ def _near_pairs(centers: np.ndarray, radii: np.ndarray, reach: float
 
     A k-d tree proposes every pair within ``2 * max(radii) + reach`` of each
     other; pairs are sorted lexicographically, which fixes the summation order
-    of everything that scatters over them.
+    of everything that scatters over them.  A centre that is not finite
+    raises :class:`~frostdem.errors.StabilityError`.
     """
+    if not np.isfinite(centers).all():
+        raise StabilityError("a particle centre is not finite at the "
+                             "neighbour search")
     pairs = cKDTree(centers).query_pairs(2.0 * float(radii.max()) + reach,
                                          output_type="ndarray")
     a, b = pairs[:, 0], pairs[:, 1]
@@ -410,7 +410,6 @@ def generate_packing(config: PackingConfig) -> ParticleAssembly:
     residual or a centre that is not finite raises
     :class:`~frostdem.errors.StabilityError`.
     """
-    config.validate()
     n_water, n_rock = compute_particle_counts(config)
     n = n_water + n_rock
     domain = CylinderDomain(config.cylinder_radius, config.cylinder_height)

@@ -20,22 +20,14 @@ ALPHA_ROCK = 0.052e-4
 ALPHA_WATER = 1.769e-4
 ALPHA_ICE = 2.079e-4
 
+#: Thermal conductivities, W/(m K).
+CONDUCTIVITY_ROCK = 7.7
+CONDUCTIVITY_WATER = 0.6
+CONDUCTIVITY_ICE = 2.2
 
-@dataclass(frozen=True)
-class ThermalProperties:
-    """Conductivity and heat capacity of one material."""
-
-    conductivity: float          # W/(m K)
-    heat_capacity: float         # J/(kg degC)
-
-    def __post_init__(self):
-        if self.conductivity <= 0 or self.heat_capacity <= 0:
-            raise InvalidConfigError("conductivity and heat capacity must be > 0")
-
-
-ROCK_PROPERTIES = ThermalProperties(7.7, 877.0)
-WATER_FROZEN_PROPERTIES = ThermalProperties(2.2, 4215.0)
-WATER_MELTED_PROPERTIES = ThermalProperties(0.6, 4215.0)
+#: Heat capacities, J/(kg degC); water takes one value in both phases.
+HEAT_CAPACITY_ROCK = 877.0
+HEAT_CAPACITY_WATER = 4215.0
 
 
 def expansion_coefficients(phases: np.ndarray,
@@ -113,36 +105,34 @@ class ConductionNetwork:
                            axis=1)
         self.dist = np.maximum(d, 1e-9) * 1e-3
         mass_kg = assembly.masses() * 1e3  # tonnes -> kg
-        cap = np.where(assembly.phases == Phase.ROCK,
-                       ROCK_PROPERTIES.heat_capacity,
-                       WATER_FROZEN_PROPERTIES.heat_capacity)
+        cap = np.where(assembly.phases == Phase.ROCK, HEAT_CAPACITY_ROCK,
+                       HEAT_CAPACITY_WATER)
         self.heat_mass = mass_kg * cap     # J/degC per particle
         self._water = assembly.phases == Phase.WATER
         # liquid-water mask and held set the factored step belongs to
         self._liquid: np.ndarray | None = None
         self._held: np.ndarray | None = None
-        self.dt = CONDUCTION_STEP_MULTIPLE \
-            * self.stable_dt(np.full(self.n, -1.0))   # s
+        self.dt = CONDUCTION_STEP_MULTIPLE * self.stable_dt()   # s
 
     def conductances(self, temperatures: np.ndarray) -> np.ndarray:
         """Per-contact conductance W/degC at current phase states."""
-        k = np.where(self.phases == Phase.ROCK, ROCK_PROPERTIES.conductivity,
-                     np.where(temperatures > 0.0,
-                              WATER_MELTED_PROPERTIES.conductivity,
-                              WATER_FROZEN_PROPERTIES.conductivity))
+        k = np.where(self.phases == Phase.ROCK, CONDUCTIVITY_ROCK,
+                     np.where(temperatures > 0.0, CONDUCTIVITY_WATER,
+                              CONDUCTIVITY_ICE))
         ka, kb = k[self.ia], k[self.ib]
         k_eff = 2.0 * ka * kb / (ka + kb)
         return k_eff * self.area / self.dist
 
-    def stable_dt(self, temperatures: np.ndarray) -> float:
-        """Largest explicit step honoring the maximum principle.
+    def stable_dt(self) -> float:
+        """Largest explicit step honoring the maximum principle, with all
+        water frozen.
 
         Bound: min over particles of heat_mass / sum of incident
         conductances.  This is at least as strict as the per-contact bound
         and keeps an explicit step's temperatures inside the convex hull of
         the current values.
         """
-        g = self.conductances(temperatures)
+        g = self.conductances(np.full(self.n, -1.0))
         g_sum = np.bincount(self.ia, weights=g, minlength=self.n) \
             + np.bincount(self.ib, weights=g, minlength=self.n)
         active = g_sum > 0

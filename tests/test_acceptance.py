@@ -161,7 +161,7 @@ def test_criterion_07_thermal_conservation(insulated_assembly):
     energy0 = net.thermal_energy(field)
     # at least the simulated time of 1e5 explicit steps of a quarter of the
     # stable bound each, the steps this criterion is stated for
-    simulated = 100_000 * 0.25 * net.stable_dt(np.full(asm.n_particles, -1.0))
+    simulated = 100_000 * 0.25 * net.stable_dt()
     n_steps = math.ceil(simulated / net.dt)
     for _ in range(n_steps):
         net.step(field)

@@ -305,6 +305,28 @@ def test_stability_error_exits_4(tmp_path, capsys, monkeypatch):
     assert "stability error" in capsys.readouterr().err
 
 
+def test_freeze_non_finite_position_exits_4(tmp_path, capsys, monkeypatch):
+    from frostdem.mechanics import ParticleSystem
+
+    run, calls = ParticleSystem.run, []
+
+    def run_then_corrupt(self, n_steps):
+        run(self, n_steps)
+        calls.append(n_steps)
+        if len(calls) == 2:
+            self.pos[0, 0] = np.nan
+
+    # the next neighbour search meets the NaN centre
+    monkeypatch.setattr(ParticleSystem, "run", run_then_corrupt)
+    cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
+    out = tmp_path / "out"
+    assert main(["freeze", "--config", cfg, "--out", str(out)]) == 4
+    assert "stability error: a particle centre is not finite at the " \
+        "neighbour search" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert not out.exists()
+
+
 def test_freeze_conduction_cap_exits_4(tmp_path, capsys, monkeypatch):
     from frostdem import frostheave
 

@@ -8,7 +8,8 @@ from frostdem import mechanics
 from frostdem.errors import (ConvergenceError, CurveWindowError,
                              InvalidConfigError, StabilityError,
                              UndefinedStatisticError)
-from frostdem.mechanics import (DT_SAFETY, EQUILIBRIUM_CHECK_INTERVAL,
+from frostdem.mechanics import (DT_SAFETY, DRY_MATERIALS,
+                                EQUILIBRIUM_CHECK_INTERVAL,
                                 EQUILIBRIUM_RATIO, BondMaterial,
                                 MechanicalReport, ParticleSystem,
                                 SATURATED_MATERIALS, StressStrainCurve,
@@ -300,6 +301,69 @@ def test_broken_bond_and_unbonded_contact_carry_the_same_normal_force():
     f_contact = system.vel[5, 2] * system.mass[5] / dt
     assert f_broken == pytest.approx(expected, rel=1e-9)
     assert f_contact == pytest.approx(f_broken, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# material table: every row takes its micro-parameters by contact kind
+
+def test_material_arrays_match_the_per_row_material_oracle(small_saturated):
+    system = build_system(small_saturated, SATURATED_MATERIALS)
+    system.refresh_transient_contacts(0.1 * float(system.radii.min()))
+    system.set_platens()
+    nb = system.n_bonds
+    radii, phases = system.radii.tolist(), system.phases.tolist()
+    pairs = list(zip(system.ia.tolist(), system.ib.tolist()))
+    kinds = [ContactKind(phases[i] + phases[j]) for i, j in pairs]
+    assert len(kinds) > nb
+    assert set(kinds[:nb]) >= {ContactKind.ROCK_ROCK, ContactKind.ROCK_WATER}
+    expected = {name: [] for name in ("k_lin", "b_area", "b_k_normal",
+                                      "b_k_shear", "b_tensile", "b_cohesion",
+                                      "b_tanphi")}
+    for row, (i, j) in enumerate(pairs):
+        mat = SATURATED_MATERIALS[kinds[row]]
+        r_a, r_b = radii[i], radii[j]
+        r_min = min(r_a, r_b)
+        expected["k_lin"].append(mat.contact_modulus * 1e3 / (r_a + r_b)
+                                 * (math.pi * (r_min * r_min)))
+        if row >= nb:
+            continue
+        area = math.pi * ((r_a + r_b) * (r_a + r_b))
+        k_normal = mat.bond_modulus * 1e3 / (r_a + r_b) * area
+        expected["b_area"].append(area)
+        expected["b_k_normal"].append(k_normal)
+        expected["b_k_shear"].append(k_normal / mat.bond_stiffness_ratio)
+        expected["b_tensile"].append(mat.tensile_strength)
+        expected["b_cohesion"].append(mat.cohesion)
+        expected["b_tanphi"].append(float(np.tan(np.radians(mat.friction_angle))))
+    for name, values in expected.items():
+        assert getattr(system, name).tolist() == values, name
+    # a platen presses on a particle as a particle of its own phase does
+    platen = [SATURATED_MATERIALS[ContactKind(2 * phase)].contact_modulus
+              * 1e3 * math.pi * r for phase, r in zip(phases, radii)]
+    assert system.walls["k"].tolist() == platen
+
+
+def test_a_bond_row_without_a_material_names_its_kind(small_saturated):
+    # the dry table has no ROCK_WATER or WATER_WATER entry; the smallest
+    # missing kind among the rows is named
+    with pytest.raises(InvalidConfigError,
+                       match="no material defined for contact kind ROCK_WATER"):
+        build_system(small_saturated, DRY_MATERIALS)
+
+
+def test_a_platen_spring_without_a_material_names_its_kind():
+    # two bonded rock particles and an isolated water particle: the one
+    # bond row is ROCK_ROCK, but a platen presses on the water particle as
+    # a water particle does
+    centers = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 4.0], [10.0, 0.0, 2.0]])
+    asm = ParticleAssembly(centers, np.ones(3), np.array([0, 0, 1], dtype=np.int8),
+                           np.array([2600.0, 2600.0, 960.0]),
+                           CylinderDomain(30.0, 10.0))
+    system = ParticleSystem(asm, {ContactKind.ROCK_ROCK: ROCK_MAT})
+    assert system.n_bonds == 1
+    with pytest.raises(InvalidConfigError,
+                       match="no material defined for contact kind WATER_WATER"):
+        system.set_platens()
 
 
 # ---------------------------------------------------------------------------

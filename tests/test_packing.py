@@ -85,7 +85,7 @@ def test_counts_reference_configuration_closes_porosity_budget():
     # volume budget check: total particle volume fits the configured fraction
     v_total = (n_w * 4 / 3 * math.pi * cfg.mean_water_radius ** 3
                + n_r * 4 / 3 * math.pi * cfg.mean_rock_radius ** 3)
-    assert v_total <= cfg.domain_volume
+    assert v_total <= CylinderDomain(cfg.cylinder_radius, cfg.cylinder_height).volume
 
 
 def test_counts_invalid_porosity():
@@ -184,6 +184,26 @@ def test_generate_raises_on_a_polish_that_leaves_a_nan(monkeypatch):
     monkeypatch.setattr(packing, "_relax_overlaps", nan_polish)
     with pytest.raises(StabilityError, match="non-finite state.*1 non-finite centres"):
         generate_packing(desk_config(seed=1))
+
+
+def test_generate_raises_on_a_growth_call_that_leaves_a_nan(monkeypatch):
+    # the next growth call hands the NaN centre to the neighbour search,
+    # which must raise a named error, not the k-d tree's ValueError
+    relax = packing._relax_overlaps
+    calls = []
+
+    def nan_first_call(centers, *args, **kw):
+        centers, residual = relax(centers, *args, **kw)
+        calls.append(centers)
+        if len(calls) == 1:
+            centers = centers.copy()
+            centers[3, 1] = np.nan
+        return centers, residual
+
+    monkeypatch.setattr(packing, "_relax_overlaps", nan_first_call)
+    with pytest.raises(StabilityError, match="not finite at the neighbour search"):
+        generate_packing(desk_config(seed=1))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +535,9 @@ def test_porosity_empty_assembly_errors():
 
 def test_config_validation():
     with pytest.raises(InvalidConfigError):
-        desk_config(porosity=0.7).validate()
+        desk_config(porosity=0.7)
     with pytest.raises(InvalidConfigError):
         PackingConfig(target_porosity=0.1, rock_radius_min=1.2,
                       rock_radius_max=1.0, water_radius_min=0.8,
                       water_radius_max=0.95, cylinder_radius=5.0,
-                      cylinder_height=10.0).validate()
+                      cylinder_height=10.0)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from frostdem.errors import InvalidConfigError
 from frostdem.frostheave import CONDUCTION_TOL, _conduct_until, run_freeze
 from frostdem.packing import (CylinderDomain, ParticleAssembly, Phase,
                               contact_arrays)
 from frostdem.thermal import (ConductionNetwork, TemperatureField,
-                              ThermalProperties, expansion_coefficients,
-                              surface_particle_ids, uniformity_report)
+                              expansion_coefficients, surface_particle_ids,
+                              uniformity_report)
 
 
 def two_particle_assembly(r=1.0, gap=0.0, phase=Phase.ROCK):
@@ -18,16 +17,6 @@ def two_particle_assembly(r=1.0, gap=0.0, phase=Phase.ROCK):
                             np.array([phase, phase], dtype=np.int8),
                             np.array([2600.0, 2600.0]),
                             CylinderDomain(4 * r, 6 * r))
-
-
-# ---------------------------------------------------------------------------
-# material data
-
-def test_thermal_property_validation():
-    with pytest.raises(InvalidConfigError):
-        ThermalProperties(-1.0, 877.0)
-    with pytest.raises(InvalidConfigError):
-        ThermalProperties(7.7, 0.0)
 
 
 # ---------------------------------------------------------------------------
