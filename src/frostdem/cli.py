@@ -405,13 +405,16 @@ def cmd_analyze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
     wave_path = section.get_str("waveform")
     static_strength = section.get_float("static_strength")
     rdif_raw = section.get_str("rdif_points")
-    if rdif_raw:
+    if rdif_raw is not None:
         try:
             points = [(float(r), float(v)) for r, v in
                       (item.split(":") for item in rdif_raw.split(",") if item)]
         except ValueError:
+            points = []
+        # a key that lists no pair is an error, not a skipped fit
+        if not points:
             raise InvalidConfigError(
-                "[analysis] rdif_points must look like '200:1.05,600:1.32'") from None
+                "[analysis] rdif_points must look like '200:1.05,600:1.32'")
         if not all(math.isfinite(x) for point in points for x in point):
             raise InvalidConfigError(
                 f"[analysis] rdif_points must be finite numbers, got {rdif_raw!r}")

@@ -102,7 +102,8 @@ class Section:
             values = [float(v) for v in raw.split(",") if v.strip()]
         except ValueError:
             values = [math.nan]
-        if not all(map(math.isfinite, values)):
+        # a key that lists nothing would silently fall back to the default
+        if not values or not all(map(math.isfinite, values)):
             raise InvalidConfigError(
                 f"[{self.name}] {key} must be comma-separated finite numbers, "
                 f"got {raw!r}")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the finiteness check
+every configuration object runs."""
+
+import math
 
 
 class FrostDemError(Exception):
@@ -7,6 +10,15 @@ class FrostDemError(Exception):
 
 class InvalidConfigError(FrostDemError):
     """A configuration value violates its documented constraints."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise :class:`InvalidConfigError` naming the first value that is not a
+    finite number.  Range checks written with ``<`` and ``<=`` let a NaN
+    through, so each configuration object runs this before them."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidConfigError(f"{name} must be finite, got {value!r}")
 
 
 class PackingInfeasibleError(FrostDemError):

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidConfigError, UndefinedStatisticError
+from .errors import (ConvergenceError, InvalidConfigError, UndefinedStatisticError,
+                     require_finite)
 from .mechanics import CrackEvent, ParticleSystem, build_system
 # contact_arrays is unused here; bench/test_harness.py checks its probe binding
 from .packing import ParticleAssembly, Phase, contact_arrays  # noqa: F401
@@ -121,6 +122,14 @@ class FreezeConfig:
     freeze_volume_jump: float = 0.0      # one-off volume jump at first freeze
 
     def __post_init__(self):
+        require_finite(start_temp=self.start_temp,
+                       substep_dt_max=self.substep_dt_max,
+                       water_prestress=self.water_prestress,
+                       freeze_volume_jump=self.freeze_volume_jump,
+                       **{f"stage_temps[{i}]": t
+                          for i, t in enumerate(self.stage_temps)})
+        if not self.stage_temps:
+            raise InvalidConfigError("stage_temps must list at least one stage")
         if self.substep_dt_max <= 0:
             raise InvalidConfigError("substep_dt_max must be > 0")
         if self.water_prestress < 0:

@@ -17,7 +17,8 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .errors import (ConvergenceError, CurveWindowError, InvalidConfigError,
-                     NoLoadPathError, StabilityError, UndefinedStatisticError)
+                     NoLoadPathError, StabilityError, UndefinedStatisticError,
+                     require_finite)
 from .packing import ContactKind, ParticleAssembly, contact_arrays
 
 #: Default Cundall local damping coefficient for quasi-static runs.
@@ -113,6 +114,7 @@ class BondMaterial:
     friction_angle: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.contact_modulus <= 0 or self.bond_modulus <= 0:
             raise InvalidConfigError("moduli must be > 0")
         if self.bond_stiffness_ratio <= 0:
@@ -849,11 +851,16 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
     peak.  A run that reaches neither within :data:`LOADING_STEP_CAP` steps
     raises :class:`~frostdem.errors.ConvergenceError`; a platen stress that
     is not finite at a sample, or a position that is not finite at a contact
-    refresh, raises :class:`~frostdem.errors.StabilityError`.  The assembly
-    is only read.
+    refresh, raises :class:`~frostdem.errors.StabilityError`.  A platen
+    velocity or target strain that is not finite, or not positive, raises
+    :class:`~frostdem.errors.InvalidConfigError` before any step.  The
+    assembly is only read.
     """
+    require_finite(platen_velocity=platen_velocity, target_strain=target_strain)
     if platen_velocity <= 0:
         raise InvalidConfigError("platen velocity must be > 0")
+    if target_strain <= 0:
+        raise InvalidConfigError("target strain must be > 0")
     system = build_system(assembly, materials)
     system.equilibrate()
     system.set_platens()

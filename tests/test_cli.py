@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -608,6 +611,28 @@ def test_readme_waveform_example_analyzes(tmp_path):
     assert (out / "dynamic_curve.tsv").exists()
 
 
+T2_KEYS = "t2_areas = 17944\nt2_baseline_area = 14683\n"
+RDIF_KEY = "rdif_points = 200:1.05,600:1.32\n"
+
+
+@pytest.mark.parametrize("body, named", [
+    # each exited 0 with the other report alone: an empty t2_areas dropped
+    # t2_area_changes.tsv, an empty rdif_points dropped rdif_report.txt and
+    # ',' fitted no point at all
+    ("t2_areas =\nt2_baseline_area = 14683\n" + RDIF_KEY, "t2_areas must be"),
+    ("t2_areas = ,\nt2_baseline_area = 14683\n" + RDIF_KEY, "t2_areas must be"),
+    ("rdif_points =\n" + T2_KEYS, "rdif_points must look like"),
+    ("rdif_points = ,\n" + T2_KEYS, "rdif_points must look like"),
+], ids=["t2_empty", "t2_comma", "rdif_empty", "rdif_comma"])
+def test_analyze_list_key_listing_nothing_exits_2(tmp_path, capsys, body,
+                                                  named):
+    cfg = write_config(tmp_path, "[analysis]\n" + body)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: [analysis] {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_config_error_leaves_no_run_directory(tmp_path, capsys):
     # a bad key after a good waveform leaves none of its reports behind
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -788,6 +813,22 @@ def test_freeze_stage_temps_and_target_temp_exit_2_before_packing(
     assert "stage_temps" in err and "target_temp" in err
 
 
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_freeze_stage_temps_listing_no_number_exits_2_before_packing(
+        tmp_path, capsys, monkeypatch, value):
+    # an empty list ran the default 0/-10/-20 degC schedule and exited 0
+    def explode(*args):
+        raise AssertionError("an empty schedule must fail before packing")
+
+    monkeypatch.setattr(cli, "generate_packing", explode)
+    body = f"[run]\nseed = 5\n{PACKING_BLOCK}\n[thermal]\nstage_temps = {value}\n"
+    cfg = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["freeze", "--config", cfg, "--out", str(out)]) == 2
+    assert "[thermal] stage_temps must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_freeze_dry_config_stays_quiet(tmp_path):
     body = """
 [run]
@@ -874,6 +915,52 @@ def test_analyze_rectangular_pulse_energy(tmp_path):
     assert float(report["E_a"]) == pytest.approx(float(report["E_i"])
                                                  - float(report["E_r"])
                                                  - float(report["E_t"]))
+
+
+def test_analyze_loads_no_scipy(tmp_path):
+    # scipy.spatial loads at the first neighbour search and scipy.sparse
+    # when conduction starts; analyze builds no k-d tree and solves no
+    # sparse system, so a fresh process running it never imports scipy,
+    # whose spatial package alone costs about 0.3 s and 34 MB
+    rng = np.random.default_rng(8)
+    t = np.arange(400) * 1e-8
+    pulse = 2e-4 * np.sin(np.pi * np.clip((t - 4e-7) / 1.6e-6, 0.0, 1.0))
+    wave = tmp_path / "wave.tsv"
+    np.savetxt(wave, np.column_stack([t, pulse, -0.6 * pulse, 0.35 * pulse]),
+               fmt="%.10g", delimiter="\t", comments="",
+               header=(WAVE_HEADER + SPECIMEN).strip() + "\ntime\te_i\te_r\te_t")
+    t2 = np.logspace(-2, 4, 200)
+    spectrum = tmp_path / "spectrum.tsv"
+    np.savetxt(spectrum, np.column_stack(
+        [t2, sum(w * np.exp(-0.5 * (np.log10(t2 / c) / 0.3) ** 2)
+                 for c, w in ((1.0, 300.0), (30.0, 80.0), (1000.0, 20.0)))]),
+        fmt="%.10g", delimiter="\t")
+    points = tmp_path / "points.tsv"
+    np.savetxt(points, rng.random((2000, 3)) * 50.0, fmt="%.10g",
+               delimiter="\t")
+    cfg = write_config(tmp_path, f"""[analysis]
+waveform = {wave}
+static_strength = 58.7
+spectrum = {spectrum}
+spectrum_baseline_area = 14683
+{T2_KEYS}{RDIF_KEY}points = {points}
+""")
+    out = tmp_path / "out"
+    script = ("import sys\n"
+              "from frostdem.cli import main\n"
+              f"code = main(['analyze', '--config', {cfg!r}, "
+              f"'--out', {str(out)!r}])\n"
+              "print(code, sorted(m for m in sys.modules\n"
+              "                   if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert {"energy_report.txt", "dynamic_curve.tsv", "t2_report.txt",
+            "t2_area_changes.tsv", "rdif_report.txt", "fractal_report.txt"} \
+        <= {p.name for p in out.iterdir()}
 
 
 def test_compress_calibration_to_reference_targets(tmp_path):

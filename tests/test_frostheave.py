@@ -250,6 +250,28 @@ def test_freeze_requires_decreasing_stages():
         FreezeConfig(stage_temps=(0.0, 5.0))
 
 
+def test_freeze_requires_a_stage():
+    # an empty schedule ran the set-up and returned the baseline row alone
+    with pytest.raises(InvalidConfigError, match="at least one stage"):
+        FreezeConfig(stage_temps=())
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"start_temp": math.nan}, "start_temp"),
+    ({"substep_dt_max": math.nan}, "substep_dt_max"),
+    ({"substep_dt_max": math.inf}, "substep_dt_max"),
+    ({"water_prestress": math.nan}, "water_prestress"),
+    ({"freeze_volume_jump": math.inf}, "freeze_volume_jump"),
+    ({"stage_temps": (0.0, math.nan)}, r"stage_temps\[1\]"),
+    ({"stage_temps": (-math.inf,)}, r"stage_temps\[0\]"),
+], ids=["start_nan", "substep_nan", "substep_inf", "prestress_nan",
+        "jump_inf", "stage_nan", "stage_inf"])
+def test_freeze_config_rejects_a_non_finite_value(kwargs, field):
+    # each passed the < and <= checks and constructed
+    with pytest.raises(InvalidConfigError, match=rf"{field} must be finite"):
+        FreezeConfig(**kwargs)
+
+
 def test_freeze_config_to_target_keeps_checkpoints():
     assert FreezeConfig.to_target(-20.0).stage_temps == (0.0, -10.0, -20.0)
     assert FreezeConfig.to_target(-15.0).stage_temps == (0.0, -10.0, -15.0)

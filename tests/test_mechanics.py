@@ -1129,6 +1129,28 @@ def test_negative_platen_velocity_rejected(medium_saturated, monkeypatch):
             run_uniaxial_test(medium_saturated, velocity, 0.01)
 
 
+@pytest.mark.parametrize("velocity, target, message", [
+    # a NaN velocity stepped 330 times, then raised StabilityError
+    (math.nan, 0.01, "platen_velocity must be finite"),
+    (math.inf, 0.01, "platen_velocity must be finite"),
+    # a NaN target strain is never reached: the run went on to the step cap
+    (2.0, math.nan, "target_strain must be finite"),
+    (2.0, math.inf, "target_strain must be finite"),
+    # a target at or below zero ended the run at its first curve sample
+    (2.0, 0.0, "target strain must be > 0"),
+    (2.0, -0.01, "target strain must be > 0"),
+], ids=["nan_velocity", "inf_velocity", "nan_target", "inf_target",
+        "zero_target", "negative_target"])
+def test_bad_loading_input_rejected_before_any_step(
+        small_saturated, monkeypatch, velocity, target, message):
+    def step(self, dt):
+        raise AssertionError("a bad input must fail before any step")
+
+    monkeypatch.setattr(ParticleSystem, "step", step)
+    with pytest.raises(InvalidConfigError, match=message):
+        run_uniaxial_test(small_saturated, velocity, target)
+
+
 def test_uniaxial_results_converge_in_the_time_step(small_saturated, monkeypatch):
     # the error of the explicit scheme is first order in the step: against a
     # quarter of the shipped safety factor the peak moved 0.06% and the
@@ -1199,6 +1221,16 @@ def test_material_validation():
         BondMaterial(-1.0, 9.0, 2.5, 40.0, 40.0, 45.0)
     with pytest.raises(InvalidConfigError):
         BondMaterial(9.0, 9.0, 2.5, 40.0, 40.0, 95.0)
+
+
+@pytest.mark.parametrize("field", [
+    "contact_modulus", "bond_modulus", "bond_stiffness_ratio",
+    "tensile_strength", "cohesion", "friction_angle"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_material_rejects_a_non_finite_value(field, value):
+    # a NaN strength or modulus passed the <= and < checks and constructed
+    with pytest.raises(InvalidConfigError, match=rf"{field} must be finite"):
+        replace(ROCK_MAT, **{field: value})
 
 
 def test_one_bond_failure_load_monotone_in_tensile_strength():

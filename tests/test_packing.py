@@ -533,6 +533,18 @@ def test_porosity_empty_assembly_errors():
         asm.analytic_porosity()
 
 
+@pytest.mark.parametrize("field", [
+    "target_porosity", "rock_radius_min", "rock_radius_max",
+    "water_radius_min", "water_radius_max", "cylinder_radius",
+    "cylinder_height", "rock_density", "water_density", "solid_fraction"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_a_non_finite_value(field, value):
+    # a NaN radius constructed, then failed in compute_particle_counts with
+    # a bare ValueError
+    with pytest.raises(InvalidConfigError, match=rf"{field} must be finite"):
+        PackingConfig(**{**vars(desk_config()), field: value})
+
+
 def test_config_validation():
     with pytest.raises(InvalidConfigError):
         desk_config(porosity=0.7)
