@@ -18,7 +18,8 @@ from .errors import InvalidConfigError, UndefinedStatisticError
 class WaveRecord:
     """Incident/reflected/transmitted gauge histories plus bar geometry.
 
-    Strains are dimensionless.  ``time`` must be uniformly sampled.
+    Strains are dimensionless.  ``time`` must be uniformly sampled and
+    increasing.
     """
 
     time: np.ndarray                     # s
@@ -47,6 +48,11 @@ class WaveRecord:
             dt = np.diff(self.time)
             if not np.allclose(dt, dt[0], rtol=1e-6, atol=1e-15):
                 raise InvalidConfigError("time base must be uniform")
+            # a reversed or constant column would integrate to negative or
+            # zero energies
+            if dt[0] <= 0:
+                raise InvalidConfigError(
+                    f"time base must increase, got a step of {dt[0]:g}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ def compute_energies(record: WaveRecord) -> EnergyReport:
 
     def integrate(strain):
         power = e_bar * strain * 1e6 * strain * a0c0
-        return float(np.trapezoid(power, t)) if len(t) > 1 else 0.0
+        return float(np.trapezoid(power, t))
 
     return EnergyReport.from_energies(integrate(record.strain_incident),
                                       integrate(record.strain_reflected),
@@ -188,10 +194,9 @@ def reconstruct_three_wave(record: WaveRecord) -> DynamicResponse:
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(np.asarray(y, dtype=float))
-    if len(y) > 1:
-        seg = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-        out[1:] = np.cumsum(seg)
+    out = np.zeros_like(y)
+    seg = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
+    out[1:] = np.cumsum(seg)
     return out
 
 

@@ -118,11 +118,10 @@ def _numbers(line: str) -> list[float] | None:
 def _read_rows_by_line(text: str, n_columns: tuple[int, ...], path: Path,
                        kind: str):
     """``_read_rows`` one line at a time."""
-    lines = text.splitlines()
     rows = []
     meta: dict[str, tuple[str, int]] = {}
     width = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -144,25 +143,14 @@ def _read_rows_by_line(text: str, n_columns: tuple[int, ...], path: Path,
         elif len(values) != width:
             raise InputParseError(f"expected {width} columns, got {len(values)}",
                                   line=lineno, path=str(path))
+        if not all(map(math.isfinite, values)):
+            raise InputParseError(f"expected finite numbers, got {line!r}",
+                                  line=lineno, path=str(path))
         rows.append(values)
     if not rows:
         raise InputParseError(f"no data rows in {kind} file", line=1,
                               path=str(path))
-    data = np.array(rows)
-    if not np.isfinite(data).all():
-        # only on failure: look again for the first line holding nan or inf
-        lineno = next(n for n, raw in enumerate(lines, start=1)
-                      if not _finite_row(raw))
-        raise InputParseError(
-            f"expected finite numbers, got {lines[lineno - 1].strip()!r}",
-            line=lineno, path=str(path))
-    return data, meta
-
-
-def _finite_row(raw: str) -> bool:
-    """False only for a line of numbers of which one is not finite."""
-    values = _numbers(raw)
-    return values is None or all(map(math.isfinite, values))
+    return np.array(rows), meta
 
 
 def read_wave_record(path: str | Path) -> analysis.WaveRecord:
@@ -258,16 +246,6 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
 #
 # A command returns ``(outputs, summary)``: ``outputs`` lists each artifact as
 # ``(file name, writer, *writer arguments)`` in the order ``main`` writes them.
-
-def _resolve_out(config: ExperimentConfig, args) -> Path:
-    """The run directory.  ``main`` resolves it before the command runs and
-    writes into it only once the command has returned; the first artifact
-    written makes the directory, so a failed run leaves none behind."""
-    out = args.out or config.out_dir
-    if not out:
-        raise InvalidConfigError("no output directory: set --out or [run] out_dir")
-    return Path(out)
-
 
 def cmd_freeze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
     packing_cfg = config.packing_config(args.seed)
@@ -402,16 +380,24 @@ def cmd_analyze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
             "waveform files carry strains only, so the squared-strain form "
             "equals the stress-strain form")
     # every key is read and checked before the first input is read
+    for key, partner in (("static_strength", "waveform"),
+                         ("spectrum_baseline_area", "spectrum"),
+                         ("t2_baseline_area", "t2_areas")):
+        if key in section.values and partner not in section.values:
+            raise InvalidConfigError(
+                f"[analysis] {key} is set without {partner}: it has nothing "
+                "to apply to")
     wave_path = section.get_str("waveform")
     static_strength = section.get_float("static_strength")
-    rdif_raw = section.get_str("rdif_points")
+    # read raw: a key that lists no pair, empty or not, is an error, not a
+    # skipped fit
+    rdif_raw = section.values.get("rdif_points")
     if rdif_raw is not None:
         try:
             points = [(float(r), float(v)) for r, v in
                       (item.split(":") for item in rdif_raw.split(",") if item)]
         except ValueError:
             points = []
-        # a key that lists no pair is an error, not a skipped fit
         if not points:
             raise InvalidConfigError(
                 "[analysis] rdif_points must look like '200:1.05,600:1.32'")
@@ -522,7 +508,11 @@ def main(argv=None) -> int:
             args.seed = config.seed
         elif args.seed < 0:
             raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
-        out_dir = _resolve_out(config, args)
+        out_dir = args.out or config.out_dir
+        if not out_dir:
+            raise InvalidConfigError(
+                "no output directory: set --out or [run] out_dir")
+        out_dir = Path(out_dir)
         outputs, summary = handlers[args.command](config, args)
         for name, write, *data in outputs:
             write(out_dir / name, *data)

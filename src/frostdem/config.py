@@ -1,9 +1,10 @@
 """Flat sectioned key=value experiment configuration.
 
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments, no
-nesting.  Every read goes through a typed accessor that names the offending
-``section.key`` on failure, and a file may hold only the keys of
-:data:`KEYS`.
+nesting.  A key is given at most once in its section, a repeated header
+adding to the section it repeats.  A key that is present must hold a
+value.  The typed accessors name the offending ``section.key`` on failure,
+and a file may hold only the keys of :data:`KEYS`.
 """
 from __future__ import annotations
 
@@ -53,7 +54,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, dict[str
             raise InvalidConfigError(
                 f"{source}:{lineno}: key outside any [section]")
         key, value = line.split("=", 1)
-        current[key.strip()] = value.strip()
+        key = key.strip()
+        if key in current:
+            raise InvalidConfigError(
+                f"{source}:{lineno}: [{name}] {key} is given twice")
+        current[key] = value.strip()
     return sections
 
 
@@ -65,7 +70,12 @@ class Section:
         self.values = values
 
     def get_str(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
+        value = self.values.get(key, default)
+        # an empty value would read as 'not set' and fall back unseen
+        if value == "":
+            raise InvalidConfigError(
+                f"[{self.name}] {key} is empty: give a value or leave the key out")
+        return value
 
     def get_float(self, key: str, default: float | None = None,
                   required: bool = False) -> float | None:
@@ -151,7 +161,7 @@ class ExperimentConfig:
     def out_dir(self) -> str | None:
         return self.section("run", required=False).get_str("out_dir")
 
-    def packing_config(self, seed: int | None = None) -> PackingConfig:
+    def packing_config(self, seed: int) -> PackingConfig:
         s = self.section("packing")
         # keys the file leaves out take PackingConfig's defaults
         optional = {key: s.get_float(key)
@@ -165,6 +175,6 @@ class ExperimentConfig:
             water_radius_max=s.get_float("water_radius_max", 0.95),
             cylinder_radius=s.get_float("cylinder_radius", required=True),
             cylinder_height=s.get_float("cylinder_height", required=True),
-            rng_seed=self.seed if seed is None else seed,
+            rng_seed=seed,
             **optional,
         )

@@ -46,19 +46,9 @@ class CurveWindowError(FrostDemError):
 
 
 class InputParseError(FrostDemError):
-    """A data input file is malformed.
+    """A data input file is malformed at a 1-based line of it."""
 
-    Carries the offending 1-based line number when known.
-    """
-
-    def __init__(self, message, line=None, path=None):
+    def __init__(self, message, line, path):
         self.line = line
         self.path = path
-        prefix = ""
-        if path is not None:
-            prefix += str(path)
-        if line is not None:
-            prefix += f":{line}"
-        if prefix:
-            message = f"{prefix}: {message}"
-        super().__init__(message)
+        super().__init__(f"{path}:{line}: {message}")

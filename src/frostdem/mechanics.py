@@ -351,7 +351,7 @@ class ParticleSystem:
         # Bonds across a gap install force-free; overlapped bonds are preloaded.
         self.b_form_ref = np.minimum(overlap, 0.0)
         self.b_offset = np.zeros(m)
-        self.b_length0 = np.linalg.norm(self.pos[ib] - self.pos[ia], axis=1) if m else np.zeros(0)
+        self.b_length0 = np.linalg.norm(self.pos[ib] - self.pos[ia], axis=1)
         self.b_intact = np.ones(m, dtype=bool)
         self.b_shear = np.zeros((m, 3))
         self._shear_dt = None
@@ -663,7 +663,7 @@ class ParticleSystem:
             self._fire = None
             self.mass, self.inv_mass = mass, inv_mass
             self.dt = min(dt, self.stable_dt())
-        _require_finite(ratio)
+        _require_finite("unbalanced-force ratio", ratio)
         if ratio > tol:
             raise ConvergenceError(
                 f"equilibration left an unbalanced-force ratio of {ratio:g} "
@@ -714,8 +714,6 @@ class ParticleSystem:
         temperature change of the two particles; cooling therefore adds
         compression, canceling the geometric shrink of a uniform material.
         """
-        if not self.n_bonds:
-            return
         alpha_b = np.minimum(alpha[self.b_ia], alpha[self.b_ib])
         dt_bond = 0.5 * (d_temp[self.b_ia] + d_temp[self.b_ib])
         self.b_offset[self.b_intact] += (-alpha_b * self.b_length0
@@ -806,16 +804,13 @@ def _sorted_member(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table.take(at, mode="clip") == keys
 
 
-def _require_finite(ratio: float) -> None:
-    if not math.isfinite(ratio):
-        raise StabilityError(f"the unbalanced-force ratio is {ratio}: the "
-                             "particle state is no longer finite")
-
-
-def _finite_sample(what: str, value: float, strain: float) -> float:
+def _require_finite(what: str, value: float,
+                    strain: float | None = None) -> float:
+    """``value``, or a StabilityError naming ``what`` if it is not finite."""
     if not math.isfinite(value):
-        raise StabilityError(f"the {what} is {value} at a strain of {strain:g}: "
-                             "the particle state is no longer finite")
+        at = "" if strain is None else f" at a strain of {strain:g}"
+        raise StabilityError(f"the {what} is {value}{at}: the particle state "
+                             "is no longer finite")
     return value
 
 
@@ -886,7 +881,7 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
         acc_count += 1
         strain = (gap0 - (z_top - z_bot)) / gap0
         if strain >= next_sample:
-            stress = _finite_sample("platen stress", stress_acc / acc_count, strain)
+            stress = _require_finite("platen stress", stress_acc / acc_count, strain)
             strains.append(strain)
             stresses.append(stress)
             stress_acc, acc_count = 0.0, 0
@@ -899,7 +894,7 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
                 break
         if (step + 1) % refresh_every == 0:
             # a position that is not finite would reach the k-d tree
-            _finite_sample("position sum", float(system.pos.sum()), strain)
+            _require_finite("position sum", float(system.pos.sum()), strain)
             system.refresh_transient_contacts(0.1 * float(system.radii.min()))
     else:
         raise ConvergenceError(

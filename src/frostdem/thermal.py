@@ -151,8 +151,7 @@ class ConductionNetwork:
         ones = np.ones(len(self.ia))
         graph = coo_matrix((ones, (self.ia, self.ib)), shape=(self.n, self.n))
         _, labels = connected_components(graph, directed=False)
-        touched = np.unique(labels[boundary_ids]) if len(boundary_ids) else []
-        return mask | np.isin(labels, touched)
+        return mask | np.isin(labels, labels[boundary_ids])
 
     def step(self, field: TemperatureField,
              held: np.ndarray | None = None) -> None:

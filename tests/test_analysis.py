@@ -61,11 +61,27 @@ def test_mismatched_series_rejected():
 
 
 def test_nonuniform_time_base_rejected():
-    t = np.array([0.0, 1.0, 3.0])
-    with pytest.raises(InvalidConfigError):
-        WaveRecord(time=t, strain_incident=np.zeros(3),
-                   strain_reflected=np.zeros(3), strain_transmitted=np.zeros(3),
-                   bar_area=1.0, bar_wave_speed=5000.0, bar_modulus=200.0)
+    # uneven steps, and a reversed or constant column: the last two wrote
+    # negative and zero energies
+    for t, message in (([0.0, 1.0, 3.0], "uniform"),
+                       ([3.0, 2.0, 1.0], "increase, got a step of -1"),
+                       ([1.0, 1.0, 1.0], "increase, got a step of 0")):
+        with pytest.raises(InvalidConfigError, match=message):
+            WaveRecord(time=np.array(t), strain_incident=np.zeros(3),
+                       strain_reflected=np.zeros(3),
+                       strain_transmitted=np.zeros(3), bar_area=1.0,
+                       bar_wave_speed=5000.0, bar_modulus=200.0)
+
+
+def test_one_sample_waveform_gives_zero_energies_and_one_row_curve():
+    record = make_record(n=1)
+    report = compute_energies(record)
+    assert (report.incident, report.reflected, report.transmitted,
+            report.absorbed) == (0.0, 0.0, 0.0, 0.0)
+    assert report.efficiency_pct is None
+    response = reconstruct_three_wave(record)
+    assert response.strain.tolist() == [0.0]
+    assert len(response.time) == len(response.stress) == 1
 
 
 @settings(deadline=None, max_examples=40)

@@ -56,6 +56,29 @@ def test_parse_rejects_garbage_line():
         parse_config_text("[a]\nnot a pair\n")
 
 
+@pytest.mark.parametrize("text, line, key", [
+    # each ran on the last value given: the second points file was read,
+    # and seed 2 ran
+    ("[analysis]\npoints = pts.txt\npoints = nothere.txt\n", 3,
+     "[analysis] points"),
+    ("[run]\nseed = 1\nseed = 2\n", 3, "[run] seed"),
+    # a repeated header adds to its section, so its keys count too
+    ("[run]\nseed = 1\n[packing]\ncylinder_radius = 5\n[run]\nseed = 2\n", 6,
+     "[run] seed"),
+], ids=["points", "seed", "across_headers"])
+def test_parse_rejects_a_key_given_twice(text, line, key):
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape(f"run.cfg:{line}: {key} is given twice")):
+        parse_config_text(text, "run.cfg")
+
+
+def test_parse_merges_a_repeated_header():
+    sections = parse_config_text("[run]\nseed = 1\n[packing]\nx = 2\n"
+                                 "[run]\nout_dir = out\n")
+    assert sections == {"run": {"seed": "1", "out_dir": "out"},
+                        "packing": {"x": "2"}}
+
+
 def test_typed_accessors_name_the_key():
     cfg = ExperimentConfig({"packing": {"target_porosity": "abc"}})
     with pytest.raises(InvalidConfigError, match=r"target_porosity"):
@@ -65,7 +88,7 @@ def test_typed_accessors_name_the_key():
 def test_missing_section_reported():
     cfg = ExperimentConfig({})
     with pytest.raises(InvalidConfigError, match=r"\[packing\]"):
-        cfg.packing_config()
+        cfg.packing_config(0)
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +656,58 @@ def test_analyze_list_key_listing_nothing_exits_2(tmp_path, capsys, body,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, body, key", [
+    # compress packed a fresh specimen from [packing] and exited 0
+    ("compress", PACKING_BLOCK + "[mechanics]\nload_particles =\n",
+     "[mechanics] load_particles"),
+    # analyze skipped the waveform and exited 0 with the fractal report
+    ("analyze", "[analysis]\nwaveform =\npoints = {pts}\n",
+     "[analysis] waveform"),
+], ids=["load_particles", "waveform"])
+def test_key_with_an_empty_value_exits_2(tmp_path, capsys, command, body, key):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0 0\n1 1 1\n2 0 1\n")
+    cfg = write_config(tmp_path, body.format(pts=pts))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {key} is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, partner", [
+    # each exited 0 with the fractal report alone: the key was ignored,
+    # and t2_baseline_area = abc was never read
+    ("t2_baseline_area = abc", "t2_areas"),
+    ("spectrum_baseline_area = -5", "spectrum"),
+    ("static_strength = 58.7", "waveform"),
+], ids=["t2_baseline_area", "spectrum_baseline_area", "static_strength"])
+def test_analyze_key_without_its_partner_exits_2(tmp_path, capsys,
+                                                 monkeypatch, key, partner):
+    def explode(*args):
+        raise AssertionError("the keys must be checked before any input")
+
+    monkeypatch.setattr(cli, "read_points", explode)
+    cfg = write_config(tmp_path, f"[analysis]\npoints = pts.txt\n{key}\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    name = key.split(" =")[0]
+    assert (f"config error: [analysis] {name} is set without {partner}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_analyze_reversed_time_column_exits_2(tmp_path, capsys):
+    # it wrote negative energies and exited 0
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(WAVE_HEADER + "2e-6\t1e-4\t0\t0\n1e-6\t1e-4\t0\t0\n"
+                    "0\t1e-4\t0\t0\n")
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: time base must increase" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_config_error_leaves_no_run_directory(tmp_path, capsys):
     # a bad key after a good waveform leaves none of its reports behind
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -715,6 +790,17 @@ def test_fast_reader_matches_line_loop(tmp_path, name):
     path.write_text(READER_FILES[name])
     fast, by_line = read_both(path)
     assert fast == by_line
+
+
+def test_line_loop_cites_a_nan_row_above_a_column_count_change(tmp_path):
+    # the first bad line is cited, whatever is wrong further down
+    path = tmp_path / "rows.tsv"
+    path.write_text("0 1 2 3\n4 nan 6 7\n8 9 10\n")
+    with pytest.raises(InputParseError) as caught:
+        cli._read_rows(path, (4,), "waveform")
+    assert caught.value.line == 2
+    assert str(caught.value) == (f"{path}:2: expected finite numbers, "
+                                 "got '4 nan 6 7'")
 
 
 @settings(max_examples=200, deadline=None)

@@ -133,6 +133,18 @@ def test_bond_force_compressive_on_cooling():
         pair_k_normal() * ALPHA_ICE * PAIR_LENGTH * 20.0, rel=1e-12)
 
 
+def test_bond_thermal_offsets_on_a_system_with_no_bonds():
+    # two particles too far apart to bond take no offset and raise nothing
+    centers = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 3 * PAIR_LENGTH]])
+    asm = ParticleAssembly(centers, np.full(2, PAIR_RADIUS),
+                           np.zeros(2, dtype=np.int8), np.full(2, 2600.0),
+                           CylinderDomain(3.0, 12.0))
+    system = ParticleSystem(asm, {ContactKind.ROCK_ROCK: ROCK_MAT}, mass_scale=1.0)
+    assert system.n_bonds == 0
+    system.apply_bond_thermal_offsets(np.full(2, -10.0), np.full(2, ALPHA_ICE))
+    assert system.b_offset.shape == (0,) and system.b_offset.dtype == np.float64
+
+
 def test_bond_force_rejects_bad_geometry():
     # a non-positive bond stiffness cannot reach the engine, and a broken
     # bond takes no thermal offset
