@@ -62,13 +62,13 @@ def _read_rows(path: Path, n_columns: tuple[int, ...], kind: str):
     if not path.exists():
         raise InvalidConfigError(f"{kind} file not found: {path}")
     text = path.read_text()
-    fast = _load_body(text, n_columns)
+    fast = _load_body(text, n_columns, path)
     if fast is not None:
         return fast
     return _read_rows_by_line(text, n_columns, path, kind)
 
 
-def _load_body(text: str, n_columns: tuple[int, ...]):
+def _load_body(text: str, n_columns: tuple[int, ...], path: Path):
     """(data, meta) of ``_read_rows`` with the rows after the header parsed
     by np.loadtxt, or None where that might not match the line loop."""
     meta: dict[str, tuple[str, int]] = {}
@@ -82,7 +82,7 @@ def _load_body(text: str, n_columns: tuple[int, ...]):
         lineno += 1
         line = text[pos:end].strip()
         if line.startswith("#"):
-            _meta_line(line, lineno, meta)
+            _meta_line(line, lineno, meta, path)
         elif line and _numbers(line) is not None:
             break
         pos = end + 1
@@ -99,12 +99,19 @@ def _load_body(text: str, n_columns: tuple[int, ...]):
     return data, meta
 
 
-def _meta_line(line: str, lineno: int, meta: dict) -> None:
-    """Record a '# key = value' line in ``meta``."""
+def _meta_line(line: str, lineno: int, meta: dict, path: Path) -> None:
+    """Record a '# key = value' line in ``meta``; a key given twice is an
+    input error at its second line, since either value could be the one
+    meant."""
     body = line.lstrip("#").strip()
     if "=" in body:
         key, value = body.split("=", 1)
-        meta[key.strip()] = (value.strip(), lineno)
+        key = key.strip()
+        if key in meta:
+            raise InputParseError(
+                f"header {key} is given twice, first at line {meta[key][1]}",
+                line=lineno, path=str(path))
+        meta[key] = (value.strip(), lineno)
 
 
 def _numbers(line: str) -> list[float] | None:
@@ -126,7 +133,7 @@ def _read_rows_by_line(text: str, n_columns: tuple[int, ...], path: Path,
         if not line:
             continue
         if line.startswith("#"):
-            _meta_line(line, lineno, meta)
+            _meta_line(line, lineno, meta, path)
             continue
         values = _numbers(line)
         if values is None:
@@ -407,8 +414,13 @@ def cmd_analyze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
     spectrum_path = section.get_str("spectrum")
     spectrum_baseline = section.get_float("spectrum_baseline_area")
     areas_raw = section.get_float_list("t2_areas")
+    t2_baseline = section.get_float("t2_baseline_area",
+                                    required=areas_raw is not None)
+    for key, value in (("spectrum_baseline_area", spectrum_baseline),
+                       ("t2_baseline_area", t2_baseline)):
+        if value is not None and value <= 0:
+            raise InvalidConfigError(f"[analysis] {key} must be > 0, got {value:g}")
     if areas_raw:
-        t2_baseline = section.get_float("t2_baseline_area", required=True)
         area_rows = [(a, analysis.area_change_rate(a, t2_baseline))
                      for a in areas_raw]
     points_path = section.get_str("points")
@@ -502,13 +514,15 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig.from_path(args.config)
         # one seed per run, checked on every command before any work: --seed
-        # when given, else [run] seed, which analyze checks too though it
-        # draws no random numbers
+        # when given, else [run] seed.  [run] seed and out_dir are checked
+        # even where a flag overrides them, and analyze checks the seed
+        # though it draws no random numbers
+        seed, out_dir = config.seed, config.out_dir
         if getattr(args, "seed", None) is None:
-            args.seed = config.seed
+            args.seed = seed
         elif args.seed < 0:
             raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
-        out_dir = args.out or config.out_dir
+        out_dir = args.out or out_dir
         if not out_dir:
             raise InvalidConfigError(
                 "no output directory: set --out or [run] out_dir")

@@ -2,9 +2,15 @@
 
 Cooling shrinks rock and liquid water; once a water particle drops to or
 below 0 degC it expands on further cooling, loading the surrounding skeleton.
-Bond forces receive a matching thermal displacement offset so that uniform
-thermal strain of a uniform material stays (nearly) stress free, which keeps
-the dry model quiet while the water phase drives the saturated response.
+Intact bonds receive a thermal displacement offset that adds compression on
+cooling.  On a bond between two particles of a material that shrinks as it
+cools it cancels the geometric shrink, so uniform cooling of rock stays
+stress free to rounding and the dry model stays quiet.  Ice grows on
+cooling, so on a bond with an ice end the offset adds to the compression of
+that growth instead of cancelling it: two bonded 1 mm ice particles cooled
+from -1 to -11 degC end at 104.5 N, half from the offset and half from the
+growth, where the same rock pair cooled from 19 to 9 degC ends within
+1e-11 N of zero.
 """
 from __future__ import annotations
 
@@ -225,7 +231,8 @@ def run_freeze(assembly: ParticleAssembly,
     stages: list[FreezeStageRow] = []
     t_prev_particles = field.temperatures.copy()
     t_boundary = config.start_temp
-    # optional discrete expansion applied once per particle at first freeze
+    # optional discrete expansion applied once per particle at first freeze;
+    # a zero jump adds +0.0, which leaves every radius as it was
     jump_factor = (1.0 + config.freeze_volume_jump) ** (1.0 / 3.0) - 1.0
     has_jumped = np.zeros(assembly.n_particles, dtype=bool)
 
@@ -239,11 +246,10 @@ def run_freeze(assembly: ParticleAssembly,
             d_temp = field.temperatures - t_prev_particles
             d_radius = radius_increments(t_prev_particles, field.temperatures,
                                          system.radii, system.phases)
-            if jump_factor > 0.0:
-                newly_frozen = water & (field.temperatures <= 0.0) & ~has_jumped
-                d_radius = d_radius + np.where(newly_frozen,
-                                               system.radii * jump_factor, 0.0)
-                has_jumped |= newly_frozen
+            newly_frozen = water & (field.temperatures <= 0.0) & ~has_jumped
+            d_radius = d_radius + np.where(newly_frozen,
+                                           system.radii * jump_factor, 0.0)
+            has_jumped |= newly_frozen
             alpha_now = expansion_coefficients(system.phases, field.temperatures)
             system.apply_bond_thermal_offsets(d_temp, alpha_now)
             t_prev_particles = field.temperatures.copy()

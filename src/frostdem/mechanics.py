@@ -214,10 +214,10 @@ class ParticleSystem:
     The pair table (``ia``, ``ib``, ``k_lin``) holds every interacting pair.
     Its first ``n_bonds`` rows are the bonds, installed at construction on
     pairs whose gap is at most 5% of the minimum radius and never added
-    afterwards; the per-bond state (``b_kind``, ``b_intact``, ``b_shear``,
-    ...) is indexed by those rows.  The rows after them are unbonded
-    contacts, rebuilt from geometry by :meth:`refresh_transient_contacts` as
-    particles move or grow.  ``k_lin`` is the linear contact spring of every
+    afterwards; the per-bond state (``b_ia``, ``b_ib``, ``b_kind``,
+    ``b_intact``, ``b_shear``, ...) is indexed by those rows.  The rows after
+    them are unbonded contacts, rebuilt from geometry by
+    :meth:`refresh_transient_contacts` as particles move or grow.  ``k_lin`` is the linear contact spring of every
     row, the one law for pairs without an intact bond.
 
     ``dt`` is the step :meth:`run` and the loading loop take:
@@ -338,7 +338,7 @@ class ParticleSystem:
     def _install_bonds(self) -> None:
         gap_tol = 0.05 * float(self.radii.min()) if self.n else 0.0
         ia, ib, gap = contact_arrays(self.assembly, gap_tol)
-        self.ia, self.ib = ia, ib
+        self.ia, self.ib = self.b_ia, self.b_ib = ia, ib
         self.b_kind, material, area, (self.k_lin, self.b_k_normal) = \
             self._pair_materials(ia, ib)
         _, _, ratio, self.b_tensile, self.b_cohesion, friction = material
@@ -355,7 +355,7 @@ class ParticleSystem:
         self.b_intact = np.ones(m, dtype=bool)
         self.b_shear = np.zeros((m, 3))
         self._shear_dt = None
-        self._bond_keys = ia * np.int64(max(self.n, 1)) + ib
+        self._bond_keys = ia * np.int64(self.n) + ib
         self._index_pairs()
         self.dt = self.stable_dt()
 
@@ -370,14 +370,6 @@ class ParticleSystem:
         self._end_idx = np.stack((self.ib, self.ia))[:, None, :] + axes
         self._vel_idx = self._end_idx[:, :, :nb].copy()
         self._radius_sum = self.radii.take(self.ia) + self.radii.take(self.ib)
-
-    @property
-    def b_ia(self) -> np.ndarray:
-        return self.ia[:self.n_bonds]
-
-    @property
-    def b_ib(self) -> np.ndarray:
-        return self.ib[:self.n_bonds]
 
     # -- platens -------------------------------------------------------------
 
@@ -548,9 +540,8 @@ class ParticleSystem:
         """Safety-scaled critical step from per-particle stiffness totals."""
         k_sum = self._stiffness_totals()
         active = k_sum > 0
-        if not np.any(active):
-            return np.inf
-        return DT_SAFETY * float(np.min(np.sqrt(self.mass[active] / k_sum[active])))
+        return DT_SAFETY * float(np.min(
+            np.sqrt(self.mass[active] / k_sum[active]), initial=np.inf))
 
     def step(self, dt: float) -> None:
         """One explicit step: forces, local damping, semi-implicit Euler.
@@ -685,11 +676,11 @@ class ParticleSystem:
         bond already acts as a linear contact through its own row.
         """
         ia, ib, _ = contact_arrays(self.snapshot(), tolerance)
-        new = ~_sorted_member(ia * np.int64(max(self.n, 1)) + ib, self._bond_keys)
+        new = ~_sorted_member(ia * np.int64(self.n) + ib, self._bond_keys)
         ia, ib = ia[new], ib[new]
         nb = self.n_bonds
-        self.ia = np.concatenate([self.ia[:nb], ia])
-        self.ib = np.concatenate([self.ib[:nb], ib])
+        self.ia = np.concatenate([self.b_ia, ia])
+        self.ib = np.concatenate([self.b_ib, ib])
         k_lin = self._pair_materials(ia, ib)[3][0]
         self.k_lin = np.concatenate([self.k_lin[:nb], k_lin])
         self._index_pairs()
@@ -712,7 +703,10 @@ class ParticleSystem:
         The offset per bond is ``-alpha_b * L0 * dT`` with ``alpha_b`` the
         smaller expansion coefficient of the pair and ``dT`` the mean
         temperature change of the two particles; cooling therefore adds
-        compression, canceling the geometric shrink of a uniform material.
+        compression.  That cancels the geometric shrink of a bond between
+        two particles of a material that shrinks on cooling, but ice grows
+        on cooling, so on an ice-ice bond it doubles the compression of the
+        growth (see :mod:`frostdem.frostheave`).
         """
         alpha_b = np.minimum(alpha[self.b_ia], alpha[self.b_ib])
         dt_bond = 0.5 * (d_temp[self.b_ia] + d_temp[self.b_ib])

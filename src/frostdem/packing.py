@@ -154,9 +154,7 @@ RESOLUTION_THRESHOLD = 5.0
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
     # Decimal-string route keeps humanly-entered values like 1.2 exact.
     return Fraction(str(float(x)))
@@ -225,8 +223,8 @@ def _near_pairs(centers: np.ndarray, radii: np.ndarray, reach: float
     if not np.isfinite(centers).all():
         raise StabilityError("a particle centre is not finite at the "
                              "neighbour search")
-    pairs = cKDTree(centers).query_pairs(2.0 * float(radii.max()) + reach,
-                                         output_type="ndarray")
+    pairs = cKDTree(centers).query_pairs(
+        2.0 * float(radii.max(initial=0.0)) + reach, output_type="ndarray")
     a, b = pairs[:, 0], pairs[:, 1]
     d = centers[a] - centers[b]
     # np.linalg.norm's own expression for real rows, without its wrapper
@@ -246,9 +244,6 @@ def contact_arrays(assembly: ParticleAssembly, tolerance: float
     """
     if tolerance < 0:
         raise InvalidConfigError("detection tolerance must be >= 0")
-    if assembly.n_particles < 2:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros(0))
     return _near_pairs(assembly.centers, assembly.radii, tolerance)
 
 
@@ -324,8 +319,6 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
     after at most ``max_sweeps`` sweeps.
     """
     n = len(radii)
-    if n < 2:
-        return centers, 0.0
     # component-major: each axis is one contiguous row
     c = centers.T.copy()
     cache = _PairCache(radii, skin=0.3 * float(radii.min()))

@@ -136,9 +136,8 @@ class ConductionNetwork:
         g_sum = np.bincount(self.ia, weights=g, minlength=self.n) \
             + np.bincount(self.ib, weights=g, minlength=self.n)
         active = g_sum > 0
-        if not np.any(active):
-            return np.inf
-        return float(np.min(self.heat_mass[active] / g_sum[active]))
+        return float(np.min(self.heat_mass[active] / g_sum[active],
+                            initial=np.inf))
 
     def boundary_reachable(self, boundary_ids: np.ndarray) -> np.ndarray:
         """Mask of particles with a conductive path to a boundary particle."""
@@ -146,8 +145,6 @@ class ConductionNetwork:
         from scipy.sparse.csgraph import connected_components
         mask = np.zeros(self.n, dtype=bool)
         mask[boundary_ids] = True
-        if len(self.ia) == 0:
-            return mask
         ones = np.ones(len(self.ia))
         graph = coo_matrix((ones, (self.ia, self.ib)), shape=(self.n, self.n))
         _, labels = connected_components(graph, directed=False)
@@ -164,8 +161,6 @@ class ConductionNetwork:
         is an M-matrix, so the step keeps the maximum principle at any
         ``dt``, and a uniform field gets a zero flux and stays as it is.
         """
-        if not len(self.ia):
-            return
         t = field.temperatures
         if held is None:
             held = np.zeros(self.n, dtype=bool)
@@ -208,17 +203,13 @@ def uniformity_report(field: TemperatureField,
             raise InvalidConfigError("field has no boundary particles")
         boundary_value = float(field.temperatures[field.boundary_ids].mean())
     interior = field.temperatures[~boundary]
-    if len(interior) == 0:
-        return UniformityReport(0.0, True)
-    dev = float(np.max(np.abs(interior - boundary_value)))
+    dev = float(np.max(np.abs(interior - boundary_value), initial=0.0))
     return UniformityReport(dev, dev < UNIFORMITY_LIMIT)
 
 
 def surface_particle_ids(assembly: ParticleAssembly) -> np.ndarray:
     """Particles within one max-radius shell of any cylinder surface."""
-    if assembly.n_particles == 0:
-        return np.zeros(0, dtype=np.int64)
-    shell = float(assembly.radii.max())
+    shell = float(assembly.radii.max(initial=0.0))
     c, r = assembly.centers, assembly.radii
     rho = np.hypot(c[:, 0], c[:, 1])
     near_side = rho + r >= assembly.domain.radius - shell

@@ -230,6 +230,43 @@ def test_analyze_negative_config_seed_exits_2_before_reading(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("run_keys, argv, message", [
+    # each reached packing: the flag took the place of a value never read
+    ("seed = abc", ["--seed", "1"], "[run] seed must be an integer, got 'abc'"),
+    ("seed = -4", ["--seed", "1"], "[run] seed must be >= 0, got -4"),
+    ("out_dir =", [], "[run] out_dir is empty"),
+], ids=["seed_not_integer", "seed_negative", "out_dir_empty"])
+def test_run_value_beside_its_flag_exits_2_before_packing(
+        tmp_path, capsys, monkeypatch, run_keys, argv, message):
+    def explode(*args):
+        raise AssertionError("a bad [run] value must fail before packing")
+
+    monkeypatch.setattr(cli, "generate_packing", explode)
+    cfg = write_config(tmp_path, f"[run]\n{run_keys}\n{PACKING_BLOCK}")
+    out = tmp_path / "out"
+    assert main(["freeze", "--config", cfg, "--out", str(out), *argv]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_artifacts_land_in_the_config_out_dir(tmp_path, capsys):
+    out = tmp_path / "from_config"
+    cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n[analysis]\n"
+                                 "t2_areas = 17944\nt2_baseline_area = 14683\n")
+    assert main(["analyze", "--config", cfg]) == 0
+    assert capsys.readouterr().out.endswith(f"; artifacts in {out}\n")
+    assert {p.name for p in out.iterdir()} == {"t2_area_changes.tsv",
+                                               "manifest.txt"}
+
+
+def test_no_output_directory_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[analysis]\nt2_areas = 17944\n"
+                                 "t2_baseline_area = 14683\n")
+    assert main(["analyze", "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("config error: no output directory: "
+                                       "set --out or [run] out_dir\n")
+
+
 def test_freeze_negative_water_prestress_exits_2_before_packing(
         tmp_path, capsys, monkeypatch):
     def explode(*args):
@@ -495,6 +532,7 @@ def test_analyze_points_non_finite_value_exits_3(tmp_path, capsys):
 
 WAVE_HEADER = ("# bar_area = 1e-3\n# bar_wave_speed = 5000\n"
                "# bar_modulus = 200\n")
+WAVE_ROWS = "time\te_i\te_r\te_t\n0\t1e-4\t0\t0\n1e-6\t1e-4\t0\t0\n"
 
 
 @pytest.mark.parametrize("header, line, value", [
@@ -515,6 +553,20 @@ def test_analyze_bad_header_value_cites_its_line(tmp_path, capsys, header,
     err = capsys.readouterr().err
     assert f"{wave}:{line}: header " in err
     assert f"must be a finite number, got {value}" in err
+
+
+def test_analyze_header_key_given_twice_exits_3(tmp_path, capsys):
+    # the second value won: 20 GPa wrote an incident energy ten times low
+    # and exited 0
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(WAVE_HEADER + "# bar_modulus = 20\n" + WAVE_ROWS)
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"input error: {wave}:4: header bar_modulus is given twice, first at "
+        "line 3\n")
+    assert not out.exists()
 
 
 SPECIMEN = "# specimen_area = 4.9e-4\n# specimen_length = 0.05\n"
@@ -696,6 +748,28 @@ def test_analyze_key_without_its_partner_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keys, message", [
+    # the spectrum baseline was checked only once both inputs were read,
+    # and neither message named its key
+    ("spectrum = spectrum.tsv\nspectrum_baseline_area = 0\n",
+     "spectrum_baseline_area must be > 0, got 0"),
+    ("t2_areas = 17944\nt2_baseline_area = -3\n",
+     "t2_baseline_area must be > 0, got -3"),
+], ids=["spectrum_baseline_area", "t2_baseline_area"])
+def test_analyze_non_positive_baseline_area_exits_2_before_reading(
+        tmp_path, capsys, monkeypatch, keys, message):
+    def explode(*args):
+        raise AssertionError("the keys must be checked before any input")
+
+    monkeypatch.setattr(cli, "read_wave_record", explode)
+    monkeypatch.setattr(cli, "read_spectrum", explode)
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = wave.tsv\n{keys}")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: [analysis] {message}\n"
+    assert not out.exists()
+
+
 def test_analyze_reversed_time_column_exits_2(tmp_path, capsys):
     # it wrote negative energies and exited 0
     wave = tmp_path / "wave.tsv"
@@ -739,6 +813,87 @@ def test_analyze_bad_spectrum_row_leaves_no_run_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+SNAPSHOT = ("id\tx\ty\tz\tradius\tphase\tdensity\n"
+            "0\t0\t0\t2\t1\trock\t2600\n")
+LOAD_SNAPSHOT = PACKING_BLOCK + "[mechanics]\nload_particles = {d}/particles.tsv\n"
+
+
+@pytest.mark.parametrize("command, body, files, code, message", [
+    ("analyze", "[analysis]\nwaveform = {d}/nothere.tsv\n", {}, 2,
+     "config error: waveform file not found: {d}/nothere.tsv"),
+    ("analyze", "[analysis]\nwaveform = {d}/wave.tsv\n",
+     {"wave.tsv": WAVE_HEADER.replace("# bar_area = 1e-3\n", "") + WAVE_ROWS},
+     3, "input error: {d}/wave.tsv:1: missing '# bar_area = ...' header"),
+    ("analyze", "[]\n", {}, 2, "config error: {d}/run.cfg:1: empty section name"),
+    ("analyze", "[analysis]\nspectrum = {d}/spectrum.tsv\n",
+     {"spectrum.tsv": "0 5\n1 3\n10 1\n"}, 2,
+     "config error: relaxation times must be > 0"),
+    ("freeze", "[run]\nseed = abc\n" + PACKING_BLOCK, {}, 2,
+     "config error: [run] seed must be an integer, got 'abc'"),
+    ("freeze", PACKING_BLOCK.replace("target_porosity = 0.0859\n", ""), {}, 2,
+     "config error: [packing] missing required key 'target_porosity'"),
+    ("freeze", PACKING_BLOCK + "[thermal]\nstage_temps = a,b\n", {}, 2,
+     "config error: [thermal] stage_temps must be comma-separated finite "
+     "numbers, got 'a,b'"),
+    ("freeze", PACKING_BLOCK + "[thermal]\nsubstep_dt_max = 0\n", {}, 2,
+     "config error: substep_dt_max must be > 0"),
+    ("freeze", PACKING_BLOCK + "[thermal]\nfreeze_volume_jump = -1\n", {}, 2,
+     "config error: freeze_volume_jump must be >= 0"),
+    ("freeze", PACKING_BLOCK.replace("0.48", "0.7"), {}, 2,
+     "config error: solid_fraction must be in (0, 0.64), got 0.7"),
+    ("freeze", PACKING_BLOCK + "rock_density = 0\n", {}, 2,
+     "config error: densities must be > 0"),
+    ("freeze", PACKING_BLOCK.replace("cylinder_radius = 5", "cylinder_radius = 0"),
+     {}, 2, "config error: cylinder_radius must be > 0"),
+    ("freeze", PACKING_BLOCK.replace("0.95", "0.8"), {}, 2,
+     "config error: water radius range is degenerate"),
+    ("freeze", PACKING_BLOCK.replace("cylinder_radius = 5",
+                                     "cylinder_radius = 1.1"), {}, 2,
+     "config error: cylinder is too small for the largest particle radius"),
+    ("compress", LOAD_SNAPSHOT, {}, 2,
+     "config error: particles file not found: {d}/particles.tsv"),
+    ("compress", LOAD_SNAPSHOT,
+     {"particles.tsv": SNAPSHOT + "1\t0\t0\t4\t1\trock\n"}, 3,
+     "input error: {d}/particles.tsv:3: expected 7 columns, got 6"),
+    ("compress", LOAD_SNAPSHOT,
+     {"particles.tsv": SNAPSHOT + "id\tx\ty\tz\tradius\tphase\tdensity\n"},
+     3, "input error: {d}/particles.tsv:3: expected numbers, got "
+        "'id\\tx\\ty\\tz\\tradius\\tphase\\tdensity'"),
+    ("compress", LOAD_SNAPSHOT,
+     {"particles.tsv": SNAPSHOT.splitlines(keepends=True)[0]}, 3,
+     "input error: {d}/particles.tsv:1: no particle rows"),
+], ids=["waveform_not_found", "no_bar_area", "empty_section_name",
+        "spectrum_time_not_positive", "seed_not_integer", "no_target_porosity",
+        "stage_temps_not_numbers", "zero_substep", "negative_volume_jump",
+        "solid_fraction_too_high", "zero_rock_density", "zero_cylinder_radius",
+        "degenerate_water_range", "cylinder_too_small", "snapshot_not_found",
+        "six_column_snapshot_row", "word_row_after_data",
+        "header_only_snapshot"])
+def test_input_and_config_errors_exit_with_their_code(
+        tmp_path, capsys, command, body, files, code, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cfg = write_config(tmp_path, body.format(d=tmp_path))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err == message.format(d=tmp_path) + "\n"
+    assert not out.exists()
+
+
+def test_exit_code_reaches_the_shell(tmp_path):
+    wave = tmp_path / "wave.tsv"
+    wave.write_text(WAVE_ROWS)
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = {wave}\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "frostdem.cli", "analyze", "--config", cfg,
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 3
+    assert done.stderr == (f"input error: {wave}:1: missing '# bar_area = ...' "
+                           "header\n")
+
+
 # ---------------------------------------------------------------------------
 # the readers' np.loadtxt fast path against the line loop
 
@@ -767,6 +922,7 @@ READER_FILES = {
     "non_ascii_body": "0 1 2 3\n\u0664 5 6 7\n",
     "underscore": "0 1 2 3\n4_0 5 6 7\n",
     "crlf": "# a = 1\r\n0 1 2 3\r\n4 5 6 7\r\n",
+    "repeated_header": "# a = 1\n# b = 2\n# a = 3\n0 1 2 3\n",
 }
 
 

@@ -42,6 +42,11 @@ def test_resolution_threshold_is_strict():
     assert not res.passes
 
 
+def test_resolution_fraction_input_stays_exact():
+    assert packing._to_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    assert compute_resolution(Fraction(1, 3), 1.2, 1.0).exact == Fraction(5, 3)
+
+
 def test_resolution_degenerate_range():
     with pytest.raises(InvalidConfigError):
         compute_resolution(25, 1.0, 1.0)

@@ -85,6 +85,17 @@ def test_uniform_field_unchanged(small_saturated):
     assert np.array_equal(field.temperatures, before)
 
 
+def test_contact_free_network_step_leaves_the_field():
+    # no contact carries heat, held particles or not
+    asm = two_particle_assembly(gap=1.0)
+    none = np.zeros(0, dtype=np.int64)
+    net = ConductionNetwork(asm, (none, none))
+    field = TemperatureField(np.array([10.0, 30.0]), none)
+    net.step(field)
+    net.step(field, np.array([True, False]))
+    assert field.temperatures.tolist() == [10.0, 30.0]
+
+
 def test_two_body_exponential_convergence():
     asm = two_particle_assembly()
     net = ConductionNetwork(asm, (np.array([0]), np.array([1])))
@@ -215,6 +226,20 @@ def test_uniformity_uniform_field_passes(small_saturated):
     rep = uniformity_report(field)
     assert rep.max_deviation == 0.0
     assert rep.passes
+
+
+def test_uniformity_of_an_all_boundary_field_passes():
+    # no interior particle deviates
+    field = TemperatureField(np.array([-20.0, 5.0]), np.array([0, 1]))
+    assert uniformity_report(field) == (0.0, True)
+
+
+def test_empty_assembly_has_no_surface_particles():
+    asm = ParticleAssembly(np.zeros((0, 3)), np.zeros(0),
+                           np.zeros(0, dtype=np.int8), np.zeros(0),
+                           CylinderDomain(5.0, 10.0))
+    ids = surface_particle_ids(asm)
+    assert ids.dtype == np.int64 and ids.shape == (0,)
 
 
 def test_uniformity_transient_gradient_fails(small_saturated):
