@@ -3,7 +3,8 @@
 One pipeline per invocation.  Each ``cmd_*`` reads and checks its keys,
 reads its inputs and computes, then hands back its artifacts unwritten with
 a one-line summary.  ``main`` alone writes: it resolves the run directory
-before the command runs, and once the command has returned it writes every
+before the command runs, and once the command has returned it checks that
+the directory holds no file the manifest would not list, then writes every
 artifact atomically and then the digest manifest.  So a failed run leaves
 no run directory, and identical config+seed reruns are byte-identical.
 
@@ -396,6 +397,10 @@ def cmd_analyze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
                 "to apply to")
     wave_path = section.get_str("waveform")
     static_strength = section.get_float("static_strength")
+    if static_strength is not None and static_strength <= 0:
+        raise InvalidConfigError(
+            f"[analysis] static_strength is {static_strength:g}: the static "
+            "strength must be > 0")
     # read raw: a key that lists no pair, empty or not, is an error, not a
     # skipped fit
     rdif_raw = section.values.get("rdif_points")
@@ -411,13 +416,18 @@ def cmd_analyze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
         if not all(math.isfinite(x) for point in points for x in point):
             raise InvalidConfigError(
                 f"[analysis] rdif_points must be finite numbers, got {rdif_raw!r}")
+        if any(rate <= 0 for rate, _ in points):
+            raise InvalidConfigError(
+                f"[analysis] rdif_points strain rates must be > 0, got "
+                f"{rdif_raw!r}")
     spectrum_path = section.get_str("spectrum")
     spectrum_baseline = section.get_float("spectrum_baseline_area")
     areas_raw = section.get_float_list("t2_areas")
     t2_baseline = section.get_float("t2_baseline_area",
                                     required=areas_raw is not None)
     for key, value in (("spectrum_baseline_area", spectrum_baseline),
-                       ("t2_baseline_area", t2_baseline)):
+                       ("t2_baseline_area", t2_baseline),
+                       *(("t2_areas", area) for area in areas_raw or ())):
         if value is not None and value <= 0:
             raise InvalidConfigError(f"[analysis] {key} must be > 0, got {value:g}")
     if areas_raw:
@@ -507,6 +517,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _claim_run_dir(out_dir: Path, names: list[str]) -> None:
+    """Create ``out_dir`` for the artifacts ``names`` and their manifest.
+
+    A path that cannot be a directory, or a directory holding another file,
+    which the manifest would not list, is a config error that leaves the
+    path as it was.
+    """
+    keep = {*names, "manifest.txt"}
+    others = sorted(p.name for p in out_dir.iterdir()
+                    if p.name not in keep) if out_dir.is_dir() else []
+    if others:
+        raise InvalidConfigError(
+            f"output directory {out_dir} holds {', '.join(others)}, which this "
+            "run would not replace and its manifest would not list")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"output directory {out_dir} cannot be "
+                                 f"made: {exc.strerror}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"freeze": cmd_freeze, "compress": cmd_compress,
@@ -528,9 +559,11 @@ def main(argv=None) -> int:
                 "no output directory: set --out or [run] out_dir")
         out_dir = Path(out_dir)
         outputs, summary = handlers[args.command](config, args)
+        names = [name for name, *_ in outputs]
+        _claim_run_dir(out_dir, names)
         for name, write, *data in outputs:
             write(out_dir / name, *data)
-        artifacts.write_manifest(out_dir, [name for name, *_ in outputs])
+        artifacts.write_manifest(out_dir, names)
     except InputParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -25,9 +25,8 @@ from .errors import (ConvergenceError, InvalidConfigError, UndefinedStatisticErr
 from .mechanics import CrackEvent, ParticleSystem, build_system
 # contact_arrays is unused here; bench/test_harness.py checks its probe binding
 from .packing import ParticleAssembly, Phase, contact_arrays  # noqa: F401
-from .thermal import (ALPHA_ICE, ALPHA_ROCK, ALPHA_WATER, ConductionNetwork,
-                      TemperatureField, UNIFORMITY_LIMIT, expansion_coefficients,
-                      surface_particle_ids)
+from .thermal import (ALPHA, ICE, ConductionNetwork, TemperatureField,
+                      UNIFORMITY_LIMIT, phase_states, surface_particle_ids)
 
 
 def radius_increments(t_old: np.ndarray, t_new: np.ndarray,
@@ -39,10 +38,11 @@ def radius_increments(t_old: np.ndarray, t_new: np.ndarray,
     """
     if not (np.all(np.isfinite(t_old)) and np.all(np.isfinite(t_new))):
         raise InvalidConfigError("temperatures must be finite")
-    d_rock = ALPHA_ROCK * radii * (t_new - t_old)
+    d_rock = ALPHA[Phase.ROCK] * radii * (t_new - t_old)
     liquid_span = np.maximum(t_new, 0.0) - np.maximum(t_old, 0.0)
     ice_span = np.minimum(t_new, 0.0) - np.minimum(t_old, 0.0)
-    d_water = ALPHA_WATER * radii * liquid_span + ALPHA_ICE * radii * np.abs(ice_span)
+    d_water = (ALPHA[Phase.WATER] * radii * liquid_span
+               + ALPHA[ICE] * radii * np.abs(ice_span))
     return np.where(phases == Phase.ROCK, d_rock, d_water)
 
 
@@ -241,17 +241,16 @@ def run_freeze(assembly: ParticleAssembly,
         n_sub = max(1, math.ceil(abs(target - t_boundary) / config.substep_dt_max))
         for i in range(n_sub):
             t_boundary = stage_from + (target - stage_from) * (i + 1) / n_sub
-            _conduct_until(conduction, field, held, t_boundary,
-                           CONDUCTION_STEP_CAP)
+            _conduct_until(conduction, field, held, t_boundary)
             d_temp = field.temperatures - t_prev_particles
             d_radius = radius_increments(t_prev_particles, field.temperatures,
                                          system.radii, system.phases)
-            newly_frozen = water & (field.temperatures <= 0.0) & ~has_jumped
+            states = phase_states(system.phases, field.temperatures)
+            newly_frozen = (states == ICE) & ~has_jumped
             d_radius = d_radius + np.where(newly_frozen,
                                            system.radii * jump_factor, 0.0)
             has_jumped |= newly_frozen
-            alpha_now = expansion_coefficients(system.phases, field.temperatures)
-            system.apply_bond_thermal_offsets(d_temp, alpha_now)
+            system.apply_bond_thermal_offsets(d_temp, ALPHA[states])
             t_prev_particles = field.temperatures.copy()
             system.grow_radii(d_radius, skin)
             system.run(SUBSTEP_RELAX_STEPS)
@@ -266,14 +265,13 @@ def run_freeze(assembly: ParticleAssembly,
 
 
 def _conduct_until(network: ConductionNetwork, field: TemperatureField,
-                   held: np.ndarray, boundary_value: float,
-                   step_cap: int) -> None:
+                   held: np.ndarray, boundary_value: float) -> None:
     """Conduction steps until the free particles track the boundary.
 
     The ``held`` particles are set to ``boundary_value`` and the steps keep
     them there; only the others enter the convergence measure.  Raises
     :class:`~frostdem.errors.ConvergenceError` when the deviation still
-    exceeds ``CONDUCTION_TOL`` after ``step_cap`` steps.
+    exceeds ``CONDUCTION_TOL`` after ``CONDUCTION_STEP_CAP`` steps.
     """
     t = field.temperatures
     t[held] = boundary_value
@@ -281,12 +279,13 @@ def _conduct_until(network: ConductionNetwork, field: TemperatureField,
 
     def deviation() -> float:
         return float(np.max(np.abs(t[free] - boundary_value), initial=0.0))
-    for _ in range(step_cap):
+    for _ in range(CONDUCTION_STEP_CAP):
         if deviation() <= CONDUCTION_TOL:
             return
         network.step(field, held)
     dev = deviation()
     if dev > CONDUCTION_TOL:
         raise ConvergenceError(
-            f"conduction left a deviation of {dev:g} degC after {step_cap} "
-            f"steps; the tolerance is {CONDUCTION_TOL:g} degC")
+            f"conduction left a deviation of {dev:g} degC after "
+            f"{CONDUCTION_STEP_CAP} steps; the tolerance is "
+            f"{CONDUCTION_TOL:g} degC")

@@ -676,7 +676,7 @@ class ParticleSystem:
         bond already acts as a linear contact through its own row.
         """
         ia, ib, _ = contact_arrays(self.snapshot(), tolerance)
-        new = ~_sorted_member(ia * np.int64(self.n) + ib, self._bond_keys)
+        new = ~np.isin(ia * np.int64(self.n) + ib, self._bond_keys)
         ia, ib = ia[new], ib[new]
         nb = self.n_bonds
         self.ia = np.concatenate([self.b_ia, ia])
@@ -788,14 +788,6 @@ def _force_ratio(net: float, contact: float, floor: float) -> float:
     if contact <= 1e-12:
         return 0.0
     return net / max(contact, floor)
-
-
-def _sorted_member(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``np.isin(keys, table)`` for a strictly increasing ``table``."""
-    if not len(table):
-        return np.zeros(len(keys), dtype=bool)
-    at = np.searchsorted(table, keys)
-    return table.take(at, mode="clip") == keys
 
 
 def _require_finite(what: str, value: float,

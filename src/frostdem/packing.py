@@ -385,16 +385,6 @@ def _relax_overlaps(centers: np.ndarray, radii: np.ndarray,
     return c.T.copy(), residual
 
 
-def _require_finite_packing(centers: np.ndarray, residual: float) -> None:
-    """Raise :class:`~frostdem.errors.StabilityError` if a polish left a
-    residual or a centre that is not finite: a NaN passes no overlap bound."""
-    bad = int(np.count_nonzero(~np.isfinite(centers).all(axis=1)))
-    if bad or not math.isfinite(residual):
-        raise StabilityError(
-            f"the packing relaxation left a non-finite state: residual "
-            f"{residual}, {bad} non-finite centres")
-
-
 #: Relaxation sweeps of each final polish of a packing.
 POLISH_SWEEPS = 8000
 
@@ -450,22 +440,26 @@ def generate_packing(config: PackingConfig) -> ParticleAssembly:
         centers, _ = _relax_overlaps(centers, r, domain,
                                      4e-3 * float(r.min()), 600, rng=rng)
     max_overlap = 1e-3 * float(radii.min())
-    centers, residual = _relax_overlaps(centers, radii, domain, max_overlap,
-                                        POLISH_SWEEPS, under_relax=0.8, rng=rng)
-    _require_finite_packing(centers, residual)
-    recoveries = 0
-    while not residual <= max_overlap and recoveries < 3:
-        # jammed endgame: back off slightly and regrow through the last step
-        recoveries += 1
-        for backoff in (0.985, 0.99, 0.995, 1.0):
-            r = radii * backoff
-            centers, _ = _relax_overlaps(centers, r, domain,
-                                         2e-3 * float(r.min()), 800, rng=rng)
-        centers, residual = _relax_overlaps(centers, radii, domain, max_overlap,
-                                            POLISH_SWEEPS, under_relax=0.85,
-                                            rng=rng)
-        _require_finite_packing(centers, residual)
-    if not residual <= max_overlap:
+    # the first polish, then up to three recoveries from a jammed endgame
+    for attempt in range(4):
+        if attempt:
+            # back off slightly and regrow through the last step
+            for backoff in (0.985, 0.99, 0.995, 1.0):
+                r = radii * backoff
+                centers, _ = _relax_overlaps(centers, r, domain,
+                                             2e-3 * float(r.min()), 800, rng=rng)
+        centers, residual = _relax_overlaps(
+            centers, radii, domain, max_overlap, POLISH_SWEEPS,
+            under_relax=0.85 if attempt else 0.8, rng=rng)
+        # a NaN passes no overlap bound
+        bad = int(np.count_nonzero(~np.isfinite(centers).all(axis=1)))
+        if bad or not math.isfinite(residual):
+            raise StabilityError(
+                f"the packing relaxation left a non-finite state: residual "
+                f"{residual}, {bad} non-finite centres")
+        if residual <= max_overlap:
+            break
+    else:
         raise PackingInfeasibleError(
             "could not relax overlaps below 1e-03 of the minimum radius "
             f"(residual {residual / float(radii.min()):.2%}); "

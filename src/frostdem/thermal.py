@@ -1,8 +1,11 @@
 """Per-particle temperature evolution by inter-particle conduction.
 
-Heat moves between contacting particles proportionally to contact area and
-temperature difference over center distance, in backward-Euler steps over the
-particles the caller does not hold at the boundary temperature.
+Every thermal law reads one property table, with a row each for rock,
+liquid water and ice; :func:`phase_states` picks each particle's row and is
+the one freezing test.  Heat moves between contacting particles
+proportionally to contact area and temperature difference over center
+distance, in backward-Euler steps over the particles the caller does not
+hold at the boundary temperature.
 """
 from __future__ import annotations
 
@@ -15,32 +18,22 @@ from .errors import InvalidConfigError
 from .packing import ParticleAssembly, Phase
 
 
-#: Linear thermal expansion coefficients, 1/degC.
-ALPHA_ROCK = 0.052e-4
-ALPHA_WATER = 1.769e-4
-ALPHA_ICE = 2.079e-4
-
-#: Thermal conductivities, W/(m K).
-CONDUCTIVITY_ROCK = 7.7
-CONDUCTIVITY_WATER = 0.6
-CONDUCTIVITY_ICE = 2.2
-
-#: Heat capacities, J/(kg degC); water takes one value in both phases.
-HEAT_CAPACITY_ROCK = 877.0
-HEAT_CAPACITY_WATER = 4215.0
+#: Thermal property table, one row per state: rock and liquid water at their
+#: ``Phase`` values, and ``ICE``, water at or below 0 degC.
+ICE = 2
+ALPHA = np.array([0.052e-4, 1.769e-4, 2.079e-4])   # linear expansion, 1/degC
+CONDUCTIVITY = np.array([7.7, 0.6, 2.2])           # W/(m K)
+HEAT_CAPACITY = np.array([877.0, 4215.0, 4215.0])  # J/(kg degC)
 
 
-def expansion_coefficients(phases: np.ndarray,
-                           temperatures: np.ndarray) -> np.ndarray:
-    """Per-particle linear expansion coefficient at the current temperatures.
+def phase_states(phases: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
+    """Each particle's row of the thermal tables at the current temperatures.
 
     Water above 0 degC is liquid; at or below 0 degC it is ice, so the
     freeze transition triggers exactly at the zero crossing.
     """
-    alpha = np.full(len(phases), ALPHA_ROCK)
-    water = phases == Phase.WATER
-    alpha[water] = np.where(temperatures[water] > 0.0, ALPHA_WATER, ALPHA_ICE)
-    return alpha
+    return np.where((phases == Phase.WATER) & (temperatures <= 0.0), ICE,
+                    phases)
 
 
 @dataclass
@@ -105,20 +98,15 @@ class ConductionNetwork:
                            axis=1)
         self.dist = np.maximum(d, 1e-9) * 1e-3
         mass_kg = assembly.masses() * 1e3  # tonnes -> kg
-        cap = np.where(assembly.phases == Phase.ROCK, HEAT_CAPACITY_ROCK,
-                       HEAT_CAPACITY_WATER)
-        self.heat_mass = mass_kg * cap     # J/degC per particle
-        self._water = assembly.phases == Phase.WATER
-        # liquid-water mask and held set the factored step belongs to
-        self._liquid: np.ndarray | None = None
+        self.heat_mass = mass_kg * HEAT_CAPACITY[assembly.phases]  # J/degC
+        # phase states and held set the factored step belongs to
+        self._states: np.ndarray | None = None
         self._held: np.ndarray | None = None
         self.dt = CONDUCTION_STEP_MULTIPLE * self.stable_dt()   # s
 
     def conductances(self, temperatures: np.ndarray) -> np.ndarray:
         """Per-contact conductance W/degC at current phase states."""
-        k = np.where(self.phases == Phase.ROCK, CONDUCTIVITY_ROCK,
-                     np.where(temperatures > 0.0, CONDUCTIVITY_WATER,
-                              CONDUCTIVITY_ICE))
+        k = CONDUCTIVITY[phase_states(self.phases, temperatures)]
         ka, kb = k[self.ia], k[self.ib]
         k_eff = 2.0 * ka * kb / (ka + kb)
         return k_eff * self.area / self.dist
@@ -164,11 +152,11 @@ class ConductionNetwork:
         t = field.temperatures
         if held is None:
             held = np.zeros(self.n, dtype=bool)
-        liquid = self._water & (t > 0.0)
-        if not (np.array_equal(liquid, self._liquid)
+        states = phase_states(self.phases, t)
+        if not (np.array_equal(states, self._states)
                 and np.array_equal(held, self._held)):
             self._factor(t, held)
-            self._liquid, self._held = liquid, held.copy()
+            self._states, self._held = states, held.copy()
         # heat each contact carries a -> b over the step at the start state
         heat = self._dt_g * (t.take(self.ia) - t.take(self.ib))
         inflow = np.bincount(self.ib, weights=heat, minlength=self.n) \

@@ -770,6 +770,69 @@ def test_analyze_non_positive_baseline_area_exits_2_before_reading(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keys, message", [
+    # static_strength and the rates were checked only once the waveform was
+    # read, and neither message named its key; non-positive t2_areas wrote
+    # change rates of -105% and -100% and exited 0
+    ("static_strength = 0\n",
+     "static_strength is 0: the static strength must be > 0"),
+    ("rdif_points = -200:1.05,600:1.3\n",
+     "rdif_points strain rates must be > 0, got '-200:1.05,600:1.3'"),
+    ("rdif_points = 0:1.05,600:1.3\n",
+     "rdif_points strain rates must be > 0, got '0:1.05,600:1.3'"),
+    ("t2_areas = -5,0\nt2_baseline_area = 100\n",
+     "t2_areas must be > 0, got -5"),
+    ("t2_areas = 17944,0\nt2_baseline_area = 100\n",
+     "t2_areas must be > 0, got 0"),
+], ids=["static_strength", "negative_rate", "zero_rate", "negative_t2_area",
+        "zero_t2_area"])
+def test_analyze_non_positive_key_exits_2_before_reading(
+        tmp_path, capsys, monkeypatch, keys, message):
+    def explode(*args):
+        raise AssertionError("the keys must be checked before any input")
+
+    monkeypatch.setattr(cli, "read_wave_record", explode)
+    cfg = write_config(tmp_path, f"[analysis]\nwaveform = wave.tsv\n{keys}")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: [analysis] {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("taken", "File exists"), ("taken/run", "Not a directory")])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out, reason):
+    # --out naming a regular file raised FileExistsError, exit 1
+    (tmp_path / "taken").write_text("kept\n")
+    cfg = write_config(tmp_path, "[analysis]\n" + RDIF_KEY)
+    out = tmp_path / out
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output directory {out} cannot be made: {reason}\n")
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_run_into_a_directory_with_a_file_it_would_not_list_exits_2(
+        tmp_path, capsys):
+    # an rdif-only run after an rdif and t2 run exited 0 and left
+    # t2_area_changes.tsv beside a manifest that did not list it
+    out = tmp_path / "out"
+    both = write_config(tmp_path, "[analysis]\n" + RDIF_KEY + T2_KEYS,
+                        name="both.cfg")
+    assert main(["analyze", "--config", both, "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    # a rerun of the same config into its own directory replaces every file
+    assert main(["analyze", "--config", both, "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    capsys.readouterr()
+    rdif = write_config(tmp_path, "[analysis]\n" + RDIF_KEY, name="rdif.cfg")
+    assert main(["analyze", "--config", rdif, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output directory {out} holds t2_area_changes.tsv, "
+        "which this run would not replace and its manifest would not list\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def test_analyze_reversed_time_column_exits_2(tmp_path, capsys):
     # it wrote negative energies and exited 0
     wave = tmp_path / "wave.tsv"

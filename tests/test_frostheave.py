@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frostdem import frostheave
 from frostdem.errors import (ConvergenceError, InvalidConfigError,
                              UndefinedStatisticError)
 from frostdem.frostheave import (FreezeConfig, _conduct_until, contact_statistics,
@@ -13,7 +14,7 @@ from frostdem.frostheave import (FreezeConfig, _conduct_until, contact_statistic
 from frostdem.mechanics import (BondMaterial, ParticleSystem,
                                 SATURATED_MATERIALS, build_system)
 from frostdem.packing import ContactKind, CylinderDomain, ParticleAssembly, Phase
-from frostdem.thermal import (ALPHA_ICE, ConductionNetwork, TemperatureField,
+from frostdem.thermal import (ALPHA, ICE, ConductionNetwork, TemperatureField,
                               surface_particle_ids)
 
 
@@ -112,7 +113,7 @@ def thermal_force(d_temp, alpha, system=None):
 
 
 def test_bond_force_zero_change():
-    assert thermal_force(0.0, ALPHA_ICE) == 0.0
+    assert thermal_force(0.0, ALPHA[ICE]) == 0.0
 
 
 def test_bond_force_unit_substitution():
@@ -121,16 +122,16 @@ def test_bond_force_unit_substitution():
 
 
 def test_bond_force_compressive_on_cooling():
-    d = thermal_force(-10.0, ALPHA_ICE)
+    d = thermal_force(-10.0, ALPHA[ICE])
     assert d > 0.0
-    assert d == pytest.approx(pair_k_normal() * ALPHA_ICE * PAIR_LENGTH * 10.0,
+    assert d == pytest.approx(pair_k_normal() * ALPHA[ICE] * PAIR_LENGTH * 10.0,
                               rel=1e-12)
     # the pair takes the smaller coefficient and the mean temperature change
     system = bonded_pair()
     system.apply_bond_thermal_offsets(np.array([-10.0, -30.0]),
-                                      np.array([ALPHA_ICE, 1.0]))
+                                      np.array([ALPHA[ICE], 1.0]))
     assert system.bond_normal_forces()[0] == pytest.approx(
-        pair_k_normal() * ALPHA_ICE * PAIR_LENGTH * 20.0, rel=1e-12)
+        pair_k_normal() * ALPHA[ICE] * PAIR_LENGTH * 20.0, rel=1e-12)
 
 
 def test_bond_thermal_offsets_on_a_system_with_no_bonds():
@@ -141,7 +142,7 @@ def test_bond_thermal_offsets_on_a_system_with_no_bonds():
                            CylinderDomain(3.0, 12.0))
     system = ParticleSystem(asm, {ContactKind.ROCK_ROCK: ROCK_MAT}, mass_scale=1.0)
     assert system.n_bonds == 0
-    system.apply_bond_thermal_offsets(np.full(2, -10.0), np.full(2, ALPHA_ICE))
+    system.apply_bond_thermal_offsets(np.full(2, -10.0), np.full(2, ALPHA[ICE]))
     assert system.b_offset.shape == (0,) and system.b_offset.dtype == np.float64
 
 
@@ -152,7 +153,7 @@ def test_bond_force_rejects_bad_geometry():
         BondMaterial(9.0, 0.0, 2.5, 40.0, 40.0, 45.0)
     system = bonded_pair()
     system.b_intact[:] = False
-    assert thermal_force(-10.0, ALPHA_ICE, system) == 0.0
+    assert thermal_force(-10.0, ALPHA[ICE], system) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +331,21 @@ def _first_substep(asm):
     return network, field, held
 
 
-def test_conduction_fails_loudly_at_its_step_cap(small_saturated):
-    network, field, held = _first_substep(small_saturated)
+def test_conduction_fails_loudly_at_its_step_cap(small_saturated, monkeypatch):
+    def conduct_with_cap(cap):
+        network, field, held = _first_substep(small_saturated)
+        monkeypatch.setattr(frostheave, "CONDUCTION_STEP_CAP", cap)
+        _conduct_until(network, field, held, 18.0)
+        return network
+
     with pytest.raises(ConvergenceError, match=r"after 1 steps.*0\.45 degC"):
-        _conduct_until(network, field, held, 18.0, 1)
+        conduct_with_cap(1)
     # a field that reaches the tolerance on the last allowed step passes
-    network, field, held = _first_substep(small_saturated)
-    _conduct_until(network, field, held, 18.0, 50_000)
-    needed = network.steps
+    needed = conduct_with_cap(50_000).steps
     assert needed > 1
-    network, field, held = _first_substep(small_saturated)
-    _conduct_until(network, field, held, 18.0, needed)
-    network, field, held = _first_substep(small_saturated)
+    conduct_with_cap(needed)
     with pytest.raises(ConvergenceError):
-        _conduct_until(network, field, held, 18.0, needed - 1)
+        conduct_with_cap(needed - 1)
 
 
 def test_freeze_rejects_empty_assembly():

@@ -721,29 +721,6 @@ def test_snapshot_centers_are_the_positions(small_saturated):
     assert snap.centers.shape == small_saturated.centers.shape
 
 
-def test_bond_rows_filter_by_searchsorted_as_isin_does(small_saturated,
-                                                      monkeypatch):
-    # weak bonds break under load; the contacts of the broken state, found
-    # at the loading loop's refresh tolerance, are matched against the bond
-    # keys both ways
-    built = spy_on_build_system(monkeypatch)
-    run_uniaxial_test(small_saturated, 4.0, 0.015, scaled_materials(0.10))
-    (system,) = built
-    assert not system.b_intact.all()
-    keys = system._bond_keys
-    assert np.all(np.diff(keys) > 0)
-    ia, ib, _ = mechanics.contact_arrays(system.snapshot(),
-                                         0.1 * float(system.radii.min()))
-    probe = ia * np.int64(system.n) + ib
-    found = mechanics._sorted_member(probe, keys)
-    assert np.array_equal(found, np.isin(probe, keys))
-    assert 0 < np.count_nonzero(found) < len(probe)
-    # keys past both ends of the table, and an empty table
-    edges = np.array([-1, keys[0], keys[-1], keys[-1] + 1])
-    assert mechanics._sorted_member(edges, keys).tolist() == [False, True, True, False]
-    assert not mechanics._sorted_member(probe, keys[:0]).any()
-
-
 # ---------------------------------------------------------------------------
 # integration
 

@@ -191,6 +191,31 @@ def test_generate_raises_on_a_polish_that_leaves_a_nan(monkeypatch):
         generate_packing(desk_config(seed=1))
 
 
+@pytest.mark.parametrize("seed, under_relax", [
+    (0, [0.8, 0.85, 0.85]),   # the first two polishes stall at the cap
+    (6, [0.8, 0.85]),
+])
+def test_generate_recovers_from_a_jammed_polish(monkeypatch, seed, under_relax):
+    # a polish that stalls above the overlap bound is followed by a recovery:
+    # back off, regrow and polish again, until one meets the bound
+    relax = packing._relax_overlaps
+    polishes = []
+
+    def spied(centers, radii, domain, max_overlap, max_sweeps, *args, **kw):
+        centers, residual = relax(centers, radii, domain, max_overlap,
+                                  max_sweeps, *args, **kw)
+        if max_sweeps == packing.POLISH_SWEEPS:
+            polishes.append((kw["under_relax"], residual <= max_overlap))
+        return centers, residual
+
+    monkeypatch.setattr(packing, "_relax_overlaps", spied)
+    asm = generate_packing(desk_config(seed=seed))
+    assert [u for u, _ in polishes] == under_relax
+    met = [met for _, met in polishes]
+    assert met == [False] * (len(under_relax) - 1) + [True]
+    assert _max_pair_overlap(asm) <= 1e-3 * asm.radii.min() + 1e-12
+
+
 def test_generate_raises_on_a_growth_call_that_leaves_a_nan(monkeypatch):
     # the next growth call hands the NaN centre to the neighbour search,
     # which must raise a named error, not the k-d tree's ValueError

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from frostdem import frostheave
 from frostdem.frostheave import CONDUCTION_TOL, _conduct_until, run_freeze
 from frostdem.packing import (CylinderDomain, ParticleAssembly, Phase,
                               contact_arrays)
-from frostdem.thermal import (ConductionNetwork, TemperatureField,
-                              expansion_coefficients, surface_particle_ids,
+from frostdem.thermal import (ALPHA, ConductionNetwork, TemperatureField,
+                              phase_states, surface_particle_ids,
                               uniformity_report)
 
 
@@ -35,23 +36,23 @@ def water_conductance(temperature):
 
 
 def test_phase_above_zero_is_water():
-    assert expansion_coefficients(WATER_PAIR, np.full(2, 20.0)) \
+    assert ALPHA[phase_states(WATER_PAIR, np.full(2, 20.0))] \
         == pytest.approx([1.769e-4, 1.769e-4])
     assert water_conductance(20.0) == pytest.approx(0.6)
 
 
 def test_phase_below_zero_is_ice():
-    assert expansion_coefficients(WATER_PAIR, np.full(2, -10.0)) \
+    assert ALPHA[phase_states(WATER_PAIR, np.full(2, -10.0))] \
         == pytest.approx([2.079e-4, 2.079e-4])
     assert water_conductance(-10.0) == pytest.approx(2.2)
 
 
 def test_phase_zero_boundary_assigned_to_ice():
-    assert expansion_coefficients(WATER_PAIR, np.zeros(2)) \
+    assert ALPHA[phase_states(WATER_PAIR, np.zeros(2))] \
         == pytest.approx([2.079e-4, 2.079e-4])
     assert water_conductance(0.0) == pytest.approx(2.2)
     rock = np.array([Phase.ROCK, Phase.WATER], dtype=np.int8)
-    assert expansion_coefficients(rock, np.array([0.0, 0.1])) \
+    assert ALPHA[phase_states(rock, np.array([0.0, 0.1]))] \
         == pytest.approx([0.052e-4, 1.769e-4])
 
 
@@ -208,11 +209,12 @@ def test_freeze_factors_once_per_liquid_water_mask(small_saturated,
     assert len(factored) < 20
 
 
-def test_boundary_repinned_after_step():
+def test_boundary_repinned_after_step(monkeypatch):
+    monkeypatch.setattr(frostheave, "CONDUCTION_STEP_CAP", 50)
     asm = two_particle_assembly()
     net = ConductionNetwork(asm, (np.array([0]), np.array([1])))
     field = TemperatureField(np.array([0.0, 10.0]), np.array([0]))
-    _conduct_until(net, field, np.array([True, False]), 0.0, 50)
+    _conduct_until(net, field, np.array([True, False]), 0.0)
     assert field.temperatures[0] == 0.0
     assert abs(field.temperatures[1]) <= CONDUCTION_TOL
 
