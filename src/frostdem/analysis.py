@@ -14,6 +14,56 @@ import numpy as np
 
 from .errors import InvalidConfigError, UndefinedStatisticError
 
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """The ``[analysis]`` section: input file paths, and ``rdif_points`` as
+    (strain rate, strength ratio) pairs."""
+
+    waveform: str | None = None
+    energy_mode: str = "stress-strain"
+    static_strength: float | None = None       # MPa
+    spectrum: str | None = None
+    spectrum_baseline_area: float | None = None
+    t2_areas: tuple[float, ...] | None = None
+    t2_baseline_area: float | None = None
+    points: str | None = None
+    rdif_points: tuple[tuple[float, float], ...] | None = None
+
+    def __post_init__(self):
+        if self.energy_mode != "stress-strain":
+            raise InvalidConfigError(
+                f"energy_mode must be stress-strain, got {self.energy_mode!r}: "
+                "waveform files carry strains only, so the squared-strain form "
+                "equals the stress-strain form")
+        for key, partner in (("static_strength", "waveform"),
+                             ("spectrum_baseline_area", "spectrum"),
+                             ("t2_baseline_area", "t2_areas")):
+            if getattr(self, key) is not None and getattr(self, partner) is None:
+                raise InvalidConfigError(
+                    f"{key} is set without {partner}: it has nothing to apply to")
+        if self.t2_areas is not None and self.t2_baseline_area is None:
+            raise InvalidConfigError("missing required key 't2_baseline_area'")
+        # each bound is written 'not > 0' so that a NaN fails it too
+        if self.static_strength is not None and not self.static_strength > 0:
+            raise InvalidConfigError(
+                f"static_strength is {self.static_strength:g}: the static "
+                "strength must be > 0")
+        for key, value in (
+                ("spectrum_baseline_area", self.spectrum_baseline_area),
+                ("t2_baseline_area", self.t2_baseline_area),
+                *(("t2_areas", area) for area in self.t2_areas or ()),
+                *(("rdif_points strain rates", rate)
+                  for rate, _ in self.rdif_points or ())):
+            if value is not None and not value > 0:
+                raise InvalidConfigError(f"{key} must be > 0, got {value:g}")
+        if not (self.waveform or self.spectrum or self.t2_areas
+                or self.rdif_points or self.points):
+            raise InvalidConfigError(
+                "gives nothing to do: set waveform, spectrum, t2_areas, "
+                "rdif_points or points")
+
+
 @dataclass(frozen=True)
 class WaveRecord:
     """Incident/reflected/transmitted gauge histories plus bar geometry.

@@ -1,12 +1,13 @@
 """Experiment orchestration: freeze, compression and analysis pipelines.
 
-One pipeline per invocation.  Each ``cmd_*`` reads and checks its keys,
+One pipeline per invocation.  Each ``cmd_*`` picks its settings types,
 reads its inputs and computes, then hands back its artifacts unwritten with
-a one-line summary.  ``main`` alone writes: it resolves the run directory
-before the command runs, and once the command has returned it checks that
-the directory holds no file the manifest would not list, then writes every
-artifact atomically and then the digest manifest.  So a failed run leaves
-no run directory, and identical config+seed reruns are byte-identical.
+a one-line summary.  ``main`` alone writes: it refuses a run directory that
+cannot be one before the command runs, and once the command has returned
+it checks that the directory holds no file the manifest would not list,
+then writes every artifact atomically and then the digest manifest.  So a
+failed run leaves no run directory, and identical config+seed reruns are
+byte-identical.
 
 Exit codes: 0 success, 2 config error, 3 input-parse error, 4 numerical
 stability error.
@@ -14,8 +15,10 @@ stability error.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,11 +29,10 @@ from .config import ExperimentConfig
 from .errors import (FrostDemError, InputParseError, InvalidConfigError,
                      StabilityError)
 from .frostheave import FreezeConfig, run_freeze
-from .mechanics import (MODULUS_WINDOW, MechanicalReport, calibrate,
-                        default_materials, extract_mechanical_params,
-                        run_uniaxial_test)
-from .packing import (ContactKind, CylinderDomain, ParticleAssembly, Phase,
-                      generate_packing)
+from .mechanics import (LoadingConfig, calibrate, default_materials,
+                        extract_mechanical_params, run_uniaxial_test)
+from .packing import (ContactKind, CylinderDomain, PackingConfig,
+                      ParticleAssembly, Phase, generate_packing)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -210,7 +212,6 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
     if not p.exists():
         raise InvalidConfigError(f"particles file not found: {p}")
     centers, radii, phases, densities = [], [], [], []
-    saw_data = False
     for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -222,7 +223,7 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
         try:
             x, y, z, radius, density = (float(parts[i]) for i in (1, 2, 3, 4, 6))
         except ValueError:
-            if not saw_data:
+            if not centers:
                 continue
             raise InputParseError(f"expected numbers, got {line!r}",
                                   line=lineno, path=str(p)) from None
@@ -241,7 +242,6 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
         radii.append(radius)
         phases.append(Phase[parts[5].upper()])
         densities.append(density)
-        saw_data = True
     if not centers:
         raise InputParseError("no particle rows", line=1, path=str(p))
     return ParticleAssembly(np.array(centers), np.array(radii),
@@ -256,26 +256,9 @@ def read_particles(path: str | Path, domain: CylinderDomain) -> ParticleAssembly
 # ``(file name, writer, *writer arguments)`` in the order ``main`` writes them.
 
 def cmd_freeze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
-    packing_cfg = config.packing_config(args.seed)
-    thermal = config.section("thermal", required=False)
-    # keys the file leaves out take FreezeConfig's defaults
-    common = {key: thermal.get_float(key)
-              for key in ("start_temp", "substep_dt_max", "water_prestress",
-                          "freeze_volume_jump")
-              if key in thermal.values}
-    if "stage_temps" in thermal.values and "target_temp" in thermal.values:
-        raise InvalidConfigError(
-            "[thermal] stage_temps and target_temp are both set: the schedule "
-            "takes one of them")
-    stage_temps = thermal.get_float_list("stage_temps")
-    target_temp = thermal.get_float("target_temp")
-    if stage_temps:
-        freeze_cfg = FreezeConfig(stage_temps=tuple(stage_temps), **common)
-    elif target_temp is not None:
-        freeze_cfg = FreezeConfig.to_target(target_temp, **common)
-    else:
-        freeze_cfg = FreezeConfig(**common)
-    result = run_freeze(generate_packing(packing_cfg), freeze_cfg)
+    packing = config.read("packing", PackingConfig, rng_seed=args.seed)
+    freeze = config.read("thermal", FreezeConfig)
+    result = run_freeze(generate_packing(packing), freeze)
 
     stat_rows = [(row.label, row.temperature, row.stats.max_contact_force,
                   row.stats.contact_pair_count, row.stats.force_increase_pct,
@@ -298,55 +281,22 @@ def cmd_freeze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
 
 
 def cmd_compress(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
-    mech = config.section("mechanics", required=False)
-    platen_velocity = mech.get_float("platen_velocity", 2.0)
-    target_strain = mech.get_float("target_strain", 0.015)
-    peak_target = mech.get_float("calibrate_peak")
-    modulus_target = mech.get_float("calibrate_modulus")
-    budget = mech.get_int("calibration_budget", 20)
-    # checked before any packing, so a bad value fails at once
-    if platen_velocity <= 0:
-        raise InvalidConfigError(
-            f"[mechanics] platen_velocity must be > 0, got {platen_velocity:g}")
-    if target_strain < MODULUS_WINDOW[1]:
-        raise InvalidConfigError(
-            f"[mechanics] target_strain must be >= {MODULUS_WINDOW[1]:g}, the "
-            f"end of the modulus window, got {target_strain:g}")
-    if budget < 1:
-        raise InvalidConfigError(
-            f"[mechanics] calibration_budget must be >= 1, got {budget}")
-    for key, value in (("calibrate_peak", peak_target),
-                       ("calibrate_modulus", modulus_target)):
-        if value is not None and value <= 0:
-            raise InvalidConfigError(f"[mechanics] {key} must be > 0, got {value:g}")
-    if (peak_target is None) != (modulus_target is None):
-        missing = "calibrate_peak" if peak_target is None else "calibrate_modulus"
-        raise InvalidConfigError(
-            f"[mechanics] {missing} is missing: calibration takes both targets")
-    if peak_target is None and "calibration_budget" in mech.values:
-        raise InvalidConfigError(
-            "[mechanics] calibration_budget is set without calibrate_peak and "
-            "calibrate_modulus: the budget needs both targets")
-
-    load_path = mech.get_str("load_particles")
+    loading = config.read("mechanics", LoadingConfig)
+    load_path = config.value("mechanics", "load_particles")
     if load_path:
-        pack = config.section("packing")
-        domain = CylinderDomain(pack.get_float("cylinder_radius", required=True),
-                                pack.get_float("cylinder_height", required=True))
-        assembly = read_particles(load_path, domain)
+        assembly = read_particles(load_path, config.cylinder())
     else:
-        assembly = generate_packing(config.packing_config(args.seed))
+        assembly = generate_packing(
+            config.read("packing", PackingConfig, rng_seed=args.seed))
 
     outputs, calibration_pairs, flag = [], [], ""
-    if peak_target is None:
-        curve = run_uniaxial_test(assembly, platen_velocity, target_strain)
+    if loading.calibrate_peak is None:
+        curve = run_uniaxial_test(assembly, loading.platen_velocity,
+                                  loading.target_strain)
         report = extract_mechanical_params(curve)
     else:
-        targets = MechanicalReport(peak_target, modulus_target, 0.0, 0.0)
-        calibrated = calibrate(targets,
-                               default_materials(assembly)[ContactKind.ROCK_ROCK],
-                               budget, assembly, platen_velocity=platen_velocity,
-                               target_strain=target_strain)
+        calibrated = calibrate(
+            loading, default_materials(assembly)[ContactKind.ROCK_ROCK], assembly)
         audit_rows = ((r.round_index, r.material.bond_modulus,
                        r.material.contact_modulus, r.material.tensile_strength,
                        r.material.cohesion, r.sim_peak, r.sim_modulus,
@@ -380,72 +330,14 @@ def cmd_compress(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
 
 
 def cmd_analyze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
-    section = config.section("analysis")
-    mode = section.get_str("energy_mode", "stress-strain")
-    if mode != "stress-strain":
-        raise InvalidConfigError(
-            f"[analysis] energy_mode must be stress-strain, got {mode!r}: "
-            "waveform files carry strains only, so the squared-strain form "
-            "equals the stress-strain form")
-    # every key is read and checked before the first input is read
-    for key, partner in (("static_strength", "waveform"),
-                         ("spectrum_baseline_area", "spectrum"),
-                         ("t2_baseline_area", "t2_areas")):
-        if key in section.values and partner not in section.values:
-            raise InvalidConfigError(
-                f"[analysis] {key} is set without {partner}: it has nothing "
-                "to apply to")
-    wave_path = section.get_str("waveform")
-    static_strength = section.get_float("static_strength")
-    if static_strength is not None and static_strength <= 0:
-        raise InvalidConfigError(
-            f"[analysis] static_strength is {static_strength:g}: the static "
-            "strength must be > 0")
-    # read raw: a key that lists no pair, empty or not, is an error, not a
-    # skipped fit
-    rdif_raw = section.values.get("rdif_points")
-    if rdif_raw is not None:
-        try:
-            points = [(float(r), float(v)) for r, v in
-                      (item.split(":") for item in rdif_raw.split(",") if item)]
-        except ValueError:
-            points = []
-        if not points:
-            raise InvalidConfigError(
-                "[analysis] rdif_points must look like '200:1.05,600:1.32'")
-        if not all(math.isfinite(x) for point in points for x in point):
-            raise InvalidConfigError(
-                f"[analysis] rdif_points must be finite numbers, got {rdif_raw!r}")
-        if any(rate <= 0 for rate, _ in points):
-            raise InvalidConfigError(
-                f"[analysis] rdif_points strain rates must be > 0, got "
-                f"{rdif_raw!r}")
-    spectrum_path = section.get_str("spectrum")
-    spectrum_baseline = section.get_float("spectrum_baseline_area")
-    areas_raw = section.get_float_list("t2_areas")
-    t2_baseline = section.get_float("t2_baseline_area",
-                                    required=areas_raw is not None)
-    for key, value in (("spectrum_baseline_area", spectrum_baseline),
-                       ("t2_baseline_area", t2_baseline),
-                       *(("t2_areas", area) for area in areas_raw or ())):
-        if value is not None and value <= 0:
-            raise InvalidConfigError(f"[analysis] {key} must be > 0, got {value:g}")
-    if areas_raw:
-        area_rows = [(a, analysis.area_change_rate(a, t2_baseline))
-                     for a in areas_raw]
-    points_path = section.get_str("points")
-    if not (wave_path or rdif_raw or spectrum_path or areas_raw or points_path):
-        raise InvalidConfigError(
-            "[analysis] gives nothing to do: set waveform, spectrum, t2_areas, "
-            "rdif_points or points")
-
+    settings = config.read("analysis", analysis.AnalysisConfig)
     outputs = []
-    if wave_path:
-        record = read_wave_record(wave_path)
+    if settings.waveform:
+        record = read_wave_record(settings.waveform)
         energies = analysis.compute_energies(record)
         missing = [f"# {key}" for key in ("specimen_area", "specimen_length")
                    if getattr(record, key) is None]
-        if static_strength is not None and missing:
+        if settings.static_strength is not None and missing:
             raise InvalidConfigError(
                 "[analysis] static_strength needs the specimen geometry, but "
                 f"the waveform has no {' or '.join(missing)} header")
@@ -463,20 +355,21 @@ def cmd_analyze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
                     np.column_stack((r.time, r.strain, r.stress,
                                      r.strain_rate))),
                 response))
-            if static_strength is not None:
+            if settings.static_strength is not None:
                 dynamic = float(np.max(response.stress))
-                pairs.append(("rdif", analysis.compute_rdif(dynamic, static_strength)))
+                pairs.append(("rdif", analysis.compute_rdif(
+                    dynamic, settings.static_strength)))
         outputs.append(("energy_report.txt", artifacts.write_report, pairs))
-    if rdif_raw:
-        model = analysis.fit_rdif_model(points)
+    if settings.rdif_points:
+        model = analysis.fit_rdif_model(settings.rdif_points)
         outputs.append(("rdif_report.txt", artifacts.write_report,
                         [("k", model.k), ("m", model.m),
                          ("residual", model.residual),
                          ("degenerate", model.degenerate),
                          ("excluded_points", len(model.excluded))]))
-    if spectrum_path:
-        stats = analysis.t2_spectrum_stats(read_spectrum(spectrum_path),
-                                           spectrum_baseline)
+    if settings.spectrum:
+        stats = analysis.t2_spectrum_stats(read_spectrum(settings.spectrum),
+                                           settings.spectrum_baseline_area)
         outputs.append(("t2_report.txt", artifacts.write_report,
                         [("peak1_pct", stats.peak1_pct),
                          ("peak2_pct", stats.peak2_pct),
@@ -484,11 +377,14 @@ def cmd_analyze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
                          ("change_rate_pct", "undefined"
                           if stats.change_rate_pct is None
                           else stats.change_rate_pct)]))
-    if areas_raw:
-        outputs.append(("t2_area_changes.tsv", artifacts.write_table,
-                        ("area", "change_rate_pct"), area_rows))
-    if points_path:
-        fractal = analysis.box_counting_dimension(read_points(points_path))
+    if settings.t2_areas:
+        outputs.append((
+            "t2_area_changes.tsv", artifacts.write_table,
+            ("area", "change_rate_pct"),
+            [(a, analysis.area_change_rate(a, settings.t2_baseline_area))
+             for a in settings.t2_areas]))
+    if settings.points:
+        fractal = analysis.box_counting_dimension(read_points(settings.points))
         outputs.append(("fractal_report.txt", artifacts.write_report,
                         [("D", fractal.dimension),
                          ("r_squared", fractal.r_squared),
@@ -517,12 +413,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_run_dir(out_dir: Path) -> None:
+    """Refuse, before the command runs, an ``out_dir`` that cannot be a
+    directory: a file, or a path under one, with the reason mkdir gives."""
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        code = errno.EEXIST if nearest == out_dir else errno.ENOTDIR
+        raise InvalidConfigError(f"output directory {out_dir} cannot be "
+                                 f"made: {os.strerror(code)}")
+
+
 def _claim_run_dir(out_dir: Path, names: list[str]) -> None:
     """Create ``out_dir`` for the artifacts ``names`` and their manifest.
 
-    A path that cannot be a directory, or a directory holding another file,
-    which the manifest would not list, is a config error that leaves the
-    path as it was.
+    A directory holding another file, which the manifest would not list, or
+    a path mkdir fails on, is a config error that leaves the path as it was.
     """
     keep = {*names, "manifest.txt"}
     others = sorted(p.name for p in out_dir.iterdir()
@@ -548,16 +453,19 @@ def main(argv=None) -> int:
         # when given, else [run] seed.  [run] seed and out_dir are checked
         # even where a flag overrides them, and analyze checks the seed
         # though it draws no random numbers
-        seed, out_dir = config.seed, config.out_dir
-        if getattr(args, "seed", None) is None:
-            args.seed = seed
-        elif args.seed < 0:
-            raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
+        seed = config.value("run", "seed", int, 0)
+        out_dir = config.value("run", "out_dir")
+        flag = getattr(args, "seed", None)
+        for name, value in (("[run] seed", seed), ("--seed", flag)):
+            if value is not None and value < 0:
+                raise InvalidConfigError(f"{name} must be >= 0, got {value}")
+        args.seed = seed if flag is None else flag
         out_dir = args.out or out_dir
         if not out_dir:
             raise InvalidConfigError(
                 "no output directory: set --out or [run] out_dir")
         out_dir = Path(out_dir)
+        _check_run_dir(out_dir)
         outputs, summary = handlers[args.command](config, args)
         names = [name for name, *_ in outputs]
         _claim_run_dir(out_dir, names)

@@ -3,35 +3,35 @@
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments, no
 nesting.  A key is given at most once in its section, a repeated header
 adding to the section it repeats.  A key that is present must hold a
-value.  The typed accessors name the offending ``section.key`` on failure,
-and a file may hold only the keys of :data:`KEYS`.
+value.  :meth:`ExperimentConfig.read` reads a section into its settings
+type, parsing each key as the type's field annotates it; the type checks
+every bound, and each error names the ``[section]``.  A file may hold only
+the keys of :data:`KEYS`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
+from .analysis import AnalysisConfig
 from .errors import InvalidConfigError
-from .packing import PackingConfig
+from .frostheave import FreezeConfig
+from .mechanics import LoadingConfig
+from .packing import CylinderDomain, PackingConfig
 
-#: Every key some command reads, by section.  A config file with any other
-#: section or key is a config error, so a misspelled key cannot fall back to
-#: its default unseen.
-KEYS = {
-    "run": ("seed", "out_dir"),
-    "packing": ("target_porosity", "rock_radius_min", "rock_radius_max",
-                "water_radius_min", "water_radius_max", "cylinder_radius",
-                "cylinder_height", "rock_density", "water_density",
-                "solid_fraction"),
-    "thermal": ("start_temp", "stage_temps", "target_temp", "water_prestress",
-                "freeze_volume_jump", "substep_dt_max"),
-    "mechanics": ("platen_velocity", "target_strain", "calibrate_peak",
-                  "calibrate_modulus", "calibration_budget", "load_particles"),
-    "analysis": ("waveform", "energy_mode", "static_strength", "spectrum",
-                 "spectrum_baseline_area", "t2_areas", "t2_baseline_area",
-                 "points", "rdif_points"),
-}
+#: The settings type of each section but [run]: its fields are the keys.
+SECTIONS = {"packing": PackingConfig, "thermal": FreezeConfig,
+            "mechanics": LoadingConfig, "analysis": AnalysisConfig}
+
+#: Every key some command reads: each type's fields but the packing seed,
+#: which is ``[run] seed``, and the keys no type holds.  Any other section or
+#: key is a config error, so a misspelled key cannot fall back unseen.
+KEYS = {"run": ("seed", "out_dir"),
+        **{name: tuple(f.name for f in fields(cls) if f.name != "rng_seed")
+           for name, cls in SECTIONS.items()}}
+KEYS["mechanics"] += ("load_particles",)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, dict[str, str]]:
@@ -62,70 +62,83 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, dict[str
     return sections
 
 
-class Section:
-    """Typed view over one config section."""
+# One parser per field type; ``where`` is the ``[section] key`` it reads
 
-    def __init__(self, name: str, values: dict[str, str]):
-        self.name = name
-        self.values = values
+def _float(where: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidConfigError(f"{where} must be a finite number, got {raw!r}")
+    return value
 
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        value = self.values.get(key, default)
-        # an empty value would read as 'not set' and fall back unseen
-        if value == "":
-            raise InvalidConfigError(
-                f"[{self.name}] {key} is empty: give a value or leave the key out")
-        return value
 
-    def get_float(self, key: str, default: float | None = None,
-                  required: bool = False) -> float | None:
-        raw = self.values.get(key)
-        if raw is None:
-            if required:
-                raise InvalidConfigError(
-                    f"[{self.name}] missing required key {key!r}")
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise InvalidConfigError(
-                f"[{self.name}] {key} must be a finite number, got {raw!r}")
-        return value
+def _int(where: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidConfigError(
+            f"{where} must be an integer, got {raw!r}") from None
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise InvalidConfigError(
-                f"[{self.name}] {key} must be an integer, got {raw!r}") from None
 
-    def get_float_list(self, key: str) -> list[float] | None:
-        raw = self.values.get(key)
-        if raw is None:
-            return None
-        try:
-            values = [float(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            values = [math.nan]
-        # a key that lists nothing would silently fall back to the default
-        if not values or not all(map(math.isfinite, values)):
-            raise InvalidConfigError(
-                f"[{self.name}] {key} must be comma-separated finite numbers, "
-                f"got {raw!r}")
-        return values
+def _str(where: str, raw: str) -> str:
+    # an empty value would read as 'not set' and fall back unseen
+    if raw == "":
+        raise InvalidConfigError(
+            f"{where} is empty: give a value or leave the key out")
+    return raw
+
+
+def _floats(where: str, raw: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(v) for v in raw.split(",") if v.strip())
+    except ValueError:
+        values = (math.nan,)
+    # a key that lists nothing would silently fall back to the default
+    if not values or not all(map(math.isfinite, values)):
+        raise InvalidConfigError(
+            f"{where} must be comma-separated finite numbers, got {raw!r}")
+    return values
+
+
+def _pairs(where: str, raw: str) -> tuple[tuple[float, float], ...]:
+    try:
+        pairs = tuple((float(r), float(v)) for r, v in
+                      (item.split(":") for item in raw.split(",") if item))
+    except ValueError:
+        pairs = ()
+    # a key that lists no pair, empty or not, is an error, not a skipped fit
+    if not pairs:
+        raise InvalidConfigError(f"{where} must look like '200:1.05,600:1.32'")
+    if not all(math.isfinite(x) for pair in pairs for x in pair):
+        raise InvalidConfigError(f"{where} must be finite numbers, got {raw!r}")
+    return pairs
+
+
+_PARSERS = {float: _float, int: _int, str: _str, tuple[float, ...]: _floats,
+            tuple[tuple[float, float], ...]: _pairs}
+
+
+def _unoptional(hint):
+    """``T`` for a field annotated 'T | None'."""
+    args = typing.get_args(hint)
+    return args[0] if type(None) in args else hint
+
+
+def _build(section: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, naming ``section`` in a config error."""
+    try:
+        return cls(*args, **kwargs)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"[{section}] {exc}") from None
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment file plus run-level seed and output directory."""
+    """Parsed experiment file: its sections' raw values by key."""
 
     sections: dict[str, dict[str, str]]
-    source: str = "<config>"
 
     @classmethod
     def from_path(cls, path: str | Path) -> "ExperimentConfig":
@@ -140,41 +153,31 @@ class ExperimentConfig:
                 if key not in KEYS[name]:
                     raise InvalidConfigError(
                         f"{path}: no command reads [{name}] {key}")
-        return cls(sections, str(path))
+        return cls(sections)
 
-    def section(self, name: str, required: bool = True) -> Section:
-        if name not in self.sections:
-            if required:
-                raise InvalidConfigError(
-                    f"{self.source}: missing required section [{name}]")
-            return Section(name, {})
-        return Section(name, self.sections[name])
+    def read(self, name: str, cls: type, **given):
+        """``cls`` built from section ``name`` and the fields in ``given``:
+        each other field is its key, or its default if the file leaves the
+        key out."""
+        # resolved at the first read, not at import
+        hints = typing.get_type_hints(cls)
+        settings = {f.name: self.value(name, f.name, _unoptional(hints[f.name]),
+                                       f.default)
+                    for f in fields(cls) if f.name not in given}
+        return _build(name, cls, **settings, **given)
 
-    @property
-    def seed(self) -> int:
-        seed = self.section("run", required=False).get_int("seed", 0)
-        if seed < 0:
-            raise InvalidConfigError(f"[run] seed must be >= 0, got {seed}")
-        return seed
+    def value(self, name: str, key: str, kind: type = str, default=None):
+        """One key read as ``kind``, or ``default`` if the file leaves it
+        out; a key whose default is ``MISSING`` is required."""
+        raw = self.sections.get(name, {}).get(key)
+        if raw is not None:
+            return _PARSERS[kind](f"[{name}] {key}", raw)
+        if default is MISSING:
+            raise InvalidConfigError(f"[{name}] missing required key {key!r}")
+        return default
 
-    @property
-    def out_dir(self) -> str | None:
-        return self.section("run", required=False).get_str("out_dir")
-
-    def packing_config(self, seed: int) -> PackingConfig:
-        s = self.section("packing")
-        # keys the file leaves out take PackingConfig's defaults
-        optional = {key: s.get_float(key)
-                    for key in ("rock_density", "water_density", "solid_fraction")
-                    if key in s.values}
-        return PackingConfig(
-            target_porosity=s.get_float("target_porosity", required=True),
-            rock_radius_min=s.get_float("rock_radius_min", required=True),
-            rock_radius_max=s.get_float("rock_radius_max", required=True),
-            water_radius_min=s.get_float("water_radius_min", 0.8),
-            water_radius_max=s.get_float("water_radius_max", 0.95),
-            cylinder_radius=s.get_float("cylinder_radius", required=True),
-            cylinder_height=s.get_float("cylinder_height", required=True),
-            rng_seed=seed,
-            **optional,
-        )
+    def cylinder(self) -> CylinderDomain:
+        """The ``[packing]`` cylinder alone, for a specimen read from a file."""
+        radius, height = (self.value("packing", key, float, MISSING)
+                          for key in ("cylinder_radius", "cylinder_height"))
+        return _build("packing", CylinderDomain, radius, height)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -111,27 +110,41 @@ CONDUCTION_TOL = 0.9 * UNIFORMITY_LIMIT
 CONDUCTION_STEP_CAP = 50_000
 
 
+#: The stage checkpoints, degC, kept above any target so that stage
+#: statistics stay comparable across targets.
+CHECKPOINTS = (0.0, -10.0, -20.0)
+
+
 @dataclass(frozen=True)
 class FreezeConfig:
-    """Stage schedule and thermal loading of one freeze run.
+    """Stage schedule and thermal loading of one freeze run: ``[thermal]``.
 
     The laboratory hold duration is replaced by conduction until the
-    center-surface deviation is within ``CONDUCTION_TOL``; the stage targets
-    default to the freezing checkpoints 0, -10 and -20 degC.  Relaxation and
-    conduction controls are the module constants above.
+    center-surface deviation is within ``CONDUCTION_TOL``.  The stages are
+    ``stage_temps``, else the :data:`CHECKPOINTS` above ``target_temp`` and
+    then the target, else the checkpoints.  Relaxation and conduction
+    controls are the module constants above.
     """
 
     start_temp: float = 20.0
-    stage_temps: Sequence[float] = (0.0, -10.0, -20.0)
+    stage_temps: tuple[float, ...] | None = None
+    target_temp: float | None = None
     substep_dt_max: float = 2.0          # degC per coupled substep
     water_prestress: float = 0.008       # water radius inflation at setup
     freeze_volume_jump: float = 0.0      # one-off volume jump at first freeze
 
     def __post_init__(self):
-        require_finite(start_temp=self.start_temp,
-                       substep_dt_max=self.substep_dt_max,
-                       water_prestress=self.water_prestress,
-                       freeze_volume_jump=self.freeze_volume_jump,
+        target = self.target_temp
+        if self.stage_temps is None:
+            stages = CHECKPOINTS if target is None else (
+                *(t for t in CHECKPOINTS if self.start_temp > t > target), target)
+            object.__setattr__(self, "stage_temps", stages)
+        elif target is not None:
+            raise InvalidConfigError(
+                "stage_temps and target_temp are both set: the schedule takes "
+                "one of them")
+        require_finite(**{k: v for k, v in vars(self).items()
+                          if isinstance(v, float)},
                        **{f"stage_temps[{i}]": t
                           for i, t in enumerate(self.stage_temps)})
         if not self.stage_temps:
@@ -145,22 +158,6 @@ class FreezeConfig:
         temps = [self.start_temp, *self.stage_temps]
         if any(t2 >= t1 for t1, t2 in zip(temps, temps[1:])):
             raise InvalidConfigError("stage temperatures must strictly decrease")
-
-    @classmethod
-    def to_target(cls, target_temp: float, **kwargs) -> "FreezeConfig":
-        """Stage checkpoints down to an arbitrary target temperature.
-
-        The default freezing checkpoints above the target are kept so stage
-        statistics stay comparable across targets; ``kwargs`` are the other
-        fields, ``start_temp`` among them.
-        """
-        start_temp = kwargs.pop("start_temp", cls.start_temp)
-        if target_temp >= start_temp:
-            raise InvalidConfigError("target must lie below the start temperature")
-        stages = [t for t in cls.stage_temps
-                  if start_temp > t > target_temp]
-        stages.append(target_temp)
-        return cls(start_temp=start_temp, stage_temps=tuple(stages), **kwargs)
 
 
 @dataclass(frozen=True)

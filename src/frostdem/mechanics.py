@@ -817,6 +817,47 @@ def build_system(assembly: ParticleAssembly,
                           if materials is None else materials)
 
 
+@dataclass(frozen=True)
+class LoadingConfig:
+    """Loading and calibration of one compression run: the ``[mechanics]``
+    section.  Calibration runs when both targets are set, for at most
+    ``calibration_budget`` runs (20 when left out)."""
+
+    platen_velocity: float = 2.0          # mm/s
+    target_strain: float = 0.015
+    calibrate_peak: float | None = None     # MPa
+    calibrate_modulus: float | None = None  # GPa
+    calibration_budget: int | None = None
+
+    def __post_init__(self):
+        require_finite(platen_velocity=self.platen_velocity,
+                       target_strain=self.target_strain)
+        if self.platen_velocity <= 0:
+            raise InvalidConfigError(
+                f"platen_velocity must be > 0, got {self.platen_velocity:g}")
+        if self.target_strain < MODULUS_WINDOW[1]:
+            raise InvalidConfigError(
+                f"target_strain must be >= {MODULUS_WINDOW[1]:g}, the end of the "
+                f"modulus window, got {self.target_strain:g}")
+        if self.calibration_budget is not None and self.calibration_budget < 1:
+            raise InvalidConfigError(
+                f"calibration_budget must be >= 1, got {self.calibration_budget}")
+        targets = {"calibrate_peak": self.calibrate_peak,
+                   "calibrate_modulus": self.calibrate_modulus}
+        for key, value in targets.items():
+            # written 'not > 0' so that a NaN fails it too
+            if value is not None and not value > 0:
+                raise InvalidConfigError(f"{key} must be > 0, got {value:g}")
+        missing = [key for key, value in targets.items() if value is None]
+        if len(missing) == 1:
+            raise InvalidConfigError(
+                f"{missing[0]} is missing: calibration takes both targets")
+        if missing and self.calibration_budget is not None:
+            raise InvalidConfigError(
+                "calibration_budget is set without calibrate_peak and "
+                "calibrate_modulus: the budget needs both targets")
+
+
 def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
                       target_strain: float,
                       materials: dict[ContactKind, BondMaterial] | None = None,
@@ -833,15 +874,11 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
     raises :class:`~frostdem.errors.ConvergenceError`; a platen stress that
     is not finite at a sample, or a position that is not finite at a contact
     refresh, raises :class:`~frostdem.errors.StabilityError`.  A platen
-    velocity or target strain that is not finite, or not positive, raises
+    velocity or target strain that :class:`LoadingConfig` refuses raises
     :class:`~frostdem.errors.InvalidConfigError` before any step.  The
     assembly is only read.
     """
-    require_finite(platen_velocity=platen_velocity, target_strain=target_strain)
-    if platen_velocity <= 0:
-        raise InvalidConfigError("platen velocity must be > 0")
-    if target_strain <= 0:
-        raise InvalidConfigError("target strain must be > 0")
+    LoadingConfig(platen_velocity, target_strain)
     system = build_system(assembly, materials)
     system.equilibrate()
     system.set_platens()
@@ -920,9 +957,8 @@ class CalibrationResult:
 CALIBRATION_TOLERANCE = 0.05
 
 
-def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
-              assembly: ParticleAssembly, *,
-              platen_velocity: float, target_strain: float) -> CalibrationResult:
+def calibrate(loading: LoadingConfig, initial: BondMaterial,
+              assembly: ParticleAssembly) -> CalibrationResult:
     """Deterministic coordinate descent on the rock-bond micro-parameters.
 
     Scales the contact/bond moduli to match the target modulus, then the
@@ -933,10 +969,8 @@ def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
     The result keeps the curve of the last run, the run of its material,
     and that curve's report.
     """
-    if targets.peak_strength <= 0 or targets.elastic_modulus <= 0:
-        raise InvalidConfigError("calibration targets must be positive")
-    if budget < 1:
-        raise InvalidConfigError("budget must be >= 1")
+    peak, modulus = loading.calibrate_peak, loading.calibrate_modulus
+    budget = loading.calibration_budget or 20
 
     # secant updates in log space absorb the mildly nonlinear response of the
     # packing; each knob keeps its last (log scale, log response) point
@@ -957,13 +991,11 @@ def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
         material = initial.scaled(mod_scale, str_scale)
         materials = default_materials(assembly)
         materials[ContactKind.ROCK_ROCK] = material
-        curve = run_uniaxial_test(assembly, platen_velocity, target_strain,
-                                  materials)
+        curve = run_uniaxial_test(assembly, loading.platen_velocity,
+                                  loading.target_strain, materials)
         report = extract_mechanical_params(curve)
-        err_peak = (report.peak_strength - targets.peak_strength) \
-            / targets.peak_strength
-        err_mod = (report.elastic_modulus - targets.elastic_modulus) \
-            / targets.elastic_modulus
+        err_peak = (report.peak_strength - peak) / peak
+        err_mod = (report.elastic_modulus - modulus) / modulus
         audit.append(CalibrationRound(len(audit), material, report.peak_strength,
                                       report.elastic_modulus, err_peak, err_mod))
         mod_hist.append((math.log(mod_scale), math.log(report.elastic_modulus)))
@@ -974,10 +1006,10 @@ def calibrate(targets: MechanicalReport, initial: BondMaterial, budget: int,
             return CalibrationResult(material, converged, len(audit), audit,
                                      curve, report)
         if abs(err_mod) >= CALIBRATION_TOLERANCE:
-            step = secant_step(mod_hist, targets.elastic_modulus,
-                               report.elastic_modulus, default_exp=1.3)
+            step = secant_step(mod_hist, modulus, report.elastic_modulus,
+                               default_exp=1.3)
             mod_scale *= math.exp(float(np.clip(step, -1.2, 1.2)))
         else:
-            step = secant_step(str_hist, targets.peak_strength,
-                               report.peak_strength, default_exp=1.0)
+            step = secant_step(str_hist, peak, report.peak_strength,
+                               default_exp=1.0)
             str_scale *= math.exp(float(np.clip(step, -1.2, 1.2)))

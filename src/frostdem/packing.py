@@ -31,9 +31,10 @@ class ContactKind(IntEnum):
     WATER_WATER = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PackingConfig:
-    """Geometry, phase split and size ranges for one specimen packing.
+    """Geometry, phase split and size ranges for one specimen packing: the
+    ``[packing]`` section, whose seed is ``[run] seed``.
 
     Lengths in mm, densities in kg/m^3.  ``target_porosity`` is the water
     share of total particle volume; ``solid_fraction`` is the share of the
@@ -43,8 +44,8 @@ class PackingConfig:
     target_porosity: float
     rock_radius_min: float
     rock_radius_max: float
-    water_radius_min: float
-    water_radius_max: float
+    water_radius_min: float = 0.8
+    water_radius_max: float = 0.95
     cylinder_radius: float
     cylinder_height: float
     rock_density: float = 2600.0
@@ -62,10 +63,10 @@ class PackingConfig:
             raise InvalidConfigError("rock radius range is degenerate")
         if self.target_porosity > 0 and not (self.water_radius_min < self.water_radius_max):
             raise InvalidConfigError("water radius range is degenerate")
-        for name in ("rock_radius_min", "water_radius_min",
-                     "cylinder_radius", "cylinder_height"):
+        for name in ("rock_radius_min", "water_radius_min"):
             if getattr(self, name) <= 0:
                 raise InvalidConfigError(f"{name} must be > 0")
+        CylinderDomain(self.cylinder_radius, self.cylinder_height)
         if not (0.0 < self.solid_fraction < 0.64):
             raise InvalidConfigError(
                 f"solid_fraction must be in (0, 0.64), got {self.solid_fraction}")
@@ -87,6 +88,13 @@ class CylinderDomain:
 
     radius: float
     height: float
+
+    def __post_init__(self):
+        # a packed and a loaded specimen's bounds alike; a NaN fails them too
+        for key, value in (("cylinder_radius", self.radius),
+                           ("cylinder_height", self.height)):
+            if not value > 0:
+                raise InvalidConfigError(f"{key} must be > 0")
 
     @property
     def volume(self) -> float:

@@ -16,7 +16,7 @@ from frostdem.analysis import (EnergyReport, WaveRecord, area_change_rate,
                                dissipation_efficiency, fit_rdif_model)
 from frostdem.cli import main
 from frostdem.frostheave import force_increase_pct, run_freeze
-from frostdem.mechanics import (ContactKind, ParticleSystem,
+from frostdem.mechanics import (ContactKind, LoadingConfig, ParticleSystem,
                                 SATURATED_MATERIALS, StressStrainCurve,
                                 calibrate, extract_mechanical_params,
                                 run_uniaxial_test)
@@ -292,10 +292,11 @@ def test_criterion_10_calibration_self_targets(medium_saturated):
                                                        strength_factor=0.25)
     curve = run_uniaxial_test(medium_saturated, 2.0, 0.015, true_mats)
     targets = extract_mechanical_params(curve)
+    loading = LoadingConfig(2.0, 0.015, targets.peak_strength,
+                            targets.elastic_modulus, calibration_budget=20)
 
     initial = ROCK_MAT.scaled(modulus_factor=1.6, strength_factor=0.6)
-    result = calibrate(targets, initial, budget=20, assembly=medium_saturated,
-                       platen_velocity=2.0, target_strain=0.015)
+    result = calibrate(loading, initial, medium_saturated)
     assert result.converged
     assert result.sim_runs <= 20
     assert abs(result.final.peak_rel_err) < 0.05

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 from frostdem import cli
 from frostdem.cli import main, read_particles, read_points
-from frostdem.config import KEYS, ExperimentConfig, parse_config_text
+from frostdem.config import KEYS, SECTIONS, ExperimentConfig, parse_config_text
 from frostdem.errors import InputParseError, InvalidConfigError
-from frostdem.packing import CylinderDomain
+from frostdem.packing import CylinderDomain, PackingConfig
 
 from conftest import corrupt_loading
 
@@ -81,14 +82,80 @@ def test_parse_merges_a_repeated_header():
 
 def test_typed_accessors_name_the_key():
     cfg = ExperimentConfig({"packing": {"target_porosity": "abc"}})
-    with pytest.raises(InvalidConfigError, match=r"target_porosity"):
-        cfg.section("packing").get_float("target_porosity")
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            "[packing] target_porosity must be a finite number, got 'abc'")):
+        cfg.read("packing", PackingConfig, rng_seed=0)
 
 
 def test_missing_section_reported():
     cfg = ExperimentConfig({})
     with pytest.raises(InvalidConfigError, match=r"\[packing\]"):
-        cfg.packing_config(0)
+        cfg.read("packing", PackingConfig, rng_seed=0)
+
+
+#: A value other than its default for every key a settings type holds.
+EVERY_KEY = {
+    "packing": {"target_porosity": "0.1", "rock_radius_min": "1.1",
+                "rock_radius_max": "1.3", "water_radius_min": "0.7",
+                "water_radius_max": "0.9", "cylinder_radius": "6",
+                "cylinder_height": "11", "rock_density": "2500",
+                "water_density": "950", "solid_fraction": "0.45"},
+    "thermal": {"start_temp": "15", "target_temp": "-15",
+                "water_prestress": "0.005", "freeze_volume_jump": "0.09",
+                "substep_dt_max": "1.5"},
+    "mechanics": {"platen_velocity": "3", "target_strain": "0.02",
+                  "calibrate_peak": "50", "calibrate_modulus": "5",
+                  "calibration_budget": "7"},
+    "analysis": {"waveform": "w.tsv", "energy_mode": "stress-strain",
+                 "static_strength": "60", "spectrum": "s.tsv",
+                 "spectrum_baseline_area": "100", "t2_areas": "110,120",
+                 "t2_baseline_area": "105", "points": "p.tsv",
+                 "rdif_points": "200:1.05,600:1.3"},
+}
+
+
+def test_section_reader_sends_every_key_to_its_field():
+    cfg = ExperimentConfig(EVERY_KEY)
+    given = {"packing": {"rng_seed": 3}}
+    built = {name: cfg.read(name, cls, **given.get(name, {}))
+             for name, cls in SECTIONS.items()}
+    expected = {
+        "packing": {"target_porosity": 0.1, "rock_radius_min": 1.1,
+                    "rock_radius_max": 1.3, "water_radius_min": 0.7,
+                    "water_radius_max": 0.9, "cylinder_radius": 6.0,
+                    "cylinder_height": 11.0, "rock_density": 2500.0,
+                    "water_density": 950.0, "solid_fraction": 0.45,
+                    "rng_seed": 3},
+        # a target keeps the checkpoints above it
+        "thermal": {"start_temp": 15.0, "stage_temps": (0.0, -10.0, -15.0),
+                    "target_temp": -15.0, "water_prestress": 0.005,
+                    "freeze_volume_jump": 0.09, "substep_dt_max": 1.5},
+        "mechanics": {"platen_velocity": 3.0, "target_strain": 0.02,
+                      "calibrate_peak": 50.0, "calibrate_modulus": 5.0,
+                      "calibration_budget": 7},
+        "analysis": {"waveform": "w.tsv", "energy_mode": "stress-strain",
+                     "static_strength": 60.0, "spectrum": "s.tsv",
+                     "spectrum_baseline_area": 100.0,
+                     "t2_areas": (110.0, 120.0), "t2_baseline_area": 105.0,
+                     "points": "p.tsv",
+                     "rdif_points": ((200.0, 1.05), (600.0, 1.3))},
+    }
+    assert {name: vars(s) for name, s in built.items()} == expected
+    # every key but energy_mode, which allows one value, differs from its
+    # default, so a key dropped or sent to another field fails the
+    # comparison above
+    for name, settings in built.items():
+        defaults = {f.name: f.default for f in fields(settings)}
+        same = [key for key in EVERY_KEY[name]
+                if getattr(settings, key) == defaults[key]]
+        assert same == (["energy_mode"] if name == "analysis" else [])
+    # stage_temps goes without target_temp, which it excludes
+    thermal = ExperimentConfig({"thermal": {"stage_temps": "5,-5"}})
+    assert thermal.read("thermal", SECTIONS["thermal"]).stage_temps == (5.0, -5.0)
+    # EVERY_KEY sets every key a settings type holds but stage_temps
+    assert {name: set(keys) for name, keys in EVERY_KEY.items()} == {
+        name: set(KEYS[name]) - {"load_particles", "stage_temps"}
+        for name in SECTIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +532,29 @@ def test_compress_bad_mechanics_value_exits_2_before_packing(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cylinder_radius", "0"), ("cylinder_radius", "-6"),
+    ("cylinder_height", "0"), ("cylinder_height", "-12")],
+    ids=["zero_radius", "negative_radius", "zero_height", "negative_height"])
+def test_compress_loaded_snapshot_bad_cylinder_exits_2_before_reading(
+        tmp_path, capsys, monkeypatch, key, value):
+    # a zero radius divided by zero (exit 1), a negative one reported the
+    # stresses of its opposite, and the height was never used
+    def explode(*args):
+        raise AssertionError("a bad cylinder must fail before the snapshot "
+                             "is read")
+
+    monkeypatch.setattr(cli, "read_particles", explode)
+    sizes = {"cylinder_radius": "6", "cylinder_height": "12", key: value}
+    cfg = write_config(tmp_path, "[packing]\n" + "".join(
+        f"{k} = {v}\n" for k, v in sizes.items()) + "[mechanics]\n"
+        f"load_particles = {tmp_path}/particles.tsv\n")
+    out = tmp_path / "out"
+    assert main(["compress", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: [packing] {key} must be > 0\n"
+    assert not out.exists()
+
+
 def test_compress_non_finite_loading_exits_4(tmp_path, capsys, monkeypatch):
     def nan_velocity(system):
         system.vel[0] = np.nan
@@ -727,9 +817,8 @@ def test_key_with_an_empty_value_exits_2(tmp_path, capsys, command, body, key):
 
 
 @pytest.mark.parametrize("key, partner", [
-    # each exited 0 with the fractal report alone: the key was ignored,
-    # and t2_baseline_area = abc was never read
-    ("t2_baseline_area = abc", "t2_areas"),
+    # each exited 0 with the fractal report alone: the key was ignored
+    ("t2_baseline_area = 14683", "t2_areas"),
     ("spectrum_baseline_area = -5", "spectrum"),
     ("static_strength = 58.7", "waveform"),
 ], ids=["t2_baseline_area", "spectrum_baseline_area", "static_strength"])
@@ -777,9 +866,9 @@ def test_analyze_non_positive_baseline_area_exits_2_before_reading(
     ("static_strength = 0\n",
      "static_strength is 0: the static strength must be > 0"),
     ("rdif_points = -200:1.05,600:1.3\n",
-     "rdif_points strain rates must be > 0, got '-200:1.05,600:1.3'"),
+     "rdif_points strain rates must be > 0, got -200"),
     ("rdif_points = 0:1.05,600:1.3\n",
-     "rdif_points strain rates must be > 0, got '0:1.05,600:1.3'"),
+     "rdif_points strain rates must be > 0, got 0"),
     ("t2_areas = -5,0\nt2_baseline_area = 100\n",
      "t2_areas must be > 0, got -5"),
     ("t2_areas = 17944,0\nt2_baseline_area = 100\n",
@@ -807,6 +896,25 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out, reason):
     cfg = write_config(tmp_path, "[analysis]\n" + RDIF_KEY)
     out = tmp_path / out
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output directory {out} cannot be made: {reason}\n")
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("taken", "File exists"), ("taken/run", "Not a directory")])
+def test_out_that_cannot_be_a_directory_exits_2_before_packing(
+        tmp_path, capsys, monkeypatch, out, reason):
+    # a freeze packed and froze the specimen, about a second of work, and
+    # only then was refused
+    def explode(*args):
+        raise AssertionError("a refused --out must fail before packing")
+
+    monkeypatch.setattr(cli, "generate_packing", explode)
+    (tmp_path / "taken").write_text("kept\n")
+    cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
+    out = tmp_path / out
+    assert main(["freeze", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"config error: output directory {out} cannot be made: {reason}\n")
     assert (tmp_path / "taken").read_text() == "kept\n"
@@ -899,17 +1007,17 @@ LOAD_SNAPSHOT = PACKING_BLOCK + "[mechanics]\nload_particles = {d}/particles.tsv
      "config error: [thermal] stage_temps must be comma-separated finite "
      "numbers, got 'a,b'"),
     ("freeze", PACKING_BLOCK + "[thermal]\nsubstep_dt_max = 0\n", {}, 2,
-     "config error: substep_dt_max must be > 0"),
+     "config error: [thermal] substep_dt_max must be > 0"),
     ("freeze", PACKING_BLOCK + "[thermal]\nfreeze_volume_jump = -1\n", {}, 2,
-     "config error: freeze_volume_jump must be >= 0"),
+     "config error: [thermal] freeze_volume_jump must be >= 0"),
     ("freeze", PACKING_BLOCK.replace("0.48", "0.7"), {}, 2,
-     "config error: solid_fraction must be in (0, 0.64), got 0.7"),
+     "config error: [packing] solid_fraction must be in (0, 0.64), got 0.7"),
     ("freeze", PACKING_BLOCK + "rock_density = 0\n", {}, 2,
-     "config error: densities must be > 0"),
+     "config error: [packing] densities must be > 0"),
     ("freeze", PACKING_BLOCK.replace("cylinder_radius = 5", "cylinder_radius = 0"),
-     {}, 2, "config error: cylinder_radius must be > 0"),
+     {}, 2, "config error: [packing] cylinder_radius must be > 0"),
     ("freeze", PACKING_BLOCK.replace("0.95", "0.8"), {}, 2,
-     "config error: water radius range is degenerate"),
+     "config error: [packing] water radius range is degenerate"),
     ("freeze", PACKING_BLOCK.replace("cylinder_radius = 5",
                                      "cylinder_radius = 1.1"), {}, 2,
      "config error: cylinder is too small for the largest particle radius"),
@@ -925,13 +1033,22 @@ LOAD_SNAPSHOT = PACKING_BLOCK + "[mechanics]\nload_particles = {d}/particles.tsv
     ("compress", LOAD_SNAPSHOT,
      {"particles.tsv": SNAPSHOT.splitlines(keepends=True)[0]}, 3,
      "input error: {d}/particles.tsv:1: no particle rows"),
+    ("analyze", "[analysis]\nenergy_mode = stress-strain\n", {}, 2,
+     "config error: [analysis] gives nothing to do: set waveform, spectrum, "
+     "t2_areas, rdif_points or points"),
+    ("analyze", "[run]\nseed = 1\n", {}, 2,
+     "config error: [analysis] gives nothing to do: set waveform, spectrum, "
+     "t2_areas, rdif_points or points"),
+    ("analyze", "[analysis]\nt2_areas = 17944\n", {}, 2,
+     "config error: [analysis] missing required key 't2_baseline_area'"),
 ], ids=["waveform_not_found", "no_bar_area", "empty_section_name",
         "spectrum_time_not_positive", "seed_not_integer", "no_target_porosity",
         "stage_temps_not_numbers", "zero_substep", "negative_volume_jump",
         "solid_fraction_too_high", "zero_rock_density", "zero_cylinder_radius",
         "degenerate_water_range", "cylinder_too_small", "snapshot_not_found",
         "six_column_snapshot_row", "word_row_after_data",
-        "header_only_snapshot"])
+        "header_only_snapshot", "nothing_to_analyze", "no_analysis_section",
+        "t2_areas_without_baseline"])
 def test_input_and_config_errors_exit_with_their_code(
         tmp_path, capsys, command, body, files, code, message):
     for name, text in files.items():

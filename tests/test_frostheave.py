@@ -285,15 +285,19 @@ def test_freeze_config_rejects_a_non_finite_value(kwargs, field):
         FreezeConfig(**kwargs)
 
 
-def test_freeze_config_to_target_keeps_checkpoints():
-    assert FreezeConfig.to_target(-20.0).stage_temps == (0.0, -10.0, -20.0)
-    assert FreezeConfig.to_target(-15.0).stage_temps == (0.0, -10.0, -15.0)
-    assert FreezeConfig.to_target(-10.0).stage_temps == (0.0, -10.0)
-    assert FreezeConfig.to_target(5.0).stage_temps == (5.0,)
-    lower = FreezeConfig.to_target(-15.0, start_temp=-5.0)
+def test_freeze_config_target_temp_keeps_checkpoints():
+    assert FreezeConfig(target_temp=-20.0).stage_temps == (0.0, -10.0, -20.0)
+    assert FreezeConfig(target_temp=-15.0).stage_temps == (0.0, -10.0, -15.0)
+    assert FreezeConfig(target_temp=-10.0).stage_temps == (0.0, -10.0)
+    assert FreezeConfig(target_temp=5.0).stage_temps == (5.0,)
+    lower = FreezeConfig(target_temp=-15.0, start_temp=-5.0)
     assert (lower.start_temp, lower.stage_temps) == (-5.0, (-10.0, -15.0))
     with pytest.raises(InvalidConfigError):
-        FreezeConfig.to_target(25.0)
+        FreezeConfig(target_temp=25.0)
+    # no target and no stages: the checkpoints themselves
+    assert FreezeConfig().stage_temps == (0.0, -10.0, -20.0)
+    with pytest.raises(InvalidConfigError, match="both set"):
+        FreezeConfig(stage_temps=(0.0,), target_temp=-20.0)
 
 
 def test_freeze_volume_jump_grows_water_radii(small_saturated):

@@ -11,7 +11,7 @@ from frostdem.errors import (ConvergenceError, CurveWindowError,
 from frostdem.mechanics import (DT_SAFETY, DRY_MATERIALS,
                                 EQUILIBRIUM_CHECK_INTERVAL,
                                 EQUILIBRIUM_RATIO, BondMaterial,
-                                MechanicalReport, ParticleSystem,
+                                LoadingConfig, ParticleSystem,
                                 SATURATED_MATERIALS, StressStrainCurve,
                                 build_system, calibrate,
                                 extract_mechanical_params, run_uniaxial_test)
@@ -1102,7 +1102,7 @@ def test_negative_platen_velocity_rejected(medium_saturated, monkeypatch):
     monkeypatch.setattr(ParticleSystem, "step", step)
     for velocity in (-1.0, 0.0):
         with pytest.raises(InvalidConfigError,
-                           match="platen velocity must be > 0"):
+                           match="platen_velocity must be > 0"):
             run_uniaxial_test(medium_saturated, velocity, 0.01)
 
 
@@ -1114,8 +1114,8 @@ def test_negative_platen_velocity_rejected(medium_saturated, monkeypatch):
     (2.0, math.nan, "target_strain must be finite"),
     (2.0, math.inf, "target_strain must be finite"),
     # a target at or below zero ended the run at its first curve sample
-    (2.0, 0.0, "target strain must be > 0"),
-    (2.0, -0.01, "target strain must be > 0"),
+    (2.0, 0.0, r"target_strain must be >= 0\.0015"),
+    (2.0, -0.01, r"target_strain must be >= 0\.0015"),
 ], ids=["nan_velocity", "inf_velocity", "nan_target", "inf_target",
         "zero_target", "negative_target"])
 def test_bad_loading_input_rejected_before_any_step(
@@ -1160,9 +1160,9 @@ def test_calibration_fixed_point(medium_saturated):
     mats = scaled_materials(0.25)
     curve = run_uniaxial_test(medium_saturated, 2.0, 0.015, mats)
     report = extract_mechanical_params(curve)
-    result = calibrate(report, mats[ContactKind.ROCK_ROCK], budget=20,
-                       assembly=medium_saturated,
-                       platen_velocity=2.0, target_strain=0.015)
+    loading = LoadingConfig(2.0, 0.015, report.peak_strength,
+                            report.elastic_modulus, calibration_budget=20)
+    result = calibrate(loading, mats[ContactKind.ROCK_ROCK], medium_saturated)
     assert result.converged
     assert result.sim_runs == 1
     assert result.material == mats[ContactKind.ROCK_ROCK]
@@ -1175,22 +1175,20 @@ def test_calibration_doubled_strength_converges_quickly(medium_saturated):
     mats = scaled_materials(0.15)
     curve = run_uniaxial_test(medium_saturated, 2.0, 0.015, mats)
     base = extract_mechanical_params(curve)
-    targets = MechanicalReport(base.peak_strength * 2.0, base.elastic_modulus,
-                               base.peak_strain, base.strain_energy)
+    loading = LoadingConfig(2.0, 0.015, base.peak_strength * 2.0,
+                            base.elastic_modulus, calibration_budget=20)
     seeded = mats[ContactKind.ROCK_ROCK].scaled(strength_factor=2.0)
-    result = calibrate(targets, seeded, budget=20, assembly=medium_saturated,
-                       platen_velocity=2.0, target_strain=0.015)
+    result = calibrate(loading, seeded, medium_saturated)
     assert result.converged
     assert result.sim_runs <= 4
 
 
-def test_calibration_input_validation(medium_saturated):
-    with pytest.raises(InvalidConfigError):
-        calibrate(MechanicalReport(-1.0, 4.0, 0.0, 0.0), ROCK_MAT, 5,
-                  medium_saturated, platen_velocity=2.0, target_strain=0.01)
-    with pytest.raises(InvalidConfigError):
-        calibrate(MechanicalReport(50.0, 4.0, 0.0, 0.0), ROCK_MAT, 0,
-                  medium_saturated, platen_velocity=2.0, target_strain=0.01)
+def test_calibration_input_validation():
+    with pytest.raises(InvalidConfigError, match="calibrate_peak must be > 0"):
+        LoadingConfig(2.0, 0.01, -1.0, 4.0, calibration_budget=5)
+    with pytest.raises(InvalidConfigError,
+                       match="calibration_budget must be >= 1"):
+        LoadingConfig(2.0, 0.01, 50.0, 4.0, calibration_budget=0)
 
 
 def test_material_validation():
