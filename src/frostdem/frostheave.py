@@ -191,13 +191,12 @@ def run_freeze(assembly: ParticleAssembly,
     ``CONDUCTION_STEP_CAP`` steps), then particle radii and bond thermal
     offsets update from the per-particle temperature changes and the contact
     network relaxes mechanically.  A stage end conducts no further, since
-    the last substep left the field uniform at the target; it refreshes the
-    unbonded contacts and equilibrates, as the set-up does, to
-    ``STAGE_RELAX_TOL`` (``ConvergenceError`` past ``STAGE_RELAX_STEP_CAP``
-    steps).  Contact statistics are captured at the baseline and at each
-    stage end; a baseline with no contact force raises
-    :class:`~frostdem.errors.UndefinedStatisticError` before any conduction,
-    since every stage's force increase is relative to it.
+    the last substep left the field uniform at the target; it equilibrates,
+    as the set-up does, to ``STAGE_RELAX_TOL`` (``ConvergenceError`` past
+    ``STAGE_RELAX_STEP_CAP`` steps).  Contact statistics are captured at
+    the baseline and at each stage end; a baseline with no contact force
+    raises :class:`~frostdem.errors.UndefinedStatisticError` before any
+    conduction, since every stage's force increase is relative to it.
     """
     if assembly.n_particles == 0:
         raise InvalidConfigError("cannot freeze an empty assembly")
@@ -205,8 +204,7 @@ def run_freeze(assembly: ParticleAssembly,
 
     water = system.phases == Phase.WATER
     prestress = np.where(water, system.radii * config.water_prestress, 0.0)
-    skin = 0.25 * float((system.radii + prestress).min())
-    system.grow_radii(prestress, skin)
+    system.grow_radii(prestress)
     system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
 
     boundary = surface_particle_ids(assembly)
@@ -249,9 +247,8 @@ def run_freeze(assembly: ParticleAssembly,
             has_jumped |= newly_frozen
             system.apply_bond_thermal_offsets(d_temp, ALPHA[states])
             t_prev_particles = field.temperatures.copy()
-            system.grow_radii(d_radius, skin)
+            system.grow_radii(d_radius)
             system.run(SUBSTEP_RELAX_STEPS)
-        system.refresh_transient_contacts(skin)
         system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
         stats = contact_statistics(system, baseline)
         stages.append(FreezeStageRow(f"{stage_from:g}C~{target:g}C", target,

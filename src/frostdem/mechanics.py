@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConvergenceError, CurveWindowError, InvalidConfigError,
                      NoLoadPathError, StabilityError, UndefinedStatisticError,
                      require_finite)
-from .packing import ContactKind, ParticleAssembly, contact_arrays
+from .packing import ContactKind, ParticleAssembly, SkinAnchor, contact_arrays
 
 #: Default Cundall local damping coefficient for quasi-static runs.
 DEFAULT_DAMPING = 0.7
@@ -30,10 +30,21 @@ DEFAULT_DAMPING = 0.7
 #: packings loaded at 4 mm/s, 0.4 moved the modulus by -1.0% to -2.3% and the
 #: peak by under 0.1% against 0.1.  It is the ceiling: at 0.6 one loading
 #: step can pass a whole curve sample interval (2e-5 strain), and the curve
-#: loses samples.  ``frostheave.SUBSTEP_RELAX_STEPS`` and the loading loop's
-#: contact refresh interval count steps for a span of time, so they scale
-#: with 1 / DT_SAFETY.
+#: loses samples.  ``frostheave.SUBSTEP_RELAX_STEPS`` counts steps for a
+#: span of time, so it scales with 1 / DT_SAFETY.
 DT_SAFETY = 0.4
+
+#: Skin of the pair table, as a share of the smallest radius: the unbonded
+#: rows hold every pair within it of touching, and a step rebuilds them once
+#: a particle has moved half of it (:class:`~frostdem.packing.SkinAnchor`).
+#: :meth:`ParticleSystem.stable_dt` counts every row, so a wider skin takes
+#: shorter steps.  Study on the benchmark's input seeds 5-9 (132 particles),
+#: totals over the five at 0.05 / 0.1 / 0.15 / 0.2 / 0.25: ``compress``
+#: 12,204 / 12,224 / 12,302 / 12,350 / 12,406 steps and 90 / 46 / 32 / 23 /
+#: 21 rebuilds (one costs about 4.6 steps), ``freeze`` 8,130 / 8,130 / 8,160
+#: / 8,160 / 8,160 steps with 22 rebuilds a call, all at radius growth.
+#: 0.1 costs the least in steps plus rebuilds.
+CONTACT_SKIN = 0.1
 
 #: Density multiplier for quasi-static runs.  No run checks quasi-static
 #: validity, and no code computes the kinetic/strain energy ratio during a
@@ -216,15 +227,17 @@ class ParticleSystem:
     pairs whose gap is at most 5% of the minimum radius and never added
     afterwards; the per-bond state (``b_ia``, ``b_ib``, ``b_kind``,
     ``b_intact``, ``b_shear``, ...) is indexed by those rows.  The rows after
-    them are unbonded contacts, rebuilt from geometry by
-    :meth:`refresh_transient_contacts` as particles move or grow.  ``k_lin`` is the linear contact spring of every
-    row, the one law for pairs without an intact bond.
+    them are the other pairs within ``skin`` (:data:`CONTACT_SKIN` times the
+    smallest radius) of touching, rebuilt by :meth:`refresh_transient_contacts`
+    at construction, by :meth:`grow_radii` and by :meth:`step`.  ``k_lin``
+    is the linear contact spring of every row, the one law for pairs without
+    an intact bond.
 
     ``dt`` is the step :meth:`run` and the loading loop take:
-    :meth:`stable_dt`, set when the pair table or the platens change and
-    lowered by a bond break that shortens it.  :meth:`equilibrate` steps at
-    a longer one under masses of its own and leaves ``dt`` no longer than
-    it found it.
+    :meth:`stable_dt` over every row, set when the pair table or the platens
+    change and lowered by a bond break that shortens it.  :meth:`equilibrate`
+    steps at a longer one under masses of its own and leaves ``dt`` no
+    longer than it found it.
 
     Positions and velocities are stored component-major, ``(3, n)``, and
     the force pass works on ``(3, m)`` rows of pair normals and pair forces,
@@ -245,12 +258,12 @@ class ParticleSystem:
     fixes, so it does the arithmetic of a pass that caches nothing, bit for
     bit:
 
-    - per pair-table row, rebuilt by ``_index_pairs`` whenever the table
-      changes (construction and :meth:`refresh_transient_contacts`): the
-      flat index ``axis * n + i`` of both ends, which gathers their
-      positions and scatters the pair forces, the same index of both bond
-      ends, which gathers their velocities, and the radius sums
-      ``r_a + r_b``;
+    - per pair-table row, rebuilt with the table by
+      :meth:`refresh_transient_contacts`: the flat index ``axis * n + i``
+      of both ends, shaped ``(2, 3, m)`` (every row's b, then every row's
+      a), which gathers their positions and scatters the pair forces, the
+      same index of both bond ends, which gathers their velocities, and
+      the radius sums ``r_a + r_b``;
     - per bond, set at construction: the negated tensile strengths;
     - the bond shear stiffness times the step, ``(k_s * intact) * dt``,
       rebuilt when a step of another ``dt`` comes and cleared by a bond
@@ -288,8 +301,9 @@ class ParticleSystem:
         self.step_count = 0
         self.crack_events: list[CrackEvent] = []
         self.walls: dict | None = None
-        self._install_bonds()
         self._fire: _Fire | None = None
+        self._install_bonds()
+        self.refresh_transient_contacts()
 
     # -- state views ----------------------------------------------------------
 
@@ -336,9 +350,10 @@ class ParticleSystem:
         return kind, material, area, material[:2] * 1e3 / (r_a + r_b) * area
 
     def _install_bonds(self) -> None:
-        gap_tol = 0.05 * float(self.radii.min()) if self.n else 0.0
-        ia, ib, gap = contact_arrays(self.assembly, gap_tol)
-        self.ia, self.ib = self.b_ia, self.b_ib = ia, ib
+        r_min = float(self.radii.min()) if self.n else 0.0
+        self.skin = CONTACT_SKIN * r_min
+        ia, ib, gap = contact_arrays(self.assembly, 0.05 * r_min)
+        self.b_ia, self.b_ib = ia, ib
         self.b_kind, material, area, (self.k_lin, self.b_k_normal) = \
             self._pair_materials(ia, ib)
         _, _, ratio, self.b_tensile, self.b_cohesion, friction = material
@@ -356,20 +371,6 @@ class ParticleSystem:
         self.b_shear = np.zeros((m, 3))
         self._shear_dt = None
         self._bond_keys = ia * np.int64(self.n) + ib
-        self._index_pairs()
-        self.dt = self.stable_dt()
-
-    def _index_pairs(self) -> None:
-        """Rebuild the per-row caches of the pair table: the flat index
-        ``axis * n + i`` of every row's particle b, then of every row's
-        particle a, shaped ``(2, 3, m)``, which gathers their positions and
-        scatters their pair forces; the same index of the bond rows' ends,
-        which gathers their velocities; and the radius sums."""
-        nb = self.n_bonds
-        axes = self.n * np.arange(3)[:, None]
-        self._end_idx = np.stack((self.ib, self.ia))[:, None, :] + axes
-        self._vel_idx = self._end_idx[:, :, :nb].copy()
-        self._radius_sum = self.radii.take(self.ia) + self.radii.take(self.ib)
 
     # -- platens -------------------------------------------------------------
 
@@ -544,7 +545,9 @@ class ParticleSystem:
             np.sqrt(self.mass[active] / k_sum[active]), initial=np.inf))
 
     def step(self, dt: float) -> None:
-        """One explicit step: forces, local damping, semi-implicit Euler.
+        """One explicit step: forces, local damping, semi-implicit Euler,
+        then :meth:`refresh_transient_contacts` once a particle has moved
+        half the skin since the last one.
 
         Inside :meth:`equilibrate` the FIRE velocity update takes the place
         of local damping.
@@ -569,6 +572,8 @@ class ParticleSystem:
         self._pos += np.multiply(vel, dt, out=force)
         self.time += dt
         self.step_count += 1
+        if self._anchor.moved_half_skin(self._pos):
+            self.refresh_transient_contacts()
 
     def run(self, n_steps: int) -> None:
         """``n_steps`` steps of ``dt``, which a bond break can shorten."""
@@ -583,11 +588,11 @@ class ParticleSystem:
 
     def _mean_forces(self) -> tuple[float, float]:
         """Mean net force over the particles, and mean force magnitude over
-        the pairs and the platen contacts."""
-        force, fn, _, _ = self._force_pass(0.0, mutate=False)
+        the active pairs and the pressing platen contacts."""
+        force, fn, _, overlap = self._force_pass(0.0, mutate=False)
         shear = self.b_shear.T
         mag_sum = float(np.abs(fn).sum() + np.sqrt(_row_dot(shear, shear)).sum())
-        count = len(self.ia)
+        count = int(np.count_nonzero(self._active_rows(overlap)))
         if self.walls is not None:
             mag_sum += self.walls["f_bot"] + self.walls["f_top"]
             count += int(np.count_nonzero(self._platen_push))
@@ -607,8 +612,9 @@ class ParticleSystem:
         a particle by ``RELAX_DT_SAFETY**2 * F / k_i`` whatever the densities
         are (density scaling; Potyondy & Cundall, IJRMMS 41 (2004) 1329).
         Particles with no spring, and held ones (``inv_mass`` 0), keep their
-        masses.  A bond break inside the relaxation lowers its step to
-        :meth:`stable_dt` under these masses, as a break does outside one.
+        masses.  A bond break or a rebuild of the pair table inside the
+        relaxation lowers its step to :meth:`stable_dt` under these masses
+        where that is shorter.
 
         Each step is a :meth:`step` of that ``dt`` with the velocity update
         of the Fast Inertial Relaxation Engine in place of local damping:
@@ -627,7 +633,7 @@ class ParticleSystem:
         On return or raise, ``mass`` and ``inv_mass`` are the true ones again
         and ``dt`` is the lesser of its value before the call and
         :meth:`stable_dt` at the true masses, which a stiffening bond break
-        inside the relaxation lowers.
+        or a new row inside the relaxation lowers.
         """
         net, contact = self._mean_forces()
         floor = CONTACT_FORCE_FLOOR * contact
@@ -669,13 +675,16 @@ class ParticleSystem:
         return ParticleAssembly(self.pos, self.radii, self.phases,
                                 self.assembly.densities, self.assembly.domain)
 
-    def refresh_transient_contacts(self, tolerance: float = 0.0) -> None:
-        """Rebuild the unbonded rows of the pair table from current geometry.
+    def refresh_transient_contacts(self) -> None:
+        """Rebuild the unbonded rows of the pair table at ``skin`` and anchor
+        :meth:`step`'s move test here.
 
         Pairs that carry a bond row (intact or broken) are excluded; a broken
-        bond already acts as a linear contact through its own row.
+        bond already acts as a linear contact through its own row.  ``dt``
+        becomes :meth:`stable_dt`, or inside :meth:`equilibrate` the lesser
+        of the two, as after a bond break.
         """
-        ia, ib, _ = contact_arrays(self.snapshot(), tolerance)
+        ia, ib, _ = contact_arrays(self.snapshot(), self.skin)
         new = ~np.isin(ia * np.int64(self.n) + ib, self._bond_keys)
         ia, ib = ia[new], ib[new]
         nb = self.n_bonds
@@ -683,16 +692,22 @@ class ParticleSystem:
         self.ib = np.concatenate([self.b_ib, ib])
         k_lin = self._pair_materials(ia, ib)[3][0]
         self.k_lin = np.concatenate([self.k_lin[:nb], k_lin])
-        self._index_pairs()
-        self.dt = self.stable_dt()
+        # the per-row caches the class docstring lists
+        axes = self.n * np.arange(3)[:, None]
+        self._end_idx = np.stack((self.ib, self.ia))[:, None, :] + axes
+        self._vel_idx = self._end_idx[:, :, :nb].copy()
+        self._radius_sum = self.radii.take(self.ia) + self.radii.take(self.ib)
+        self._anchor = SkinAnchor(self._pos, self.skin)
+        dt = self.stable_dt()
+        self.dt = dt if self._fire is None else min(self.dt, dt)
 
-    def grow_radii(self, d_radius: np.ndarray, tolerance: float = 0.0) -> None:
-        """Add ``d_radius`` to the radii, then rebuild the unbonded rows of
-        the pair table at ``tolerance`` as :meth:`refresh_transient_contacts`
-        does, which rebuilds the radius sums the force pass reads."""
+    def grow_radii(self, d_radius: np.ndarray) -> None:
+        """Add ``d_radius`` to the radii, then
+        :meth:`refresh_transient_contacts`, which rebuilds the radius sums
+        the force pass reads."""
         self.radii += d_radius
         self._bot_reach_z = None
-        self.refresh_transient_contacts(tolerance)
+        self.refresh_transient_contacts()
 
     # -- thermal coupling hooks -------------------------------------------------
 
@@ -722,6 +737,12 @@ class ParticleSystem:
         # summed over row-major velocities, particle by particle
         return (self.mass[:, None] * np.ascontiguousarray(self.vel)).sum(axis=0)
 
+    def _active_rows(self, overlap: np.ndarray) -> np.ndarray:
+        """The rows that carry force: intact bonds and overlapping pairs."""
+        active = overlap > 0.0
+        active[:self.n_bonds] |= self.b_intact
+        return active
+
     def contact_summary(self) -> tuple[float, int, float]:
         """Largest compressive normal force over the pair table; active
         pairs, the intact bonds plus the other pairs currently overlapping;
@@ -729,8 +750,7 @@ class ParticleSystem:
         _, fn, dist, overlap = self._force_pass(0.0, mutate=False)
         force = float(np.max(fn, initial=0.0))
         touching = overlap > 0.0
-        active = touching.copy()
-        active[:self.n_bonds] |= self.b_intact
+        active = self._active_rows(overlap)
         dd, ra, rb = (dist[touching], self.radii[self.ia[touching]],
                       self.radii[self.ib[touching]])
         lens = (np.pi * (ra + rb - dd) ** 2
@@ -872,10 +892,9 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
     strain or once post-peak stress falls below ``stop_fraction`` of the
     peak.  A run that reaches neither within :data:`LOADING_STEP_CAP` steps
     raises :class:`~frostdem.errors.ConvergenceError`; a platen stress that
-    is not finite at a sample, or a position that is not finite at a contact
-    refresh, raises :class:`~frostdem.errors.StabilityError`.  A platen
-    velocity or target strain that :class:`LoadingConfig` refuses raises
-    :class:`~frostdem.errors.InvalidConfigError` before any step.  The
+    is not finite at a sample raises :class:`~frostdem.errors.StabilityError`.
+    A platen velocity or target strain that :class:`LoadingConfig` refuses
+    raises :class:`~frostdem.errors.InvalidConfigError` before any step.  The
     assembly is only read.
     """
     LoadingConfig(platen_velocity, target_strain)
@@ -893,10 +912,7 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
     peak = 0.0
     stress_acc = 0.0
     acc_count = 0
-    # steps between contact refreshes: it scales with 1 / DT_SAFETY, so the
-    # platen travel between two refreshes stays fixed
-    refresh_every = 250
-    for step in range(LOADING_STEP_CAP):
+    for _ in range(LOADING_STEP_CAP):
         h = system.dt
         walls["z_top"] = z_top = walls["z_top"] - platen_velocity * h
         system.step(h)
@@ -915,10 +931,6 @@ def run_uniaxial_test(assembly: ParticleAssembly, platen_velocity: float,
             if (peak > 0 and stress < stop_fraction * peak
                     and strain > MODULUS_WINDOW[1] * 1.5):
                 break
-        if (step + 1) % refresh_every == 0:
-            # a position that is not finite would reach the k-d tree
-            _require_finite("position sum", float(system.pos.sum()), strain)
-            system.refresh_transient_contacts(0.1 * float(system.radii.min()))
     else:
         raise ConvergenceError(
             f"loading reached a strain of {system.platen_strain():g} after "

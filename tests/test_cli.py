@@ -1021,6 +1021,11 @@ LOAD_SNAPSHOT = PACKING_BLOCK + "[mechanics]\nload_particles = {d}/particles.tsv
     ("freeze", PACKING_BLOCK.replace("cylinder_radius = 5",
                                      "cylinder_radius = 1.1"), {}, 2,
      "config error: cylinder is too small for the largest particle radius"),
+    # a cylinder smaller than one particle packs none: the system builds a
+    # pair table over no particles, and the platens refuse it
+    ("compress", PACKING_BLOCK.replace("cylinder_radius = 5", "cylinder_radius = 0.5")
+     .replace("cylinder_height = 10", "cylinder_height = 1"), {}, 2,
+     "config error: cannot set platens on an empty system"),
     ("compress", LOAD_SNAPSHOT, {}, 2,
      "config error: particles file not found: {d}/particles.tsv"),
     ("compress", LOAD_SNAPSHOT,
@@ -1045,7 +1050,8 @@ LOAD_SNAPSHOT = PACKING_BLOCK + "[mechanics]\nload_particles = {d}/particles.tsv
         "spectrum_time_not_positive", "seed_not_integer", "no_target_porosity",
         "stage_temps_not_numbers", "zero_substep", "negative_volume_jump",
         "solid_fraction_too_high", "zero_rock_density", "zero_cylinder_radius",
-        "degenerate_water_range", "cylinder_too_small", "snapshot_not_found",
+        "degenerate_water_range", "cylinder_too_small", "empty_packing",
+        "snapshot_not_found",
         "six_column_snapshot_row", "word_row_after_data",
         "header_only_snapshot", "nothing_to_analyze", "no_analysis_section",
         "t2_areas_without_baseline"])

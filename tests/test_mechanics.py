@@ -17,7 +17,7 @@ from frostdem.mechanics import (DT_SAFETY, DRY_MATERIALS,
                                 extract_mechanical_params, run_uniaxial_test)
 from frostdem.frostheave import FreezeConfig, run_freeze
 from frostdem.packing import (ContactKind, CylinderDomain, ParticleAssembly,
-                              Phase, generate_packing)
+                              Phase, contact_arrays, generate_packing)
 
 from conftest import corrupt_loading, desk_config
 
@@ -205,10 +205,12 @@ def test_stepping_loops_shrink_dt_after_a_stiffening_break(advance):
 def test_softening_break_keeps_the_step_until_the_table_changes():
     # the shipped contact spring is softer than the bond springs: a break
     # lengthens the stable step, and the system keeps stepping at the step
-    # of the last pair-table change until the table changes again
+    # of the last pair-table change until the table changes again; the
+    # opening breaks the bond and stays inside half the skin, so no step
+    # rebuilds the table
     system = held_pair(ROCK_MAT)
     dt0 = system.dt
-    system.pos[1, 2] += 0.1
+    system.pos[1, 2] += 0.4 * system.skin
     system.run(2)
     assert not system.b_intact.any()
     assert system.stable_dt() > dt0
@@ -216,6 +218,44 @@ def test_softening_break_keeps_the_step_until_the_table_changes():
     assert system.dt == dt0
     system.refresh_transient_contacts()
     assert system.dt == system.stable_dt()
+
+
+def test_a_rebuild_inside_equilibrate_only_lowers_the_relaxation_step(
+        monkeypatch):
+    # two unbonded spheres pressed 0.3 mm into each other spring apart by
+    # more than half the skin, so the first step of the relaxation rebuilds
+    # the table and, as a bond break does, lowers the step to the stable
+    # step under the relaxation's masses.  Carried out of the skin, a sphere
+    # leaves a table with no row and no stable step, and the step stays
+    system = ParticleSystem(pair_assembly(gap=0.5), {ContactKind.ROCK_ROCK: ROCK_MAT})
+    assert len(system.ia) == 0
+    system.pos[1, 2] -= 0.8
+    system.refresh_transient_contacts()
+    original, refresh = ParticleSystem.step, ParticleSystem.refresh_transient_contacts
+    steps, rebuilds = [], []
+
+    def step(self, dt):
+        steps.append(dt)
+        original(self, dt)
+        if len(steps) == 2:
+            self.pos[1, 2] += 1.0
+
+    def counted(self):
+        refresh(self)
+        rebuilds.append((len(self.ia), self.stable_dt(), self.dt))
+
+    monkeypatch.setattr(ParticleSystem, "step", step)
+    monkeypatch.setattr(ParticleSystem, "refresh_transient_contacts", counted)
+    dt = system.dt
+    system.equilibrate()
+    relax_dt = steps[0]
+    assert [(rows, stable) for rows, stable, _ in rebuilds] == [
+        (1, pytest.approx(relax_dt * DT_SAFETY / mechanics.RELAX_DT_SAFETY)),
+        (0, math.inf)]
+    lowered = rebuilds[0][2]
+    assert rebuilds[0][1] == lowered == rebuilds[1][2]
+    assert steps == [relax_dt] + [lowered] * (len(steps) - 1)
+    assert system.dt == dt
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +348,7 @@ def test_broken_bond_and_unbonded_contact_carry_the_same_normal_force():
 
 def test_material_arrays_match_the_per_row_material_oracle(small_saturated):
     system = build_system(small_saturated, SATURATED_MATERIALS)
-    system.refresh_transient_contacts(0.1 * float(system.radii.min()))
+    system.refresh_transient_contacts()
     system.set_platens()
     nb = system.n_bonds
     radii, phases = system.radii.tolist(), system.phases.tolist()
@@ -406,14 +446,17 @@ def mixed_table_system():
 
 
 def oracle_forces(system):
-    """Net particle forces and the unbalanced ratio, one pair at a time."""
+    """Net particle forces and the unbalanced ratio, one pair at a time; the
+    ratio's mean contact force counts the intact bonds, the overlapping
+    pairs and the pressing platen contacts."""
     force = np.zeros((system.n, 3))
     mag_sum, count = 0.0, 0
     for row, (a, b) in enumerate(zip(system.ia, system.ib)):
         d = system.pos[b] - system.pos[a]
         dist = math.sqrt(float(d @ d))
         overlap = system.radii[a] + system.radii[b] - dist
-        if row < system.n_bonds and system.b_intact[row]:
+        intact = row < system.n_bonds and system.b_intact[row]
+        if intact:
             fn = system.b_k_normal[row] * (overlap + system.b_offset[row]
                                            - system.b_form_ref[row])
             shear = system.b_shear[row]
@@ -424,7 +467,7 @@ def oracle_forces(system):
         force[b] += f
         force[a] -= f
         mag_sum += abs(fn) + math.sqrt(float(shear @ shear))
-        count += 1
+        count += intact or overlap > 0.0
     w = system.walls
     touching = {"bot": 0, "top": 0}
     for p in range(system.n):
@@ -502,6 +545,21 @@ def test_step_advances_shear_and_forces_like_the_oracle():
     assert system.unbalanced_ratio() == pytest.approx(ratio, rel=1e-12)
 
 
+def test_rows_that_carry_no_force_leave_the_unbalanced_ratio_unchanged():
+    # the pair table keeps pairs within its skin of touching; a row whose
+    # pair is apart carries no force, so it must not lower the mean contact
+    # force as a pressing pair would
+    system = mixed_table_system()
+    ratio = system.unbalanced_ratio()
+    # a skin that spans the specimen adds a row for every pair of the
+    # three pairs' ends, 10 mm and more apart
+    system.skin = 30.0
+    system.refresh_transient_contacts()
+    assert len(system.ia) == 15
+    assert system.unbalanced_ratio() == pytest.approx(ratio, rel=1e-12)
+    assert oracle_forces(system)[1] == pytest.approx(ratio, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the force pass against the vectorised pass it replaced, bit for bit
 
@@ -565,7 +623,7 @@ def _force_pass_oracle(s, dt, mutate=True):
 
 def _step_oracle(s, dt):
     """``ParticleSystem.step`` on the oracle pass, integrating on fresh
-    arrays."""
+    arrays, then the engine's own move test and rebuild."""
     assert dt <= s.dt * (1.0 + 1e-12)
     force = _force_pass_oracle(s, dt)[0]
     if s._fire is not None:
@@ -576,13 +634,17 @@ def _step_oracle(s, dt):
     s.pos += s.vel * dt
     s.time += dt
     s.step_count += 1
+    if s._anchor.moved_half_skin(s._pos):
+        s.refresh_transient_contacts()
 
 
 def _mean_forces_oracle(s):
-    force, fn, _, _, pushes = _force_pass_oracle(s, 0.0, mutate=False)
+    force, fn, _, overlap, pushes = _force_pass_oracle(s, 0.0, mutate=False)
     mag_sum = float(np.abs(fn).sum() + np.sqrt(
         np.einsum("ij,ij->i", s.b_shear, s.b_shear)).sum())
-    count = len(s.ia)
+    # the intact bonds and the overlapping pairs
+    count = int(np.count_nonzero(overlap > 0.0)
+                + np.count_nonzero(s.b_intact & ~(overlap[:s.n_bonds] > 0.0)))
     if pushes:
         mag_sum += s.walls["f_bot"] + s.walls["f_top"]
         count += int(np.count_nonzero(pushes[0]) + np.count_nonzero(pushes[1]))
@@ -1072,20 +1134,23 @@ def nan_velocity(system):
     system.vel[0] = np.nan
 
 
-def nan_position(system):
+def nan_position_past_the_skin(system):
+    # particle 1's move alone would call for a rebuild of the pair table
     system.pos[0, 0] = np.nan
+    system.pos[1, 0] += system.skin
 
 
 @pytest.mark.parametrize("target, when, corrupt, what", [
     # early: the next curve sample sees the NaN platen stress
     (0.015, lambda s, n: n == 20, nan_velocity, "platen stress"),
-    # an x position turned NaN just before a contact refresh leaves the
-    # platen stress finite for a step; the refresh must not reach the k-d tree
-    (0.015, lambda s, n: n == 499, nan_position, "position sum"),
-    # late: no refresh comes before the run ends at its target strain
+    # a move that is not finite calls for no rebuild, so the NaN x position
+    # never reaches the k-d tree: it spreads through the pair forces to the
+    # platen stress
+    (0.015, lambda s, n: n == 499, nan_position_past_the_skin, "platen stress"),
+    # late: the last sample, at the target strain, sees the NaN
     (0.004, lambda s, n: s.platen_strain() >= 0.0036, nan_velocity,
      "platen stress"),
-], ids=["early", "before_refresh", "late"])
+], ids=["early", "nan_move", "late"])
 def test_uniaxial_loading_raises_on_a_non_finite_state(
         small_saturated, monkeypatch, target, when, corrupt, what):
     corrupt_loading(monkeypatch, when, corrupt)
@@ -1151,6 +1216,29 @@ def test_uniaxial_curve_keeps_every_sample(request, fixture, velocity):
     # sample interval would leave the curve short of its 751 samples
     curve = run_uniaxial_test(request.getfixturevalue(fixture), velocity, 0.015)
     assert len(curve) == 751
+
+
+def test_loading_leaves_no_touching_pair_out_of_the_pair_table(small_saturated,
+                                                               monkeypatch):
+    # after every loading step, every touching pair has a row; past the
+    # peak, particles move far in few steps, and a table rebuilt only every
+    # 250 steps lets a pair touch with no row here from 4.81% strain
+    original, strains = ParticleSystem.step, []
+
+    def step(self, dt):
+        original(self, dt)
+        if self.walls is None:
+            return
+        ia, ib, _ = contact_arrays(self.snapshot(), 0.0)
+        n = np.int64(self.n)
+        missing = ~np.isin(ia * n + ib, self.ia * n + self.ib)
+        assert not missing.any(), f"pairs {ia[missing]}, {ib[missing]} touch " \
+            f"with no row at a strain of {self.platen_strain():.4%}"
+        strains.append(self.platen_strain())
+
+    monkeypatch.setattr(ParticleSystem, "step", step)
+    run_uniaxial_test(small_saturated, 2.0, 0.05)
+    assert max(strains) >= 0.05
 
 
 # ---------------------------------------------------------------------------

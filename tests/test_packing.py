@@ -339,32 +339,44 @@ def test_desk_packings_take_at_most_half_the_plain_sweeps(monkeypatch):
     # the plain Jacobi sweep took 33,511 sweeps over these five packings;
     # heavy-ball momentum with restart must at least halve that
     sweeps = []
-    pairs = packing._PairCache.pairs
+    relax, moved = packing._relax_overlaps, packing.SkinAnchor.moved_half_skin
 
-    def counted(self, centers):
+    # every sweep but each call's first, which has no anchor yet, runs the
+    # move test once
+    def counted_relax(*args, **kwargs):
         sweeps.append(1)
-        return pairs(self, centers)
+        return relax(*args, **kwargs)
 
-    monkeypatch.setattr(packing._PairCache, "pairs", counted)
+    def counted_move(self, centers):
+        sweeps.append(1)
+        return moved(self, centers)
+
+    monkeypatch.setattr(packing, "_relax_overlaps", counted_relax)
+    monkeypatch.setattr(packing.SkinAnchor, "moved_half_skin", counted_move)
     for seed in range(5):
         generate_packing(desk_config(radius=6.0, height=12.0, seed=seed))
     assert len(sweeps) <= 33_511 // 2
 
 
-def test_pair_cache_rebuilds_once_a_particle_moves_half_a_skin():
+def test_skin_anchor_calls_for_a_rebuild_once_a_particle_moves_half_a_skin():
     # two spheres 1.2 skins apart, not yet a pair, each move 0.45 skin along
     # every axis toward the other: no coordinate moves half a skin, but each
     # sphere moves 0.78 skin and together they close 1.56 skins and overlap
     skin, axis = 0.3, np.full(3, 1.0) / math.sqrt(3.0)
     radii = np.ones(2)
     centers = np.array([np.zeros(3), (2.0 + 1.2 * skin) * axis])
-    # the cache takes component-major (3, n) centers
-    cache = packing._PairCache(radii, skin)
-    assert [a.tolist() for a in cache.pairs(centers.T)] == [[], []]
+    assert [a.tolist() for a in packing._near_pairs(centers, radii, skin)[:2]] \
+        == [[], []]
+    # the anchor takes component-major (3, n) centers
+    anchor = packing.SkinAnchor(centers.T, skin)
+    assert not anchor.moved_half_skin(centers.T)
     moved = centers + np.array([[1.0], [-1.0]]) * 0.45 * skin
     assert np.abs(moved - centers).max() <= 0.5 * skin
     assert np.linalg.norm(moved[1] - moved[0]) < 2.0
-    assert [a.tolist() for a in cache.pairs(moved.T)] == [[0], [1]]
+    assert anchor.moved_half_skin(moved.T)
+    # a move that is not finite calls for no rebuild
+    moved[0, 0] = np.nan
+    assert not anchor.moved_half_skin(moved.T)
 
 
 def _relax_overlaps_oracle(centers, radii, domain, max_overlap, max_sweeps,
