@@ -264,8 +264,8 @@ def cmd_freeze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
                   row.stats.contact_pair_count, row.stats.force_increase_pct,
                   row.stats.contact_volume_reduction_pct)
                  for row in result.rows()]
-    crack_rows = ((c.time, c.position[0], c.position[1], c.position[2], c.mode)
-                  for c in result.cracks)
+    crack_rows = ((c.stage, c.substep, c.event.time, *c.event.position,
+                   c.event.mode) for c in result.cracks)
     outputs = [
         ("particles.tsv", artifacts.write_particles, result.system.snapshot()),
         ("bonds.tsv", artifacts.write_bonds, result.system),
@@ -274,8 +274,8 @@ def cmd_freeze(config: ExperimentConfig, args) -> tuple[list[tuple], str]:
         ("contact_stats.tsv", artifacts.write_table,
          ("stage", "temperature_c", "max_contact_force_n", "contact_pair_count",
           "force_increase_pct", "contact_volume_reduction_pct"), stat_rows),
-        ("cracks.tsv", artifacts.write_table, ("time_s", "x", "y", "z", "mode"),
-         crack_rows)]
+        ("cracks.tsv", artifacts.write_table,
+         ("stage", "substep", "time_s", "x", "y", "z", "mode"), crack_rows)]
     return outputs, (f"freeze run complete: {len(result.stages)} stages, "
                      f"{len(result.cracks)} crack events")
 

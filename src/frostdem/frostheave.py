@@ -11,6 +11,10 @@ that growth instead of cancelling it: two bonded 1 mm ice particles cooled
 from -1 to -11 degC end at 104.5 N, half from the offset and half from the
 growth, where the same rock pair cooled from 19 to 9 degC ends within
 1e-11 N of zero.
+
+Every relaxation of a freeze, the set-up and the one after each coupled
+substep, runs to one unbalanced-force tolerance, ``STAGE_RELAX_TOL``, so
+stage statistics and crack counts describe states the run reached.
 """
 from __future__ import annotations
 
@@ -91,14 +95,34 @@ def contact_statistics(system: ParticleSystem,
 # ---------------------------------------------------------------------------
 # Freeze pipeline
 
-#: Mechanical steps after each coupled substep.  The count stands for a span
-#: of time, so it scales with 1 / ``mechanics.DT_SAFETY``.
-SUBSTEP_RELAX_STEPS = 75
-
-#: Unbalanced-force ratio the set-up and every stage end equilibrate to.
+#: Unbalanced-force ratio every relaxation of a freeze reaches: the set-up
+#: and the relaxation after each coupled substep, so every stage ends at it.
+#: Study on desk packings with ``freeze_volume_jump = 0.09``, against the
+#: 75 locally damped steps that followed each substep before:
+#:
+#: - 132 particles, seeds 1-5: the fixed steps gave 20/36/1/53/12 cracks,
+#:   and 20/41/1/41/12 at ``CONDUCTION_STEP_MULTIPLE`` 2.5 and 7.5.
+#:   Relaxing to 3e-3, 1e-3, 3e-4 or 1e-4 gives 22/28/1/41/15, and so does
+#:   1e-3 at multiples 2.5, 7.5 and 25; every stage's largest contact force
+#:   stays within 0.09% of 1e-4's (0.81% for seed 4 at 3e-3).  At 1e-2
+#:   seeds 1 and 5 move to 21 and 11 cracks, and their last-stage forces
+#:   by -2.2% and +3.6%.
+#: - 313 particles (8 x 16 mm), seeds 1-5: the fixed steps gave
+#:   80/34/57/77/38 cracks; 1e-3 and 1e-4 both give 75/31/55/64/26.
+#: - 1,056 particles (12 x 24 mm): the fixed steps gave 264 cracks in 2,420
+#:   steps (seed 2) and 331 in 2,280 (seed 1).  Seed 2 gives 202, 208, 218,
+#:   218 and 218 cracks at 1e-3, 3e-4, 1e-4, 3e-5 and 1e-5, in 3,250-5,130
+#:   steps; seed 1 gives 299, 306 and 296 at 1e-3, 1e-4 and 1e-5.  The
+#:   last-stage largest force stays within 0.4%.  That is more work than
+#:   the fixed steps, for a state the run reaches, and a tighter tolerance
+#:   does not narrow seed 1's band of 3%.
+#:
+#: With the shipped settings a freeze takes 760-820 mechanical steps on the
+#: benchmark's input seeds 35-39 (1,620-1,660 with the fixed steps) and
+#: 1,240 at 1,056 particles (1,740).
 STAGE_RELAX_TOL = 1e-3
 
-#: Mechanical steps the set-up and every stage end may take to reach
+#: Mechanical steps one relaxation of a freeze may take to reach
 #: ``STAGE_RELAX_TOL`` before the run fails.
 STAGE_RELAX_STEP_CAP = 30_000
 
@@ -167,11 +191,22 @@ class FreezeStageRow:
     stats: ContactStats
 
 
+@dataclass(frozen=True)
+class FreezeCrack:
+    """A bond break and the relaxation it formed in: the
+    ``contact_stats.tsv`` label of its stage, ``"setup"`` for the set-up,
+    and the 1-based substep of that stage (1 for the set-up)."""
+
+    stage: str
+    substep: int
+    event: CrackEvent
+
+
 @dataclass
 class FreezeResult:
     baseline: ContactStats
     stages: list[FreezeStageRow]
-    cracks: list[CrackEvent]
+    cracks: list[FreezeCrack]
     field: TemperatureField
     system: ParticleSystem
     start_temp: float
@@ -190,22 +225,30 @@ def run_freeze(assembly: ParticleAssembly,
     ``CONDUCTION_TOL`` of the boundary (``ConvergenceError`` past
     ``CONDUCTION_STEP_CAP`` steps), then particle radii and bond thermal
     offsets update from the per-particle temperature changes and the contact
-    network relaxes mechanically.  A stage end conducts no further, since
-    the last substep left the field uniform at the target; it equilibrates,
-    as the set-up does, to ``STAGE_RELAX_TOL`` (``ConvergenceError`` past
-    ``STAGE_RELAX_STEP_CAP`` steps).  Contact statistics are captured at
-    the baseline and at each stage end; a baseline with no contact force
-    raises :class:`~frostdem.errors.UndefinedStatisticError` before any
-    conduction, since every stage's force increase is relative to it.
+    network relaxes, as the set-up does, to ``STAGE_RELAX_TOL``
+    (``ConvergenceError`` past ``STAGE_RELAX_STEP_CAP`` steps).  A stage
+    ends at its last substep's relaxed state, with the field uniform at the
+    target.  Every bond break happens inside one of these relaxations and
+    is stamped with it (:class:`FreezeCrack`).  Contact statistics are
+    captured at the baseline and at each stage end; a baseline with no
+    contact force raises :class:`~frostdem.errors.UndefinedStatisticError`
+    before any conduction, since every stage's force increase is relative
+    to it.
     """
     if assembly.n_particles == 0:
         raise InvalidConfigError("cannot freeze an empty assembly")
     system = build_system(assembly)
+    cracks: list[FreezeCrack] = []
+
+    def relax(stage: str, substep: int) -> None:
+        system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
+        cracks.extend(FreezeCrack(stage, substep, event)
+                      for event in system.crack_events[len(cracks):])
 
     water = system.phases == Phase.WATER
     prestress = np.where(water, system.radii * config.water_prestress, 0.0)
     system.grow_radii(prestress)
-    system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
+    relax("setup", 1)
 
     boundary = surface_particle_ids(assembly)
     field = TemperatureField(np.full(assembly.n_particles, config.start_temp,
@@ -233,6 +276,7 @@ def run_freeze(assembly: ParticleAssembly,
 
     for target in config.stage_temps:
         stage_from = t_boundary
+        label = f"{stage_from:g}C~{target:g}C"
         n_sub = max(1, math.ceil(abs(target - t_boundary) / config.substep_dt_max))
         for i in range(n_sub):
             t_boundary = stage_from + (target - stage_from) * (i + 1) / n_sub
@@ -248,14 +292,12 @@ def run_freeze(assembly: ParticleAssembly,
             system.apply_bond_thermal_offsets(d_temp, ALPHA[states])
             t_prev_particles = field.temperatures.copy()
             system.grow_radii(d_radius)
-            system.run(SUBSTEP_RELAX_STEPS)
-        system.equilibrate(tol=STAGE_RELAX_TOL, max_steps=STAGE_RELAX_STEP_CAP)
+            relax(label, i + 1)
         stats = contact_statistics(system, baseline)
-        stages.append(FreezeStageRow(f"{stage_from:g}C~{target:g}C", target,
-                                     stats))
+        stages.append(FreezeStageRow(label, target, stats))
 
-    return FreezeResult(baseline, stages, list(system.crack_events), field,
-                        system, config.start_temp)
+    return FreezeResult(baseline, stages, cracks, field, system,
+                        config.start_temp)
 
 
 def _conduct_until(network: ConductionNetwork, field: TemperatureField,

@@ -30,8 +30,7 @@ DEFAULT_DAMPING = 0.7
 #: packings loaded at 4 mm/s, 0.4 moved the modulus by -1.0% to -2.3% and the
 #: peak by under 0.1% against 0.1.  It is the ceiling: at 0.6 one loading
 #: step can pass a whole curve sample interval (2e-5 strain), and the curve
-#: loses samples.  ``frostheave.SUBSTEP_RELAX_STEPS`` counts steps for a
-#: span of time, so it scales with 1 / DT_SAFETY.
+#: loses samples.
 DT_SAFETY = 0.4
 
 #: Skin of the pair table, as a share of the smallest radius: the unbonded

@@ -65,9 +65,9 @@ UNIFORMITY_LIMIT = 0.5
 #: largest contact force stays within 0.15%, 0.22% and 0.43% of the explicit
 #: run's, and every contact pair count is equal.  25 is the largest of the
 #: three; the first 20 -> 18 degC substep of the 76-particle fixture still
-#: takes 3 steps.  With ``freeze_volume_jump = 0.09`` crack counts move at
-#: every multiple (seed 4 at 132 particles: 49 explicit; 45, 40 and 41), as
-#: they do under changes to the substep relaxation.
+#: takes 3 steps.  With ``freeze_volume_jump = 0.09`` and every substep
+#: relaxed to ``frostheave.STAGE_RELAX_TOL``, the crack counts of seeds 1-5
+#: at 132 particles are the same at 2.5, 7.5 and 25 (22/28/1/41/15).
 CONDUCTION_STEP_MULTIPLE = 25.0
 
 

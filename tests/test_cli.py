@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ from frostdem import cli
 from frostdem.cli import main, read_particles, read_points
 from frostdem.config import KEYS, SECTIONS, ExperimentConfig, parse_config_text
 from frostdem.errors import InputParseError, InvalidConfigError
+from frostdem.frostheave import FreezeConfig
 from frostdem.packing import CylinderDomain, PackingConfig
 
 from conftest import corrupt_loading
@@ -438,16 +440,18 @@ def test_stability_error_exits_4(tmp_path, capsys, monkeypatch):
 def test_freeze_non_finite_position_exits_4(tmp_path, capsys, monkeypatch):
     from frostdem.mechanics import ParticleSystem
 
-    run, calls = ParticleSystem.run, []
+    equilibrate, calls = ParticleSystem.equilibrate, []
 
-    def run_then_corrupt(self, n_steps):
-        run(self, n_steps)
-        calls.append(n_steps)
+    def equilibrate_then_corrupt(self, *args, **kwargs):
+        ratio = equilibrate(self, *args, **kwargs)
+        calls.append(ratio)
         if len(calls) == 2:
             self.pos[0, 0] = np.nan
+        return ratio
 
-    # the next neighbour search meets the NaN centre
-    monkeypatch.setattr(ParticleSystem, "run", run_then_corrupt)
+    # after the set-up's relaxation and the first substep's, the next
+    # substep's neighbour search meets the NaN centre
+    monkeypatch.setattr(ParticleSystem, "equilibrate", equilibrate_then_corrupt)
     cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
     out = tmp_path / "out"
     assert main(["freeze", "--config", cfg, "--out", str(out)]) == 4
@@ -473,7 +477,7 @@ def test_freeze_conduction_cap_exits_4(tmp_path, capsys, monkeypatch):
 def test_freeze_equilibration_cap_exits_4(tmp_path, capsys, monkeypatch):
     from frostdem import frostheave
 
-    # this packing's set-up relaxation takes 60 steps and each stage end 20-30
+    # this packing's set-up relaxation takes 50 steps and each substep's 30
     monkeypatch.setattr(frostheave, "STAGE_RELAX_STEP_CAP", 30)
     cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}")
     out = tmp_path / "out"
@@ -481,6 +485,32 @@ def test_freeze_equilibration_cap_exits_4(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "stability error: equilibration left an unbalanced-force ratio" in err
     assert "after 30 steps; the tolerance is 0.001" in err
+    assert not out.exists()
+
+
+def test_freeze_substep_relaxation_cap_exits_4(tmp_path, capsys, monkeypatch):
+    # with the volume jump this packing's set-up relaxation takes 50 steps,
+    # most substeps' 30 and those that freeze water up to 110: the set-up
+    # reaches its tolerance and a substep runs out of steps
+    from frostdem import frostheave
+    from frostdem.mechanics import ParticleSystem
+
+    equilibrate, calls = ParticleSystem.equilibrate, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(True)
+        return equilibrate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParticleSystem, "equilibrate", counted)
+    monkeypatch.setattr(frostheave, "STAGE_RELAX_STEP_CAP", 60)
+    cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}\n[thermal]\n"
+                                 "freeze_volume_jump = 0.09\n")
+    out = tmp_path / "out"
+    assert main(["freeze", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "stability error: equilibration left an unbalanced-force ratio" in err
+    assert "after 60 steps; the tolerance is 0.001" in err
+    assert len(calls) > 1
     assert not out.exists()
 
 
@@ -1209,6 +1239,29 @@ stage_temps = 0,-10,-20
     stats = (out1 / "contact_stats.tsv").read_text().splitlines()
     assert len(stats) == 5  # header + baseline + three stages
     assert stats[1].startswith("baseline\t20")
+
+
+def test_freeze_cracks_name_their_stage_and_substep(tmp_path):
+    # every crack forms inside a relaxation: the set-up's or a substep's
+    cfg = write_config(tmp_path, f"[run]\nseed = 5\n{PACKING_BLOCK}\n[thermal]\n"
+                                 "freeze_volume_jump = 0.09\n")
+    out = tmp_path / "out"
+    assert main(["freeze", "--config", cfg, "--out", str(out)]) == 0
+    stats = [line.split("\t") for line in
+             (out / "contact_stats.tsv").read_text().splitlines()[2:]]
+    temps = [20.0] + [float(row[1]) for row in stats]
+    dt_max = FreezeConfig().substep_dt_max
+    substeps = {"setup": 1, **{row[0]: math.ceil((t0 - t1) / dt_max) for row, t0, t1
+                               in zip(stats, temps, temps[1:])}}
+    order = list(substeps)
+    header, *rows = (line.split("\t") for line in
+                     (out / "cracks.tsv").read_text().splitlines())
+    assert header == ["stage", "substep", "time_s", "x", "y", "z", "mode"]
+    assert rows
+    for stage, substep, *_ in rows:
+        assert 1 <= int(substep) <= substeps[stage]
+    stamps = [(order.index(stage), int(substep)) for stage, substep, *_ in rows]
+    assert stamps == sorted(stamps)
 
 
 def test_freeze_target_temp_schedule_keys(tmp_path):

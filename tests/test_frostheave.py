@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frostdem import frostheave
+from frostdem import frostheave, thermal
 from frostdem.errors import (ConvergenceError, InvalidConfigError,
                              UndefinedStatisticError)
 from frostdem.frostheave import (FreezeConfig, _conduct_until, contact_statistics,
@@ -13,9 +13,12 @@ from frostdem.frostheave import (FreezeConfig, _conduct_until, contact_statistic
                                  run_freeze, volume_reduction_pct)
 from frostdem.mechanics import (BondMaterial, ParticleSystem,
                                 SATURATED_MATERIALS, build_system)
-from frostdem.packing import ContactKind, CylinderDomain, ParticleAssembly, Phase
+from frostdem.packing import (ContactKind, CylinderDomain, ParticleAssembly, Phase,
+                              generate_packing)
 from frostdem.thermal import (ALPHA, ICE, ConductionNetwork, TemperatureField,
                               surface_particle_ids)
+
+from conftest import desk_config
 
 
 def increment(phase, radius, t_old, t_new):
@@ -240,7 +243,7 @@ def test_water_bonds_never_break_in_pure_thermal(saturated_freeze):
 
 
 def test_crack_log_time_ordered(saturated_freeze):
-    times = [c.time for c in saturated_freeze.cracks]
+    times = [c.event.time for c in saturated_freeze.cracks]
     assert times == sorted(times)
 
 
@@ -312,6 +315,37 @@ def test_freeze_volume_jump_grows_water_radii(small_saturated):
     # 9% volume jump is about 2.9% radius growth over the plain run
     ratio = jumped.system.radii[water] / plain.system.radii[water]
     assert np.allclose(ratio, (1.09) ** (1 / 3), rtol=1e-3)
+
+
+@pytest.fixture(scope="module")
+def desk_132():
+    """The 132-particle 6 x 12 mm desk packing of seed 2."""
+    return generate_packing(desk_config(radius=6.0, height=12.0, seed=2))
+
+
+def test_freeze_damage_converges_in_relaxation_and_conduction_step(
+        desk_132, monkeypatch):
+    # with the volume jump, 75 locally damped steps after each substep gave
+    # this packing 36 cracks at conduction multiple 25 and 41 at 7.5; every
+    # relaxation to the tolerance gives 28 from 1e-3 down to 1e-4 and at
+    # both multiples, with stage forces within 0.04% of each other
+    def freeze(tol, multiple):
+        with monkeypatch.context() as patch:
+            patch.setattr(frostheave, "STAGE_RELAX_TOL", tol)
+            patch.setattr(thermal, "CONDUCTION_STEP_MULTIPLE", multiple)
+            result = run_freeze(desk_132, FreezeConfig(freeze_volume_jump=0.09))
+        return len(result.cracks), [row.stats for row in result.stages]
+
+    shipped = frostheave.STAGE_RELAX_TOL
+    (cracks, stages), *others = (freeze(shipped, 25.0), freeze(shipped / 10, 25.0),
+                                 freeze(shipped, 7.5))
+    assert cracks > 0
+    for other_cracks, other_stages in others:
+        assert other_cracks == cracks
+        for stats, other in zip(stages, other_stages, strict=True):
+            assert other.contact_pair_count == stats.contact_pair_count
+            assert other.max_contact_force == pytest.approx(
+                stats.max_contact_force, rel=1e-3)
 
 
 class _CountingNetwork(ConductionNetwork):
