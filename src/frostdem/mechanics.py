@@ -218,6 +218,17 @@ def extract_mechanical_params(curve: StressStrainCurve) -> MechanicalReport:
 # ---------------------------------------------------------------------------
 # Explicit-dynamics particle system
 
+def _row_view(name: str, doc: str) -> property:
+    """A ``(k, 3)`` attribute that is a writable view of the ``(3, k)``
+    array ``name``; assigning to it copies into that array."""
+    def fget(self) -> np.ndarray:
+        return getattr(self, name).T
+
+    def fset(self, value) -> None:
+        np.copyto(getattr(self, name).T, value)
+    return property(fget, fset, doc=doc)
+
+
 class ParticleSystem:
     """Mutable simulation state: particles, one pair table, platens.
 
@@ -238,19 +249,17 @@ class ParticleSystem:
     steps at a longer one under masses of its own and leaves ``dt`` no
     longer than it found it.
 
-    Positions and velocities are stored component-major, ``(3, n)``, and
-    the force pass works on ``(3, m)`` rows of pair normals and pair forces,
-    so a row norm or a dot product is three contiguous row operations.
-    ``pos`` and ``vel`` are writable ``(n, 3)`` views of that storage, with
-    setters, so ``system.pos += u`` and ``system.vel[:] = v`` write through.
-    The bond shear ``b_shear`` stays ``(nb, 3)`` row-major and the pass reads
-    its ``(3, nb)`` transpose: ``np.einsum("ij,ij->i")`` sums a contiguous
-    3-wide row as ``(p0 + p2) + p1`` but a transposed one as
-    ``(p0 + p1) + p2``, so row-major storage keeps einsum on ``b_shear``
-    rounding as the pass does.  Every row sum is written out in the order
-    einsum takes on contiguous rows, and every sum over particles (FIRE's
-    power and norms, :meth:`_mean_forces`, :meth:`kinetic_energy`) runs in
-    particle-major order, so the pass rounds as a row-major one does.
+    Positions, velocities and the bond shear are stored component-major,
+    ``(3, n)`` and ``(3, nb)``, and the force pass works on ``(3, m)`` rows
+    of pair normals and pair forces, so a row norm or a dot product is three
+    contiguous row operations.  ``pos``, ``vel`` and ``b_shear`` are
+    writable ``(n, 3)`` and ``(nb, 3)`` views of that storage, with setters,
+    so ``system.pos += u`` and ``system.b_shear[:] = s`` write through.
+    Every row sum is written out in the order ``np.einsum("ij,ij->i")``
+    takes on contiguous rows, ``(p0 + p2) + p1``, and every sum over
+    particles (FIRE's power and norms, :meth:`_mean_forces`,
+    :meth:`kinetic_energy`) runs in particle-major order, so the pass rounds
+    as a row-major one does.
 
     One force pass serves :meth:`step`, :meth:`unbalanced_ratio` and
     :meth:`contact_summary`.  It reads caches that hold only what the state
@@ -306,25 +315,9 @@ class ParticleSystem:
 
     # -- state views ----------------------------------------------------------
 
-    @property
-    def pos(self) -> np.ndarray:
-        """Particle centres, ``(n, 3)``: a writable view of the ``(3, n)``
-        storage."""
-        return self._pos.T
-
-    @pos.setter
-    def pos(self, value) -> None:
-        np.copyto(self._pos.T, value)
-
-    @property
-    def vel(self) -> np.ndarray:
-        """Particle velocities, ``(n, 3)``: a writable view of the
-        ``(3, n)`` storage."""
-        return self._vel.T
-
-    @vel.setter
-    def vel(self, value) -> None:
-        np.copyto(self._vel.T, value)
+    pos = _row_view("_pos", "Particle centres, ``(n, 3)``.")
+    vel = _row_view("_vel", "Particle velocities, ``(n, 3)``.")
+    b_shear = _row_view("_shear", "Bond shear forces, ``(nb, 3)``.")
 
     # -- construction -------------------------------------------------------
 
@@ -367,7 +360,7 @@ class ParticleSystem:
         self.b_offset = np.zeros(m)
         self.b_length0 = np.linalg.norm(self.pos[ib] - self.pos[ia], axis=1)
         self.b_intact = np.ones(m, dtype=bool)
-        self.b_shear = np.zeros((m, 3))
+        self._shear = np.zeros((3, m))
         self._shear_dt = None
         self._bond_keys = ia * np.int64(self.n) + ib
 
@@ -441,7 +434,7 @@ class ParticleSystem:
         normal /= np.maximum(dist, 1e-12)
         overlap = self._radius_sum - dist
         fn = self._normal_forces(overlap)
-        shear = self.b_shear.T                  # (3, nb) view of the store
+        shear = self._shear
         if mutate and nb:
             if dt != self._shear_dt:
                 # a broken bond has no shear stiffness, so its shear stays 0
@@ -451,14 +444,10 @@ class ParticleSystem:
             slip = v[0]
             slip -= v[1]
             slip *= self._k_shear_dt
-            # the shear advances in a contiguous (3, nb) array, written
-            # back to the row-major store once; the pass reads it from here
-            advanced = np.subtract(shear, slip, out=slip)
+            shear -= slip
             # projecting after the increment drops its normal part
             n_b = normal[:, :nb]
-            advanced -= _row_dot(advanced, n_b) * n_b
-            shear[...] = advanced
-            shear = advanced
+            shear -= _row_dot(shear, n_b) * n_b
             sigma_n = fn[:nb] / self.b_area
             # rotational DOF are not carried, so there is no bending moment
             # and the extreme-fiber tension is the normal tension alone
@@ -475,7 +464,6 @@ class ParticleSystem:
                         self.time, tuple(float(x) for x in mid[row]),
                         "tensile" if tensile[idx] else "shear"))
                 self._break_bonds(failed)
-                shear[:, failed] = 0.0          # as the store now holds
                 fn = self._normal_forces(overlap)
 
         pair_force = np.empty((2, 3, m))          # force on b, then on a
@@ -511,7 +499,7 @@ class ParticleSystem:
         totals, so ``dt`` drops to a stable step that is now shorter; a
         longer one waits for the next change of the pair table."""
         self.b_intact[rows] = False
-        self.b_shear[rows] = 0.0
+        self._shear[:, rows] = 0.0
         self._shear_dt = None
         self.dt = min(self.dt, self.stable_dt())
 
@@ -589,7 +577,7 @@ class ParticleSystem:
         """Mean net force over the particles, and mean force magnitude over
         the active pairs and the pressing platen contacts."""
         force, fn, _, overlap = self._force_pass(0.0, mutate=False)
-        shear = self.b_shear.T
+        shear = self._shear
         mag_sum = float(np.abs(fn).sum() + np.sqrt(_row_dot(shear, shear)).sum())
         count = int(np.count_nonzero(self._active_rows(overlap)))
         if self.walls is not None:

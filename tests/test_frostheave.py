@@ -261,6 +261,29 @@ def test_dry_final_stage_is_pure_rock_shrinkage(dry_freeze):
     assert len(dry_freeze.cracks) == 0
 
 
+def _loud_dry_seed(seed, moves):
+    return pytest.param(seed, marks=pytest.mark.xfail(
+        strict=True, reason=f"the 0, -10 and -20 degC stages move by {moves}"))
+
+
+@pytest.mark.parametrize("seed", [
+    _loud_dry_seed(0, "-0.18, -0.28 and -0.37%"), 1, 2, 3, 4, 5,
+    _loud_dry_seed(6, "-0.15, -0.22 and -0.30%"),
+    _loud_dry_seed(7, "-0.19, -0.28 and -0.37%")])
+def test_dry_model_stays_quiet_on_every_desk_seed(seed):
+    # the two dry tests above on the fixture's config at other seeds; the
+    # fixture's seed 5 is quiet, and why seeds 0, 6 and 7 are not is open
+    result = run_freeze(generate_packing(
+        desk_config(porosity=0.0, solid_fraction=0.48, seed=seed)))
+    base_pairs = result.baseline.contact_pair_count
+    for row in result.stages[:2]:
+        change = abs(row.stats.contact_pair_count - base_pairs) / base_pairs
+        assert change < 0.002
+    for row in result.stages:
+        assert abs(row.stats.force_increase_pct) < 0.2
+    assert len(result.cracks) == 0
+
+
 def test_freeze_requires_decreasing_stages():
     with pytest.raises(InvalidConfigError):
         FreezeConfig(stage_temps=(0.0, 5.0))

@@ -585,11 +585,12 @@ def _force_pass_oracle(s, dt, mutate=True):
         n_b = normal[:nb]
         v_rel = s.vel.take(ib[:nb], axis=0) - s.vel.take(ia[:nb], axis=0)
         s.b_shear -= (s.b_k_shear * s.b_intact * dt)[:, None] * v_rel
-        s_n = np.einsum("ij,ij->i", s.b_shear, n_b)
+        s_n = np.einsum("ij,ij->i", np.ascontiguousarray(s.b_shear), n_b)
         s.b_shear -= s_n[:, None] * n_b
         sigma_n = fn[:nb] / s.b_area
         tensile = -sigma_n > s.b_tensile
-        tau = np.sqrt(np.einsum("ij,ij->i", s.b_shear, s.b_shear)) / s.b_area
+        shear = np.ascontiguousarray(s.b_shear)
+        tau = np.sqrt(np.einsum("ij,ij->i", shear, shear)) / s.b_area
         failing = s.b_intact & (tensile
                                 | (tau > s.b_cohesion + sigma_n * s.b_tanphi))
         if failing.any():
@@ -640,8 +641,9 @@ def _step_oracle(s, dt):
 
 def _mean_forces_oracle(s):
     force, fn, _, overlap, pushes = _force_pass_oracle(s, 0.0, mutate=False)
+    shear = np.ascontiguousarray(s.b_shear)
     mag_sum = float(np.abs(fn).sum() + np.sqrt(
-        np.einsum("ij,ij->i", s.b_shear, s.b_shear)).sum())
+        np.einsum("ij,ij->i", shear, shear)).sum())
     # the intact bonds and the overlapping pairs
     count = int(np.count_nonzero(overlap > 0.0)
                 + np.count_nonzero(s.b_intact & ~(overlap[:s.n_bonds] > 0.0)))
@@ -731,8 +733,8 @@ def test_equilibrate_matches_the_oracle_pass_bit_for_bit(monkeypatch):
 
 def test_einsum_sums_a_contiguous_three_wide_row_as_p0_plus_p2_then_p1():
     # the force pass writes each row sum out in this order; einsum on a
-    # transposed (n, 3) view sums in order instead, so b_shear, which the
-    # oracle pass reads with einsum, keeps its row-major storage
+    # transposed (n, 3) view sums in order instead, so the oracle pass reads
+    # a contiguous copy of the (nb, 3) b_shear view
     rng = np.random.default_rng(11)
     u = rng.normal(size=(1000, 3)) * np.exp(rng.normal(scale=4.0, size=(1000, 3)))
     v = rng.normal(size=(1000, 3)) * np.exp(rng.normal(scale=4.0, size=(1000, 3)))
@@ -758,6 +760,9 @@ def test_writes_through_the_state_views_reach_the_next_force_pass():
     system.pos[3, 2] += 1e-4                   # the broken bond closes
     seen.append(forces())
     system.b_shear[0] = (1.0, -2.0, 0.5)
+    seen.append(forces())
+    system.b_shear = 0.5 * system.b_shear      # the setter writes the storage
+    assert np.array_equal(system._shear[:, 0], (0.5, -1.0, 0.25))
     seen.append(forces())
     system.pos += (0.0, 0.0, 1e-4)             # eases the bottom platen
     assert system.walls["z_bot"] + 1.0 > system.pos[:, 2].min()
