@@ -19,6 +19,7 @@ import errno
 import io
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -43,63 +44,94 @@ EXIT_STABILITY = 4
 # ---------------------------------------------------------------------------
 # Input-file readers
 
+#: The line ends ``str.splitlines`` knows once ``read_text`` has turned
+#: "\r\n" and "\r" into "\n"; ``_read_rows`` splits lines at these alone.
+_LINE_END = re.compile("[\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 #: Every byte a row body may hold for ``_load_body`` to parse it: with only
 #: these, np.loadtxt and the line loop split lines and fields alike, and
 #: numpy converts each field to the same double as ``float``.
 _PLAIN_BODY = b"0123456789.eE+- \t\n"
-#: Line ends ``str.splitlines`` knows besides "\n" (``read_text`` has already
-#: turned "\r\n" and "\r" into "\n").
-_OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _read_rows(path: Path, n_columns: tuple[int, ...], kind: str):
-    """Numeric rows from a columnar text file; '#' headers and one optional
-    column-name row are skipped.  The first data row fixes the column count,
-    which must be one of ``n_columns``, and every value must be finite.
-    Header values come back as ``meta[key] = (text, line number)``.  Errors
-    cite the 1-based line number.
+    """Numeric rows from a columnar text file.  Every row before the first
+    data row that is not all numbers, such as a column-name row, is
+    skipped, and a '#' line anywhere is a header.  The first data row fixes
+    the column count, which must be one of ``n_columns``, and every value
+    must be finite.  Header values come back as ``meta[key] = (text, line
+    number)``.  Errors cite the 1-based line number, counting lines as
+    ``str.splitlines`` does (``_LINE_END``).
 
-    A plain body is parsed by one ``np.loadtxt``; anything else, and every
-    malformed file, goes through the line loop, which gives the same result
-    and is the one that reports errors."""
+    The header is scanned once, up to the first data row; from that row
+    on, a plain body is parsed by one ``np.loadtxt``, and any other body,
+    or one that np.loadtxt declines, by the line loop, which reports the
+    body's errors."""
     if not path.exists():
         raise InvalidConfigError(f"{kind} file not found: {path}")
     text = path.read_text()
-    fast = _load_body(text, n_columns, path)
-    if fast is not None:
-        return fast
-    return _read_rows_by_line(text, n_columns, path, kind)
-
-
-def _load_body(text: str, n_columns: tuple[int, ...], path: Path):
-    """(data, meta) of ``_read_rows`` with the rows after the header parsed
-    by np.loadtxt, or None where that might not match the line loop."""
     meta: dict[str, tuple[str, int]] = {}
-    pos = 0
-    lineno = 0
-    while True:
-        if pos >= len(text):
-            return None
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
+    pos, lineno = 0, 0
+    while pos < len(text):
         lineno += 1
+        found = _LINE_END.search(text, pos)
+        end = found.start() if found else len(text)
         line = text[pos:end].strip()
         if line.startswith("#"):
             _meta_line(line, lineno, meta, path)
-        elif line and _numbers(line) is not None:
+        elif line and (first := _numbers(line)) is not None:
             break
         pos = end + 1
-    body = text[pos:].encode()
-    if (any(c in text[:pos] for c in _OTHER_LINE_ENDS)
-            or body.translate(None, _PLAIN_BODY)):
+    else:
+        raise InputParseError(f"no data rows in {kind} file", line=1,
+                              path=str(path))
+    if len(first) not in n_columns:
+        raise InputParseError(
+            f"expected {' or '.join(map(str, n_columns))} columns, "
+            f"got {len(first)}", line=lineno, path=str(path))
+    # no text copy of the body lives beside the bytes np.loadtxt parses
+    data = _load_body(text[pos:].encode())
+    if data is None:
+        data = _read_body_by_line(text[pos:], lineno, len(first), meta, path)
+    return data, meta
+
+
+def _load_body(body: bytes) -> np.ndarray | None:
+    """The rows of a plain body parsed by one np.loadtxt, or None where
+    that might not match the line loop."""
+    if body.translate(None, _PLAIN_BODY):
         return None
     try:
         data = np.loadtxt(io.BytesIO(body), ndmin=2)
     except ValueError:
         return None
-    if data.shape[1] not in n_columns or not np.isfinite(data).all():
-        return None
-    return data, meta
+    return data if np.isfinite(data).all() else None
+
+
+def _read_body_by_line(body: str, lineno: int, width: int, meta: dict,
+                       path: Path) -> np.ndarray:
+    """The rows of a body whose first line, line ``lineno`` of the file, is
+    a data row ``width`` wide, read one line at a time; '#' lines go to
+    ``meta``, and the first bad line raises."""
+    rows = []
+    for lineno, raw in enumerate(_LINE_END.split(body), start=lineno):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _meta_line(line, lineno, meta, path)
+            continue
+        values = _numbers(line)
+        if values is None:
+            raise InputParseError(f"expected numbers, got {line!r}",
+                                  line=lineno, path=str(path))
+        if len(values) != width:
+            raise InputParseError(f"expected {width} columns, got {len(values)}",
+                                  line=lineno, path=str(path))
+        if not all(map(math.isfinite, values)):
+            raise InputParseError(f"expected finite numbers, got {line!r}",
+                                  line=lineno, path=str(path))
+        rows.append(values)
+    return np.array(rows)
 
 
 def _meta_line(line: str, lineno: int, meta: dict, path: Path) -> None:
@@ -123,44 +155,6 @@ def _numbers(line: str) -> list[float] | None:
         return [float(p) for p in line.replace(",", "\t").split()]
     except ValueError:
         return None
-
-
-def _read_rows_by_line(text: str, n_columns: tuple[int, ...], path: Path,
-                       kind: str):
-    """``_read_rows`` one line at a time."""
-    rows = []
-    meta: dict[str, tuple[str, int]] = {}
-    width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            _meta_line(line, lineno, meta, path)
-            continue
-        values = _numbers(line)
-        if values is None:
-            if width is None:
-                continue  # single column-name header row
-            raise InputParseError(f"expected numbers, got {line!r}",
-                                  line=lineno, path=str(path))
-        if width is None:
-            if len(values) not in n_columns:
-                raise InputParseError(
-                    f"expected {' or '.join(map(str, n_columns))} columns, "
-                    f"got {len(values)}", line=lineno, path=str(path))
-            width = len(values)
-        elif len(values) != width:
-            raise InputParseError(f"expected {width} columns, got {len(values)}",
-                                  line=lineno, path=str(path))
-        if not all(map(math.isfinite, values)):
-            raise InputParseError(f"expected finite numbers, got {line!r}",
-                                  line=lineno, path=str(path))
-        rows.append(values)
-    if not rows:
-        raise InputParseError(f"no data rows in {kind} file", line=1,
-                              path=str(path))
-    return np.array(rows), meta
 
 
 def read_wave_record(path: str | Path) -> analysis.WaveRecord:

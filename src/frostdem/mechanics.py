@@ -601,7 +601,11 @@ class ParticleSystem:
         Particles with no spring, and held ones (``inv_mass`` 0), keep their
         masses.  A bond break or a rebuild of the pair table inside the
         relaxation lowers its step to :meth:`stable_dt` under these masses
-        where that is shorter.
+        where that is shorter.  That bound is scaled by :data:`DT_SAFETY`
+        (0.4), not :data:`RELAX_DT_SAFETY` (0.8), so the first such event
+        cuts the step to about half whether or not a stiffness rose.  This
+        is a known fault, kept for now: mending it moves crack paths, which
+        the freeze-damage study has to settle first.
 
         Each step is a :meth:`step` of that ``dt`` with the velocity update
         of the Fast Inertial Relaxation Engine in place of local damping:

@@ -60,6 +60,11 @@ def test_mismatched_series_rejected():
                    bar_area=1.0, bar_wave_speed=5000.0, bar_modulus=200.0)
 
 
+def test_empty_series_rejected():
+    with pytest.raises(InvalidConfigError, match="series are empty"):
+        make_record(n=0)
+
+
 def test_nonuniform_time_base_rejected():
     # uneven steps, and a reversed or constant column: the last two wrote
     # negative and zero energies
@@ -264,6 +269,12 @@ def test_empty_point_set_rejected():
         box_counting_dimension(np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("width", [1, 4])
+def test_points_of_other_than_two_or_three_columns_rejected(width):
+    with pytest.raises(InvalidConfigError, match=r"\(N, 2\) or \(N, 3\)"):
+        box_counting_dimension(np.ones((5, width)))
+
+
 def test_non_finite_points_rejected():
     pts = np.random.default_rng(2).random((20, 3))
     pts[7, 1] = np.nan
@@ -431,6 +442,12 @@ def test_t2_identical_to_baseline_is_zero_change():
 def test_t2_area_change_reference_values():
     assert area_change_rate(17944.0, 14683.0) == pytest.approx(22.21, abs=0.01)
     assert area_change_rate(23956.0, 14683.0) == pytest.approx(63.15, abs=0.01)
+
+
+@pytest.mark.parametrize("baseline", [0.0, -14683.0])
+def test_t2_area_change_needs_a_positive_baseline(baseline):
+    with pytest.raises(InvalidConfigError, match="baseline area must be > 0"):
+        area_change_rate(17944.0, baseline)
 
 
 def test_t2_bins_split_exactly_at_edges():

@@ -175,6 +175,15 @@ def test_compress_without_packing_exits_2(tmp_path, capsys):
     assert "[packing]" in capsys.readouterr().err
 
 
+def test_zero_rock_radius_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, PACKING_BLOCK.replace(
+        "rock_radius_min = 1.0", "rock_radius_min = 0"))
+    assert main(["freeze", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "rock_radius_min must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_empty_waveform_exits_3(tmp_path, capsys):
     wave = tmp_path / "wave.tsv"
     wave.write_text("")
@@ -1111,7 +1120,9 @@ def test_exit_code_reaches_the_shell(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the readers' np.loadtxt fast path against the line loop
+# the readers' np.loadtxt body parse against the line loop over the body: the
+# oracle is ``_read_rows`` with that parse patched to decline, so the header
+# scan is shared and the body loop reads every body
 
 READER_FILES = {
     "meta_and_names": WAVE_HEADER + "#  a note\n#k=v\ntime\te_i\te_r\te_t\n"
@@ -1139,21 +1150,26 @@ READER_FILES = {
     "underscore": "0 1 2 3\n4_0 5 6 7\n",
     "crlf": "# a = 1\r\n0 1 2 3\r\n4 5 6 7\r\n",
     "repeated_header": "# a = 1\n# b = 2\n# a = 3\n0 1 2 3\n",
+    "form_feed_repeated_header": "# bar_area = 1\x0c# note\n# bar_area = 2\n"
+                                 "0 1 2 3\n",
+    "form_feed_before_width_error": "# a = 1\x0c5\n# a = 2\n0 1 2 3\n",
 }
 
 
 def read_both(path, n_columns=(4,)):
-    """What ``_read_rows`` and the line loop make of one file: (data bytes,
-    shape, meta) or the error's line and message."""
-    def outcome(read):
+    """What ``_read_rows`` makes of one file with its np.loadtxt body parse
+    and with that parse declining: (data bytes, shape, meta) or the error's
+    line and message."""
+    def outcome():
         try:
-            data, meta = read()
+            data, meta = cli._read_rows(path, n_columns, "waveform")
         except InputParseError as exc:
             return exc.line, str(exc)
         return data.tobytes(), data.shape, meta
-    return (outcome(lambda: cli._read_rows(path, n_columns, "waveform")),
-            outcome(lambda: cli._read_rows_by_line(
-                path.read_text(), n_columns, path, "waveform")))
+    fast = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_load_body", lambda *args: None)
+        return fast, outcome()
 
 
 @pytest.mark.parametrize("name", sorted(READER_FILES))
@@ -1190,11 +1206,37 @@ def test_fast_reader_matches_line_loop_on_plain_bodies(tmp_path_factory, rows,
     assert fast == by_line
 
 
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(
+           [*"0123456789.eE+-,#=", "word", " ", "\t",
+            *"\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]), max_size=40),
+       n_columns=st.sampled_from([(2, 3), (3,)]))
+def test_fast_reader_matches_line_loop_on_any_text(tmp_path_factory, pieces,
+                                                   n_columns):
+    # headers, names and rows cut at every line end str.splitlines knows
+    path = tmp_path_factory.mktemp("rows") / "rows.tsv"
+    path.write_text("".join(pieces))
+    fast, by_line = read_both(path, n_columns)
+    assert fast == by_line
+
+
+def test_reader_splits_lines_where_splitlines_does():
+    # every code point but "\r", which read_text turns into "\n"
+    text = "".join(map(chr, range(0x110000))).replace("\r", "")
+    assert cli._LINE_END.split(text) == text.splitlines()
+
+
 def test_benchmark_style_files_take_the_fast_path(tmp_path, monkeypatch):
-    # waveform, points and spectrum files as np.savetxt writes them
-    def no_line_loop(*args):
-        raise AssertionError("fell back to the line loop")
-    monkeypatch.setattr(cli, "_read_rows_by_line", no_line_loop)
+    # waveform, points and spectrum files as np.savetxt writes them: each
+    # body is parsed by np.loadtxt
+    parsed = []
+    load_body = cli._load_body
+
+    def spy(body):
+        data = load_body(body)
+        parsed.append(data is not None)
+        return data
+    monkeypatch.setattr(cli, "_load_body", spy)
     rng = np.random.default_rng(4)
     wave = tmp_path / "wave.tsv"
     np.savetxt(wave, np.column_stack([np.arange(50) * 1e-8,
@@ -1214,6 +1256,7 @@ def test_benchmark_style_files_take_the_fast_path(tmp_path, monkeypatch):
                fmt="%.10g", delimiter="\t", comments="",
                header="t2_ms\tamplitude")
     assert len(cli.read_spectrum(spectrum)) == 30
+    assert parsed == [True, True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -1551,6 +1594,18 @@ def test_particle_snapshot_roundtrip(tmp_path):
     assert asm.n_particles > 0
     assert asm.n_water > 0
     assert np.all(asm.radii > 0)
+
+
+def test_snapshot_comment_line_is_skipped(tmp_path):
+    rows = ("id\tx\ty\tz\tradius\tphase\tdensity\n",
+            "0\t0\t0\t2\t1\trock\t2600\n", "1\t0\t0\t4\t1\twater\t960\n")
+    plain, commented = tmp_path / "plain.tsv", tmp_path / "commented.tsv"
+    plain.write_text("".join(rows))
+    commented.write_text("".join((rows[0], rows[1], "# a note\n", rows[2])))
+    domain = CylinderDomain(5.0, 10.0)
+    a, b = read_particles(plain, domain), read_particles(commented, domain)
+    for name in ("centers", "radii", "phases", "densities"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_snapshot_phase_word_must_be_rock_or_water(tmp_path, capsys):

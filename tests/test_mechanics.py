@@ -894,6 +894,14 @@ def test_unstable_step_rejected():
         system.step(system.stable_dt() * 10)
 
 
+@pytest.mark.parametrize("dt", [0.0, math.nan])
+def test_step_of_no_or_nan_time_rejected(dt):
+    system = ParticleSystem(pair_assembly(), {ContactKind.ROCK_ROCK: ROCK_MAT},
+                            mass_scale=1.0)
+    with pytest.raises(InvalidConfigError, match="dt must be positive"):
+        system.step(dt)
+
+
 # ---------------------------------------------------------------------------
 # curve extraction
 
@@ -929,6 +937,14 @@ def test_all_zero_curve_rejected():
 def test_short_curve_rejected():
     with pytest.raises(CurveWindowError):
         extract_mechanical_params(linear_curve(max_strain=0.001))
+
+
+def test_curve_with_one_sample_in_the_modulus_window_rejected():
+    # it spans the window, but a line needs two points in it
+    curve = StressStrainCurve(np.array([0.0, 0.001, 0.004]),
+                              np.array([0.0, 4.0, 16.0]))
+    with pytest.raises(CurveWindowError, match="fewer than 2 samples"):
+        extract_mechanical_params(curve)
 
 
 # ---------------------------------------------------------------------------
@@ -1289,6 +1305,13 @@ def test_material_validation():
         BondMaterial(-1.0, 9.0, 2.5, 40.0, 40.0, 45.0)
     with pytest.raises(InvalidConfigError):
         BondMaterial(9.0, 9.0, 2.5, 40.0, 40.0, 95.0)
+    for field, value, message in (
+            ("bond_stiffness_ratio", 0.0, "stiffness ratio must be > 0"),
+            ("bond_stiffness_ratio", -1.0, "stiffness ratio must be > 0"),
+            ("tensile_strength", -1.0, "strengths must be >= 0"),
+            ("cohesion", -1.0, "strengths must be >= 0")):
+        with pytest.raises(InvalidConfigError, match=message):
+            replace(ROCK_MAT, **{field: value})
 
 
 @pytest.mark.parametrize("field", [

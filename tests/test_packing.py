@@ -98,6 +98,11 @@ def test_counts_invalid_porosity():
         compute_particle_counts(desk_config(porosity=1.0))
 
 
+def test_porosity_of_no_particles_is_undefined():
+    with pytest.raises(UndefinedStatisticError, match="zero particles"):
+        porosity_from_counts(desk_config(), 0, 0)
+
+
 @settings(deadline=None, max_examples=40)
 @given(porosity=st.floats(0.01, 0.5), seed=st.integers(0, 10_000))
 def test_counts_close_porosity_definition(porosity, seed):

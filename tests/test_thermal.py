@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frostdem import frostheave
+from frostdem.errors import InvalidConfigError
 from frostdem.frostheave import CONDUCTION_TOL, _conduct_until, run_freeze
 from frostdem.packing import (CylinderDomain, ParticleAssembly, Phase,
                               contact_arrays)
@@ -234,6 +235,13 @@ def test_uniformity_of_an_all_boundary_field_passes():
     # no interior particle deviates
     field = TemperatureField(np.array([-20.0, 5.0]), np.array([0, 1]))
     assert uniformity_report(field) == (0.0, True)
+
+
+def test_uniformity_of_a_field_with_no_boundary_is_rejected():
+    # the boundary mean it measures against does not exist
+    field = TemperatureField(np.array([-20.0, 5.0]), np.zeros(0, dtype=np.int64))
+    with pytest.raises(InvalidConfigError, match="no boundary particles"):
+        uniformity_report(field)
 
 
 def test_empty_assembly_has_no_surface_particles():
